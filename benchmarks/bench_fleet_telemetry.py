@@ -20,7 +20,7 @@ import pickle
 import time
 
 from repro.apps.brake.scenario import BrakeScenario
-from repro.harness import ScenarioSpec, SweepRunner, env_int
+from repro.harness import ResultStore, ScenarioSpec, SweepRunner, env_int
 from repro.obs import fleet
 from repro.obs.export import validate_trace_data
 from repro.obs.fleet import (
@@ -34,7 +34,6 @@ from repro.service import (
     CoordinatorConfig,
     LocalClient,
     LocalService,
-    ResultStore,
     Worker,
 )
 

@@ -24,13 +24,18 @@ import pickle
 import time
 
 from repro.apps.brake.scenario import BrakeScenario
-from repro.harness import ScenarioSpec, SweepRunner, env_int
+from repro.harness import (
+    ResultStore,
+    ScenarioSpec,
+    SweepRunner,
+    env_int,
+    make_record,
+)
 from repro.service import (
     Coordinator,
     CoordinatorConfig,
     LocalClient,
     LocalService,
-    ResultStore,
     Worker,
 )
 
@@ -60,11 +65,12 @@ def test_service(show, bench_json, tmp_path):
     keys = [f"{index:032x}" for index in range(store_records)]
     started = time.perf_counter()
     for index, key in enumerate(keys):
-        store.put(key, index, {"seed": index, "value": [index] * 8})
+        value = {"seed": index, "value": [index] * 8}
+        store.append("bench", [make_record(key, index, value)])
     put_wall = time.perf_counter() - started
     started = time.perf_counter()
     for key in keys:
-        assert store.get(key) is not None
+        assert key in store.get_many("bench", [key])
     get_wall = time.perf_counter() - started
 
     # -- queue throughput (stub executor: pure coordinator overhead) ---------

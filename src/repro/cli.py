@@ -379,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_int(serve, "--port", 8765, "bind port (0 = ephemeral)")
     serve.add_argument(
         "--store-dir", default=None, metavar="DIR",
-        help="shared content-addressed result store "
-             "(default: <REPRO_CACHE_DIR or .repro_cache>/service)",
+        help="shared content-addressed result store, the same one local "
+             "sweeps use (default: REPRO_CACHE_DIR or .repro_cache)",
     )
     _add_int(
         serve, "--local-workers", 0,
@@ -1272,19 +1272,19 @@ def _run_serve(args: argparse.Namespace) -> int:
     import os
     import threading
 
+    from repro.harness.sweep import DEFAULT_CACHE_DIR, ResultStore
     from repro.obs import fleet
     from repro.service import (
         Coordinator,
         CoordinatorConfig,
         HttpClient,
-        ResultStore,
         Worker,
         serve,
     )
 
     fleet.enable_from_env()
-    store_dir = args.store_dir or os.path.join(
-        os.environ.get("REPRO_CACHE_DIR", ".repro_cache"), "service"
+    store_dir = args.store_dir or os.environ.get(
+        "REPRO_CACHE_DIR", DEFAULT_CACHE_DIR
     )
     config = CoordinatorConfig(
         chunk_size=args.chunk_size,

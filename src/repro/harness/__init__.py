@@ -8,14 +8,16 @@ the text form of the corresponding figure.  The benchmark suite under
 
 :mod:`repro.harness.sweep` provides :class:`SweepRunner`, the parallel
 seeded-sweep engine (process-pool fan-out, deterministic seed-order
-merge, on-disk result cache) that the drivers, the CLI and the
-benchmarks all share.
+merge) that the drivers, the CLI and the benchmarks all share, and
+:class:`ResultStore`, the one on-disk result store that it and the
+sweep service's coordinator both read and write.
 """
 
 from repro.harness.benchdiff import compare_dirs, render_bench_diff
 from repro.harness.config import NetworkSpec, ScenarioSpec, run_scenario_spec
 from repro.harness.runner import env_int
 from repro.harness.sweep import (
+    ResultStore,
     SeedOutcome,
     SweepError,
     SweepResult,
@@ -24,7 +26,9 @@ from repro.harness.sweep import (
     code_fingerprint,
     driver_fingerprint,
     default_workers,
+    make_record,
     merge_metric_snapshots,
+    record_key,
 )
 from repro.harness import figures
 
@@ -39,6 +43,9 @@ __all__ = [
     "SeedOutcome",
     "SweepStats",
     "SweepError",
+    "ResultStore",
+    "record_key",
+    "make_record",
     "code_fingerprint",
     "driver_fingerprint",
     "default_workers",

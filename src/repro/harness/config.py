@@ -26,7 +26,6 @@ execution path for seeded experiments.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -50,34 +49,6 @@ __all__ = [
     "latency_model_from_dict",
     "run_scenario_spec",
 ]
-
-#: Sentinel distinguishing "not passed" from any real value in the
-#: deprecated flattened-knob constructor arguments.
-_UNSET: Any = object()
-
-#: The flattened knobs accepted (with a warning) for compatibility.
-_LEGACY_KNOBS = (
-    "latency",
-    "loopback_latency",
-    "in_order",
-    "drop_probability",
-    "ns_per_byte",
-)
-
-_WARNED_KNOBS: set[str] = set()
-
-
-def _warn_legacy_knobs(names: list[str]) -> None:
-    fresh = [name for name in names if name not in _WARNED_KNOBS]
-    if not fresh:
-        return
-    _WARNED_KNOBS.update(fresh)
-    warnings.warn(
-        f"passing {', '.join(fresh)} to ScenarioSpec directly is "
-        f"deprecated; nest the knob(s) in network=NetworkSpec(...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -156,12 +127,8 @@ class ScenarioSpec:
         faults: the :class:`FaultPlan` to install; ``None`` defers to
             the app's default plan (fault-free for most apps, the crash
             window for the failover scenario).
-        label: free-form experiment label (cache/report naming).
-
-    The five flattened network knobs (``latency``, ``loopback_latency``,
-    ``in_order``, ``drop_probability``, ``ns_per_byte``) are still
-    accepted as constructor arguments for compatibility; they warn once
-    per process and fold into :attr:`network`.
+        label: free-form experiment label (report naming only: it is
+            not part of the result-store key).
     """
 
     app: str
@@ -180,11 +147,6 @@ class ScenarioSpec:
         variant: str = "det",
         seeds: tuple[int, ...] = (0,),
         scenario: Any = None,
-        latency: Any = _UNSET,
-        loopback_latency: Any = _UNSET,
-        in_order: Any = _UNSET,
-        drop_probability: Any = _UNSET,
-        ns_per_byte: Any = _UNSET,
         stp: StpConfig | None = None,
         observe: bool = False,
         faults: FaultPlan | None = None,
@@ -194,25 +156,6 @@ class ScenarioSpec:
         network: NetworkSpec | None = None,
         topology: TopologySpec | None = None,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("latency", latency),
-                ("loopback_latency", loopback_latency),
-                ("in_order", in_order),
-                ("drop_probability", drop_probability),
-                ("ns_per_byte", ns_per_byte),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            _warn_legacy_knobs(sorted(legacy))
-            if network is not None:
-                raise TypeError(
-                    "pass network=NetworkSpec(...) or the flattened "
-                    "knobs, not both"
-                )
-            network = NetworkSpec(**legacy)
         definition = _app_definition(app)
         if variant not in definition.variants():
             raise ValueError(
@@ -234,28 +177,6 @@ class ScenarioSpec:
         object.__setattr__(self, "observe", observe)
         object.__setattr__(self, "faults", faults)
         object.__setattr__(self, "label", label)
-
-    # -- flattened-knob read access (kept: cheap, unambiguous) --------------
-
-    @property
-    def latency(self) -> LatencyModel | None:
-        return self.network.latency
-
-    @property
-    def loopback_latency(self) -> LatencyModel | None:
-        return self.network.loopback_latency
-
-    @property
-    def in_order(self) -> bool:
-        return self.network.in_order
-
-    @property
-    def drop_probability(self) -> float:
-        return self.network.drop_probability
-
-    @property
-    def ns_per_byte(self) -> int:
-        return self.network.ns_per_byte
 
     # -- derived configuration ---------------------------------------------
 
@@ -308,17 +229,27 @@ class ScenarioSpec:
             topology=self.topology,
         )
 
-    def sweep_name(self) -> str:
-        """Cache/report identity of this spec's sweep.
+    def store_name(self) -> str:
+        """The result-store file of this spec's seeds.
 
-        The brake app keeps its historical ``spec-<variant>`` names (so
-        pre-topology caches stay warm); other apps include the app name.
+        Derived from content only (app and variant), never from
+        ``label`` or ``seeds``.  The brake app keeps its historical
+        ``spec-<variant>`` name; other apps include the app name.
         """
-        if self.label:
-            return self.label
         if self.app == "brake":
             return f"spec-{self.variant}"
         return f"spec-{self.app}-{self.variant}"
+
+    def sweep_name(self) -> str:
+        """Report identity of this spec's sweep: the label, if any."""
+        return self.label or self.store_name()
+
+    def content(self) -> dict:
+        """:meth:`to_dict` minus ``seeds`` and ``label``: what each seed
+        computes, and so the result-store key parameters."""
+        data = self.to_dict()
+        del data["seeds"], data["label"]
+        return data
 
     def with_seeds(self, seeds) -> "ScenarioSpec":
         return replace(self, seeds=tuple(seeds))

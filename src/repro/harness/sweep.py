@@ -9,11 +9,14 @@ sequential single-worker run — each seed
 builds its own :class:`~repro.sim.World`, so per-seed results (including
 trace fingerprints) do not depend on scheduling across seeds.
 
-Results are cached on disk as JSON lines under ``.repro_cache/`` (one
-file per experiment), keyed by experiment name + parameters + seed +
-a fingerprint of the ``repro`` source tree, so repeated CLI/benchmark
-invocations skip already-computed seeds.  ``force=True`` recomputes and
-overwrites; ``use_cache=False`` bypasses the cache entirely.
+Results are cached in the :class:`ResultStore` under ``.repro_cache/``
+(one JSON-lines file per sweep), keyed by :func:`record_key`: sweep
+name + parameters + seed + a fingerprint of the ``repro`` source tree,
+so repeated CLI/benchmark invocations skip already-computed seeds.  The
+sweep service's coordinator keys and stores campaign results the same
+way, so a local sweep and a campaign over one directory share results.
+``force=True`` recomputes and overwrites; ``use_cache=False`` bypasses
+the cache entirely.
 
 Environment knobs:
 
@@ -35,6 +38,7 @@ import math
 import os
 import pickle
 import sys
+import tempfile
 import time
 import traceback
 import warnings
@@ -58,6 +62,11 @@ __all__ = [
     "SeedOutcome",
     "SweepStats",
     "SweepError",
+    "ResultStore",
+    "record_key",
+    "make_record",
+    "encode_value",
+    "decode_value",
     "code_fingerprint",
     "driver_fingerprint",
     "default_workers",
@@ -263,11 +272,11 @@ class SweepStats:
 
 
 # ---------------------------------------------------------------------------
-# The on-disk cache.
+# The result store.
 # ---------------------------------------------------------------------------
 
 
-def _encode_value(value: Any) -> tuple[str, Any]:
+def encode_value(value: Any) -> tuple[str, Any]:
     """Encode a result for a JSON-lines record.
 
     Values that survive an exact JSON round-trip are stored as plain
@@ -284,7 +293,8 @@ def _encode_value(value: Any) -> tuple[str, Any]:
     return "pickle", blob
 
 
-def _decode_value(encoding: str, payload: Any) -> Any:
+def decode_value(encoding: str, payload: Any) -> Any:
+    """Inverse of :func:`encode_value`; raises on a corrupt payload."""
     if encoding == "json":
         return payload
     if encoding == "pickle":
@@ -301,12 +311,45 @@ def _jsonable_seed(seed: Any) -> Any:
     return repr(seed)
 
 
+def record_key(name: str, params: dict, seed: Any, driver: str = "") -> str:
+    """Content key of one seed's result in a :class:`ResultStore`.
+
+    SHA-256 over the sweep *name*, its *params*, the seed, the
+    :func:`code_fingerprint` and the *driver* fingerprint.  Local sweeps
+    and sweep-service campaigns both key their records here, so they
+    address the same results.
+    """
+    material = json.dumps(
+        {
+            "experiment": name,
+            "params": params,
+            "seed": _jsonable_seed(seed),
+            "code": code_fingerprint(),
+            "driver": driver,
+        },
+        sort_keys=True,
+        default=repr,
+    )
+    return hashlib.sha256(material.encode()).hexdigest()[:32]
+
+
+def make_record(key: str, seed: Any, value: Any) -> dict:
+    """The store record holding *value* under *key*."""
+    encoding, payload = encode_value(value)
+    return {
+        "key": key,
+        "seed": _jsonable_seed(seed),
+        "encoding": encoding,
+        "payload": payload,
+    }
+
+
 class _FileLock:
     """``fcntl`` advisory lock on a ``<file>.lock`` sidecar.
 
-    Locking a sidecar (not the data file itself) lets compaction-style
-    maintenance atomically replace the data file while holding the
-    lock.  Degrades to a no-op where ``fcntl`` is unavailable.
+    Locking a sidecar (not the data file itself) lets compaction
+    atomically replace the data file while holding the lock.  Degrades
+    to a no-op where ``fcntl`` is unavailable.
     """
 
     def __init__(self, target: Path, shared: bool = False):
@@ -343,41 +386,40 @@ def _tail_is_torn(path: Path) -> bool:
         return handle.read(1) != b"\n"
 
 
-class ResultCache:
-    """JSON-lines result store: one ``<experiment>.jsonl`` per sweep.
+class ResultStore:
+    """Content-addressed JSON-lines store: one ``<name>.jsonl`` per sweep.
 
-    Records are append-only; on load, later records win, so ``force``
-    reruns simply shadow stale entries.  Appends from concurrent
-    processes are serialized by an ``fcntl`` advisory lock and written
-    as a single ``write()``, so records never interleave; a torn
-    trailing line left by a crashed writer is skipped (and reported via
-    :attr:`malformed`) on load and terminated before the next append,
-    so one crash damages at most its own half-written record.
+    Each record is one JSON line ``{"key", "seed", "encoding",
+    "payload"}`` keyed by :func:`record_key`.  Records are append-only;
+    on read, later records win, so ``force`` reruns simply shadow stale
+    entries.  Appends from concurrent processes — sweep runners, a
+    service coordinator, hosts sharing the directory — are serialized
+    by an ``fcntl`` advisory lock and written as a single ``write()``
+    plus ``fsync``, so records never interleave.  A torn trailing line
+    left by a crashed writer is skipped on read (counted in
+    :attr:`malformed`, warned once per file) and terminated before the
+    next append, so one crash damages at most its own half-written
+    record.  A record whose payload does not decode is a miss, so every
+    reader recomputes it.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        #: malformed line count per cache file seen on the last load.
+        #: malformed line count per store file seen on its last read.
         self.malformed: dict[str, int] = {}
         self._warned: set[str] = set()
 
-    def _path(self, experiment: str) -> Path:
-        safe = "".join(
-            ch if ch.isalnum() or ch in "-._" else "_" for ch in experiment
-        )
+    def _path(self, name: str) -> Path:
+        safe = "".join(ch if ch.isalnum() or ch in "-._" else "_" for ch in name)
         return self.directory / f"{safe}.jsonl"
 
-    def load(self, experiment: str) -> dict[str, dict]:
-        """All valid records of *experiment*, keyed by cache key."""
-        path = self._path(experiment)
+    def _read(self, path: Path) -> dict[str, dict]:
+        """Surviving records of one file, keyed by key (lock held)."""
         records: dict[str, dict] = {}
-        if not path.exists():
+        try:
+            data = path.read_bytes()
+        except OSError:
             return records
-        with _FileLock(path, shared=True):
-            try:
-                data = path.read_bytes()
-            except OSError:
-                return records
         malformed = 0
         for line in data.split(b"\n"):
             line = line.strip()
@@ -388,52 +430,118 @@ class ResultCache:
                 records[record["key"]] = record
             except (ValueError, KeyError, TypeError):
                 malformed += 1  # torn/corrupt line: miss, but reported
-        if malformed:
-            self.malformed[path.name] = malformed
-            if path.name not in self._warned:
-                self._warned.add(path.name)
-                warnings.warn(
-                    f"result cache {path}: skipped {malformed} malformed "
-                    f"record(s) (torn line from a crashed append?); they "
-                    f"will be recomputed",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        else:
+        if not malformed:
             self.malformed.pop(path.name, None)
+            return records
+        self.malformed[path.name] = malformed
         f = fleet.ACTIVE
         if f.enabled:
-            f.inc("fleet.result_cache.loads")
-            f.inc("fleet.result_cache.records_loaded", len(records))
-            if malformed:
-                f.inc("fleet.result_cache.malformed_lines", malformed)
+            f.inc("fleet.result_store.malformed_lines", malformed)
+        if path.name not in self._warned:
+            self._warned.add(path.name)
+            warnings.warn(
+                f"result store {path}: skipped {malformed} malformed "
+                f"record(s) (torn line from a crashed append?); they "
+                f"will be recomputed",
+                RuntimeWarning,
+                stacklevel=3,
+            )
         return records
 
-    def append(self, experiment: str, records: Iterable[dict]) -> None:
+    def get_many(self, name: str, keys: Iterable[str]) -> dict[str, Any]:
+        """Decoded values of the *keys* stored under *name*.
+
+        Absent keys and records whose payload does not decode are left
+        out: both are misses.
+        """
+        keys = list(keys)
+        path = self._path(name)
+        records: dict[str, dict] = {}
+        if path.exists():
+            with _FileLock(path, shared=True):
+                records = self._read(path)
+        found: dict[str, Any] = {}
+        for key in keys:
+            record = records.get(key)
+            if record is None:
+                continue
+            try:
+                found[key] = decode_value(record["encoding"], record["payload"])
+            except Exception:  # corrupt payload: recomputed like a miss
+                continue
+        f = fleet.ACTIVE
+        if f.enabled:
+            f.inc("fleet.result_store.gets", len(keys))
+            f.inc("fleet.result_store.hits", len(found))
+            f.inc("fleet.result_store.misses", len(keys) - len(found))
+        return found
+
+    def append(self, name: str, records: Iterable[dict]) -> None:
+        """Append *records* to *name*'s file in one locked write."""
         records = list(records)
         if not records:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._path(experiment)
-        blob = "".join(
-            json.dumps(record) + "\n" for record in records
-        ).encode()
+        path = self._path(name)
+        blob = "".join(json.dumps(record) + "\n" for record in records).encode()
         f = fleet.ACTIVE
         with _FileLock(path):
             with path.open("ab") as handle:
                 if _tail_is_torn(path):
                     handle.write(b"\n")  # repair a crashed writer's tail
                     if f.enabled:
-                        f.inc("fleet.result_cache.torn_repairs")
+                        f.inc("fleet.result_store.torn_repairs")
                 handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())
         if f.enabled:
-            f.inc("fleet.result_cache.appends", len(records))
+            f.inc("fleet.result_store.puts", len(records))
 
-    def fetch(self, record: dict) -> Any:
-        """Decode a record's payload (raises on a corrupt payload)."""
-        return _decode_value(record["encoding"], record["payload"])
+    def compact(self) -> dict[str, int]:
+        """Rewrite every store file keeping one record per key.
+
+        Returns ``{"records": survivors, "dropped": shadowed+malformed}``.
+        Each file is replaced atomically (temp file + ``os.replace``)
+        under its exclusive lock, so concurrent readers see either the
+        old or the new file, never a partial one.
+        """
+        survivors = 0
+        dropped = 0
+        for path in sorted(self.directory.glob("*.jsonl")):
+            with _FileLock(path):
+                raw_lines = sum(
+                    1 for line in path.read_bytes().split(b"\n") if line.strip()
+                )
+                records = self._read(path)
+                handle, temp_path = tempfile.mkstemp(
+                    dir=self.directory, suffix=".tmp"
+                )
+                try:
+                    with os.fdopen(handle, "w") as temp:
+                        for record in records.values():
+                            temp.write(json.dumps(record) + "\n")
+                        temp.flush()
+                        os.fsync(temp.fileno())
+                    os.replace(temp_path, path)
+                except BaseException:
+                    os.unlink(temp_path)
+                    raise
+                survivors += len(records)
+                dropped += raw_lines - len(records)
+        return {"records": survivors, "dropped": dropped}
+
+    def stats(self) -> dict:
+        """Record/file counts plus malformed lines seen on reads."""
+        paths = sorted(self.directory.glob("*.jsonl"))
+        records = 0
+        for path in paths:
+            with _FileLock(path, shared=True):
+                records += len(self._read(path))
+        return {
+            "records": records,
+            "files": len(paths),
+            "malformed_lines": sum(self.malformed.values()),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -484,24 +592,8 @@ class SweepRunner:
         directory = cache_dir or os.environ.get(
             "REPRO_CACHE_DIR", DEFAULT_CACHE_DIR
         )
-        self.cache = ResultCache(directory)
+        self.store = ResultStore(directory)
         self.stats = SweepStats()
-
-    # -- keying -------------------------------------------------------------
-
-    def _key(self, name: str, params: dict, seed: Any, driver: str = "") -> str:
-        material = json.dumps(
-            {
-                "experiment": name,
-                "params": params,
-                "seed": _jsonable_seed(seed),
-                "code": code_fingerprint(),
-                "driver": driver,
-            },
-            sort_keys=True,
-            default=repr,
-        )
-        return hashlib.sha256(material.encode()).hexdigest()[:32]
 
     # -- execution ----------------------------------------------------------
 
@@ -526,18 +618,16 @@ class SweepRunner:
         outcomes: list[SeedOutcome | None] = [None] * len(seeds)
 
         driver = driver_fingerprint(experiment)
-        keys = [self._key(name, params, seed, driver) for seed in seeds]
-        known = self.cache.load(name) if self.use_cache else {}
+        keys = [record_key(name, params, seed, driver) for seed in seeds]
+        known = (
+            self.store.get_many(name, keys)
+            if self.use_cache and not self.force
+            else {}
+        )
         pending: list[int] = []
         for index, (seed, key) in enumerate(zip(seeds, keys)):
-            record = None if self.force else known.get(key)
-            if record is not None:
-                try:
-                    value = self.cache.fetch(record)
-                except Exception:
-                    pending.append(index)  # corrupt payload: recompute
-                    continue
-                outcomes[index] = SeedOutcome(seed, value, cached=True)
+            if key in known:
+                outcomes[index] = SeedOutcome(seed, known[key], cached=True)
             else:
                 pending.append(index)
 
@@ -574,21 +664,14 @@ class SweepRunner:
                             seeds[index], value, error, elapsed_s=elapsed
                         )
             if self.use_cache:
-                fresh = []
-                for index in pending:
-                    outcome = outcomes[index]
-                    if not outcome.ok:
-                        continue
-                    encoding, payload = _encode_value(outcome.value)
-                    fresh.append(
-                        {
-                            "key": keys[index],
-                            "seed": _jsonable_seed(outcome.seed),
-                            "encoding": encoding,
-                            "payload": payload,
-                        }
-                    )
-                self.cache.append(name, fresh)
+                self.store.append(
+                    name,
+                    [
+                        make_record(keys[index], seeds[index], outcomes[index].value)
+                        for index in pending
+                        if outcomes[index].ok
+                    ],
+                )
 
         result = SweepResult(
             name=name,
@@ -676,9 +759,13 @@ class SweepRunner:
     def run_spec(self, spec) -> SweepResult:
         """Sweep a :class:`repro.harness.ScenarioSpec` over its seeds.
 
-        The spec's full JSON form is the cache parameter set, so any
+        Records are filed under :meth:`~repro.harness.ScenarioSpec.store_name`
+        and keyed by :meth:`~repro.harness.ScenarioSpec.content` — every
+        field but ``seeds`` and ``label`` — exactly as the sweep
+        service's coordinator files them.  A relabelled spec, a subset
+        of its seeds or a campaign of the same spec is a cache hit; any
         change to the scenario, network, STP bounds or fault plan is a
-        distinct cache entry.
+        distinct entry.
         """
         from repro.harness.config import run_scenario_spec
 
@@ -686,8 +773,8 @@ class SweepRunner:
         return self.run(
             experiment,
             spec.seeds,
-            name=spec.sweep_name(),
-            params={"spec": spec.to_dict()},
+            name=spec.store_name(),
+            params=spec.content(),
         )
 
 

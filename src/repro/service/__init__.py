@@ -5,11 +5,6 @@ this package turns sweeps into *campaigns* served by a shared worker
 fleet, the workload shape of the paper's evaluation (100k-frame ×
 20-run sweeps) run as heavy-traffic infrastructure:
 
-* :mod:`repro.service.store` — a content-addressed result store
-  generalizing the JSONL sweep cache: records keyed on
-  spec-hash × code-fingerprint, advisory-locked atomic appends safe for
-  concurrent writers, torn-line tolerance and compaction, so a
-  re-submitted campaign is a pure cache hit across hosts.
 * :mod:`repro.service.coordinator` — accepts
   :class:`~repro.harness.ScenarioSpec` campaign submissions, shards
   them into per-seed-chunk jobs and runs the job queue: lease/heartbeat
@@ -26,6 +21,11 @@ fleet, the workload shape of the paper's evaluation (100k-frame ×
   :class:`~repro.service.http.LocalService`, the one-host mode that
   spawns in-process workers over loopback HTTP so every driver and
   test can exercise the full distributed path.
+
+Campaign results live in the same :class:`~repro.harness.sweep.ResultStore`
+as local sweeps, under the same keys, so a re-submitted campaign — or a
+local ``SweepRunner.run_spec`` over the store directory — is a pure
+cache hit across hosts.
 
 The fleet observes itself through :mod:`repro.obs.fleet`: coordinator,
 workers, stores and the sweep engine feed a process-global metrics
@@ -58,7 +58,6 @@ from repro.service.http import (
     seed_outcomes,
     serve,
 )
-from repro.service.store import ResultStore, spec_record_key
 from repro.service.worker import Worker, execute_job
 
 PROTOCOL = "sweep-service/v1"
@@ -72,7 +71,6 @@ __all__ = [
     "Job",
     "LocalClient",
     "LocalService",
-    "ResultStore",
     "ServiceError",
     "ServiceServer",
     "Worker",
@@ -80,5 +78,4 @@ __all__ = [
     "merged_values",
     "seed_outcomes",
     "serve",
-    "spec_record_key",
 ]

@@ -3,9 +3,10 @@
 The coordinator owns every campaign's lifecycle:
 
 1. **Submit.** A :class:`~repro.harness.ScenarioSpec` arrives; each
-   seed's content key (:func:`~repro.service.store.spec_record_key`) is
-   probed against the shared :class:`~repro.service.store.ResultStore`.
-   Store hits become cached outcomes immediately; the remaining seeds
+   seed's content key (:func:`~repro.harness.sweep.record_key`, exactly
+   as ``SweepRunner.run_spec`` computes it) is probed against the
+   shared :class:`~repro.harness.sweep.ResultStore`.  Store hits
+   become cached outcomes immediately; the remaining seeds
    are chunked — in seed order — into per-seed-chunk :class:`Job`\\ s.
 2. **Lease.** Workers lease jobs FIFO (campaign order, then chunk
    order).  A lease carries a TTL refreshed by heartbeats and a hard
@@ -36,8 +37,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.harness.config import ScenarioSpec
+from repro.harness.sweep import ResultStore, encode_value, record_key
 from repro.obs import fleet
-from repro.service.store import ResultStore, spec_record_key
 
 __all__ = ["Coordinator", "CoordinatorConfig", "Campaign", "Job"]
 
@@ -250,7 +251,8 @@ class Coordinator:
                 spec.to_json().encode()
             ).hexdigest()[:8]
             campaign_id = f"c{self._counter}-{spec_hash}"
-            keys = [spec_record_key(spec, seed) for seed in spec.seeds]
+            name, params = spec.store_name(), spec.content()
+            keys = [record_key(name, params, seed) for seed in spec.seeds]
             campaign = Campaign(
                 campaign_id=campaign_id,
                 spec=spec,
@@ -258,16 +260,13 @@ class Coordinator:
                 submitted_at=self.clock(),
                 outcomes=[None] * len(spec.seeds),
             )
-            known = self.store.get_many(keys)
+            known = self.store.get_many(name, keys)
             pending: list[int] = []
             for position, (seed, key) in enumerate(zip(spec.seeds, keys)):
-                record = known.get(key)
-                if record is not None:
+                if key in known:
+                    encoding, payload = encode_value(known[key])
                     campaign.outcomes[position] = _campaign_outcome(
-                        seed,
-                        encoding=record["encoding"],
-                        payload=record["payload"],
-                        cached=True,
+                        seed, encoding=encoding, payload=payload, cached=True
                     )
                 else:
                     pending.append(position)
@@ -453,15 +452,9 @@ class Coordinator:
                             "seed": outcome["seed"],
                             "encoding": outcome["encoding"],
                             "payload": outcome["payload"],
-                            "code": None,
                         }
                     )
-            if fresh:
-                from repro.harness.sweep import code_fingerprint
-
-                for record in fresh:
-                    record["code"] = code_fingerprint()
-                self.store.put_records(fresh)
+            self.store.append(campaign.spec.store_name(), fresh)
             entry = self._workers.get(worker_id)
             if entry is not None:
                 entry["jobs_completed"] += 1

@@ -41,10 +41,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.harness.config import ScenarioSpec
-from repro.harness.sweep import SeedOutcome, SweepError, _decode_value
+from repro.harness.sweep import ResultStore, SeedOutcome, SweepError, decode_value
 from repro.obs import fleet
 from repro.service.coordinator import Coordinator, CoordinatorConfig
-from repro.service.store import ResultStore
 
 __all__ = [
     "HttpClient",
@@ -78,7 +77,7 @@ def seed_outcomes(result: dict) -> list[SeedOutcome]:
     for wire in result["outcomes"]:
         value = None
         if wire.get("error") is None:
-            value = _decode_value(wire["encoding"], wire["payload"])
+            value = decode_value(wire["encoding"], wire["payload"])
         outcomes.append(
             SeedOutcome(
                 seed=wire["seed"],

@@ -21,7 +21,7 @@ import socket
 import threading
 import time
 import traceback
-from typing import Any, Callable
+from typing import Callable
 
 try:
     import resource
@@ -29,7 +29,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None  # type: ignore[assignment]
 
 from repro.harness.config import ScenarioSpec
-from repro.harness.sweep import SweepRunner, _encode_value
+from repro.harness.sweep import SweepRunner, encode_value
 from repro.obs import fleet
 
 __all__ = ["Worker", "execute_job"]
@@ -59,7 +59,7 @@ def execute_job(job: dict, runner: SweepRunner | None = None) -> list[dict]:
     outcomes = []
     for outcome in result.outcomes:
         if outcome.ok:
-            encoding, payload = _encode_value(outcome.value)
+            encoding, payload = encode_value(outcome.value)
         else:
             encoding, payload = None, None
         outcomes.append(
@@ -235,8 +235,3 @@ class Worker:
             if max_jobs is not None and completed >= max_jobs:
                 break
         return completed
-
-
-def _encode_outcome_value(value: Any) -> tuple[str, Any]:
-    """Exported for tests: the worker-side value encoding."""
-    return _encode_value(value)

@@ -44,10 +44,9 @@ from repro.service import (
     Coordinator,
     CoordinatorConfig,
     LocalService,
-    ResultStore,
     Worker,
 )
-from repro.harness.sweep import _encode_value
+from repro.harness.sweep import ResultStore, encode_value
 
 
 @pytest.fixture(autouse=True)
@@ -75,7 +74,7 @@ def local_reference(spec):
 def wire_outcomes(seeds, prefix="value"):
     outcomes = []
     for seed in seeds:
-        encoding, payload = _encode_value(f"{prefix}-{seed}")
+        encoding, payload = encode_value(f"{prefix}-{seed}")
         outcomes.append(
             {
                 "seed": seed,
@@ -487,7 +486,7 @@ class TestCoordinatorTelemetry:
                     "elapsed_s": 0.0,
                 }
                 for seed in job["seeds"]
-                for encoding, payload in [_encode_value(f"v-{seed}")]
+                for encoding, payload in [encode_value(f"v-{seed}")]
             ]
             coordinator.complete(worker, job["job"], outcomes)
             # Resubmit: every seed is now a store hit.

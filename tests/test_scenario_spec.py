@@ -12,7 +12,7 @@ from repro.apps.brake import BrakeScenario
 from repro.apps.brake.det import run_det_brake_assistant
 from repro.dear import StpConfig
 from repro.faults import FaultPlan
-from repro.harness import ScenarioSpec, SweepRunner
+from repro.harness import NetworkSpec, ScenarioSpec, SweepRunner
 from repro.harness.config import latency_model_from_dict, latency_model_to_dict
 from repro.network import (
     ConstantLatency,
@@ -36,14 +36,16 @@ class TestSerialization:
             variant="nondet",
             seeds=(0, 1, 2),
             scenario=BrakeScenario(n_frames=17),
-            latency=SpikyLatency(
-                base=GammaLatency(base_ns=200_000), spike_probability=0.01,
-                spike_ns=2 * MS,
+            network=NetworkSpec(
+                latency=SpikyLatency(
+                    base=GammaLatency(base_ns=200_000), spike_probability=0.01,
+                    spike_ns=2 * MS,
+                ),
+                loopback_latency=ConstantLatency(40_000),
+                in_order=False,
+                drop_probability=0.02,
+                ns_per_byte=4,
             ),
-            loopback_latency=ConstantLatency(40_000),
-            in_order=False,
-            drop_probability=0.02,
-            ns_per_byte=4,
             stp=StpConfig(latency_bound_ns=3 * MS, clock_error_ns=1 * MS),
             observe=True,
             faults=FaultPlan.camera_faults(seed=9, drop=0.1, label="rt"),
@@ -93,7 +95,9 @@ class TestDerivedConfiguration:
         assert ScenarioSpec().switch_config() is None
 
     def test_any_override_builds_a_switch_config(self):
-        spec = ScenarioSpec(scenario=SMALL, drop_probability=0.05)
+        spec = ScenarioSpec(
+            scenario=SMALL, network=NetworkSpec(drop_probability=0.05)
+        )
         config = spec.switch_config()
         assert config is not None
         assert config.drop_probability == 0.05
@@ -102,7 +106,7 @@ class TestDerivedConfiguration:
 
     def test_latency_model_plugs_in(self):
         model = UniformLatency(low_ns=100_000, high_ns=200_000)
-        config = ScenarioSpec(latency=model).switch_config()
+        config = ScenarioSpec(network=NetworkSpec(latency=model)).switch_config()
         assert config.latency == model
 
     def test_stp_overrides_scenario_bounds(self):
@@ -145,7 +149,7 @@ class TestFromArgs:
         spec = ScenarioSpec.from_args(args, variant="nondet")
         assert spec.seeds == (0, 1, 2)
         assert spec.scenario.n_frames == 20
-        assert spec.drop_probability == 0.01
+        assert spec.network.drop_probability == 0.01
         assert spec.faults == plan
         assert spec.variant == "nondet"
 
@@ -203,13 +207,9 @@ class TestDriverIntegration:
 
 class TestNetworkSpec:
     def test_default_round_trips(self):
-        from repro.harness import NetworkSpec
-
         assert NetworkSpec.from_dict(NetworkSpec().to_dict()) == NetworkSpec()
 
     def test_loaded_round_trips(self):
-        from repro.harness import NetworkSpec
-
         network = NetworkSpec(
             latency=UniformLatency(1 * MS, 3 * MS),
             loopback_latency=ConstantLatency(20_000),
@@ -218,42 +218,6 @@ class TestNetworkSpec:
             ns_per_byte=2,
         )
         assert NetworkSpec.from_dict(network.to_dict()) == network
-
-    def test_flattened_knobs_fold_into_network(self):
-        with pytest.warns(DeprecationWarning):
-            spec = _fresh_knob_spec(drop_probability=0.25, ns_per_byte=2)
-        assert spec.network.drop_probability == 0.25
-        assert spec.network.ns_per_byte == 2
-        # Read-compat properties mirror the nested values.
-        assert spec.drop_probability == 0.25
-        assert spec.ns_per_byte == 2
-
-    def test_flattened_knobs_warn_once_per_process(self):
-        import warnings
-
-        _fresh_knob_spec(in_order=False)  # first use warns (asserted above)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ScenarioSpec(in_order=False)  # second use must stay silent
-
-    def test_flattened_knobs_conflict_with_explicit_network(self):
-        from repro.harness import NetworkSpec
-
-        with pytest.raises(TypeError):
-            _fresh_knob_spec(in_order=False, network=NetworkSpec())
-
-    def test_shimmed_spec_round_trips(self):
-        with pytest.warns(DeprecationWarning):
-            spec = _fresh_knob_spec(latency=ConstantLatency(2 * MS))
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
-
-
-def _fresh_knob_spec(**kwargs):
-    """Build a spec via deprecated flattened knobs with warn-state reset."""
-    from repro.harness import config
-
-    config._WARNED_KNOBS.clear()
-    return ScenarioSpec(**kwargs)
 
 
 class TestV1Compatibility:
@@ -320,8 +284,6 @@ def _topologies():
 
 
 def _networks():
-    from repro.harness import NetworkSpec
-
     models = st.one_of(
         st.none(),
         st.integers(min_value=0, max_value=10 * MS).map(ConstantLatency),

@@ -19,15 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps.brake.scenario import BrakeScenario
 from repro.faults import FaultPlan
-from repro.harness import ScenarioSpec, SweepRunner
-from repro.harness.sweep import _encode_value
+from repro.harness import ResultStore, ScenarioSpec, SweepRunner, record_key
+from repro.harness.sweep import encode_value
 from repro.service import (
     Coordinator,
     CoordinatorConfig,
     HttpClient,
     LocalClient,
     LocalService,
-    ResultStore,
     ServiceError,
     Worker,
     merged_values,
@@ -73,7 +72,7 @@ class FakeClock:
 def wire_outcomes(seeds, prefix="value"):
     outcomes = []
     for seed in seeds:
-        encoding, payload = _encode_value(f"{prefix}-{seed}")
+        encoding, payload = encode_value(f"{prefix}-{seed}")
         outcomes.append(
             {
                 "seed": seed,
@@ -234,6 +233,20 @@ class TestLocalClientWorker:
         status = client.submit(spec)
         completed = Worker(client, poll_interval_s=0.01).run(max_jobs=2)
         assert completed == 2
+        result = client.wait(status["campaign"], timeout_s=5.0)
+        assert_byte_identical(merged_values(result), local_reference(spec))
+
+    def test_undecodable_stored_payload_is_recomputed(self, tmp_path):
+        """A corrupt store record is a miss, never a served cache hit."""
+        spec = make_spec(seeds=(0, 1), frames=30)
+        store = ResultStore(tmp_path)
+        key = record_key(spec.store_name(), spec.content(), 0)
+        bad = {"key": key, "seed": 0, "encoding": "pickle", "payload": "not b64!"}
+        store.append(spec.store_name(), [bad])
+        client = LocalClient(Coordinator(store, CoordinatorConfig(chunk_size=2)))
+        status = client.submit(spec)
+        assert status["cached"] == 0
+        assert Worker(client, poll_interval_s=0.01).run(max_jobs=1) == 1
         result = client.wait(status["campaign"], timeout_s=5.0)
         assert_byte_identical(merged_values(result), local_reference(spec))
 

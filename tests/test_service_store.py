@@ -1,12 +1,20 @@
-"""Tests for the shared content-addressed result store."""
+"""Tests for the result store as the sweep service uses it.
 
-import json
+The store itself (:class:`repro.harness.sweep.ResultStore`) is tested
+from :class:`SweepRunner`'s side in ``test_sweep.py``.  These tests
+cover the coordinator's side: keys derived from spec content, batched
+appends of a chunk's records, and campaigns running over a store that a
+crashed writer left torn.
+"""
+
 import multiprocessing
 
+import pytest
+
 from repro.apps.brake.scenario import BrakeScenario
-from repro.harness import ScenarioSpec
-from repro.service import ResultStore, spec_record_key
 from repro.faults import FaultPlan
+from repro.harness import ResultStore, ScenarioSpec, make_record, record_key
+from repro.service import Coordinator, LocalClient, Worker
 
 
 def _spec(**kwargs):
@@ -19,124 +27,119 @@ def _spec(**kwargs):
     return ScenarioSpec(**defaults)
 
 
-class TestContentAddressing:
-    def test_key_ignores_seed_list_and_label(self):
-        """Chunking/naming a campaign differently must share results."""
-        a = _spec(seeds=(0, 1, 2, 3), label="campaign-a")
-        b = _spec(seeds=(2,), label="renamed")
-        assert spec_record_key(a, 2) == spec_record_key(b, 2)
+def _spec_key(spec, seed):
+    """The store file and key the coordinator files *spec*'s *seed* under."""
+    return spec.store_name(), record_key(spec.store_name(), spec.content(), seed)
 
+
+class TestContentAddressing:
     def test_key_depends_on_seed(self):
         spec = _spec()
-        assert spec_record_key(spec, 0) != spec_record_key(spec, 1)
+        assert _spec_key(spec, 0) != _spec_key(spec, 1)
 
     def test_key_depends_on_scientific_content(self):
         base = _spec()
-        assert spec_record_key(base, 0) != spec_record_key(
-            _spec(variant="nondet"), 0
-        )
-        assert spec_record_key(base, 0) != spec_record_key(
+        assert _spec_key(base, 0) != _spec_key(_spec(variant="nondet"), 0)
+        assert _spec_key(base, 0) != _spec_key(
             _spec(scenario=BrakeScenario(n_frames=41)), 0
         )
         faulted = _spec(faults=FaultPlan.camera_faults(seed=1, drop=0.1))
-        assert spec_record_key(base, 0) != spec_record_key(faulted, 0)
-
-    def test_accepts_spec_dict(self):
-        spec = _spec()
-        assert spec_record_key(spec.to_dict(), 0) == spec_record_key(spec, 0)
+        assert _spec_key(base, 0) != _spec_key(faulted, 0)
 
 
 class TestRoundTrip:
     def test_json_and_pickle_values(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("a" * 32, 0, {"plain": [1, 2, 3]})
-        store.put("b" * 32, 1, {1: "int-keyed dicts need pickling"})
-        assert store.fetch(store.get("a" * 32)) == {"plain": [1, 2, 3]}
-        assert store.fetch(store.get("b" * 32)) == {
-            1: "int-keyed dicts need pickling"
+        store.append(
+            "spec-det",
+            [
+                make_record("a", 0, {"plain": [1, 2, 3]}),
+                make_record("b", 1, {1: "int-keyed dicts need pickling"}),
+            ],
+        )
+        found = ResultStore(tmp_path).get_many("spec-det", ["a", "b", "c"])
+        assert found == {
+            "a": {"plain": [1, 2, 3]},
+            "b": {1: "int-keyed dicts need pickling"},
         }
-        assert store.get("c" * 32) is None
 
     def test_later_records_shadow_earlier(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("a" * 32, 0, "stale")
-        store.put("a" * 32, 0, "fresh")
-        assert store.fetch(store.get("a" * 32)) == "fresh"
-
-    def test_get_many_spans_shards(self, tmp_path):
-        store = ResultStore(tmp_path)
-        keys = [f"{i:02x}" + "0" * 30 for i in range(8)]
-        for index, key in enumerate(keys):
-            store.put(key, index, index * 10)
-        found = store.get_many(keys + ["ff" + "1" * 30])
-        assert sorted(found) == sorted(keys)
-        assert store.fetch(found[keys[3]]) == 30
+        store.append("spec-det", [make_record("a", 0, "stale")])
+        store.append("spec-det", [make_record("a", 0, "fresh")])
+        assert store.get_many("spec-det", ["a"]) == {"a": "fresh"}
+        assert store.stats()["records"] == 1
 
 
 def _hammer(args):
-    directory, writer, count = args
+    directory, writer, batches, per_batch = args
     store = ResultStore(directory)
-    for index in range(count):
-        # same shard on purpose: all writers contend for one file.
-        store.put(f"aa{writer:02d}{index:04d}" + "0" * 24, index, [writer, index])
+    for batch in range(batches):
+        # one append per batch, as the coordinator stores a chunk's seeds
+        store.append(
+            "spec-det",
+            [
+                make_record(f"w{writer}-{batch}-{i}", i, [writer, batch, i])
+                for i in range(per_batch)
+            ],
+        )
     return writer
 
 
 class TestConcurrentWriters:
     def test_parallel_process_appends_never_interleave(self, tmp_path):
-        """4 processes × 25 appends into one shard: every record intact."""
-        writers = 4
-        per_writer = 25
+        """4 processes × 10 batched appends into one file: every record intact."""
+        writers, batches, per_batch = 4, 10, 5
         with multiprocessing.Pool(writers) as pool:
             pool.map(
                 _hammer,
-                [(str(tmp_path), writer, per_writer) for writer in range(writers)],
+                [(str(tmp_path), w, batches, per_batch) for w in range(writers)],
             )
         store = ResultStore(tmp_path)
-        stats = store.stats()
-        assert stats["records"] == writers * per_writer
-        assert stats["malformed_lines"] == 0
-        for writer in range(writers):
-            for index in range(per_writer):
-                key = f"aa{writer:02d}{index:04d}" + "0" * 24
-                assert store.fetch(store.get(key)) == [writer, index]
+        assert store.stats() == {
+            "records": writers * batches * per_batch,
+            "files": 1,
+            "malformed_lines": 0,
+        }
+        keys = [
+            f"w{w}-{b}-{i}"
+            for w in range(writers)
+            for b in range(batches)
+            for i in range(per_batch)
+        ]
+        found = store.get_many("spec-det", keys)
+        for key in keys:
+            writer, batch, index = (int(part) for part in key[1:].split("-"))
+            assert found[key] == [writer, batch, index]
 
 
 class TestCrashTolerance:
     def test_torn_tail_is_skipped_and_reported(self, tmp_path):
         store = ResultStore(tmp_path)
-        record = store.put("aa" + "0" * 30, 0, "survivor")
-        shard = tmp_path / "aa.jsonl"
-        with shard.open("ab") as handle:  # a writer crashed mid-append
-            handle.write(b'{"key": "aa' + b"1" * 10)
-        assert store.fetch(store.get("aa" + "0" * 30)) == "survivor"
-        assert store.malformed == {"aa.jsonl": 1}
+        store.append("spec-det", [make_record("a", 0, "survivor")])
+        with (tmp_path / "spec-det.jsonl").open("ab") as handle:
+            handle.write(b'{"key": "b' + b"1" * 10)  # crashed mid-append
+        with pytest.warns(RuntimeWarning, match="1 malformed"):
+            stats = store.stats()
+        assert stats["records"] == 1
+        assert stats["malformed_lines"] == 1
+        assert store.get_many("spec-det", ["a"]) == {"a": "survivor"}
 
     def test_append_after_crash_repairs_the_tail(self, tmp_path):
-        """Records appended after a torn line must stay parseable."""
-        store = ResultStore(tmp_path)
-        store.put("aa" + "0" * 30, 0, "before")
-        shard = tmp_path / "aa.jsonl"
-        with shard.open("ab") as handle:
-            handle.write(b'{"key": "aa torn...')
-        store.put("aa" + "1" * 30, 1, "after")
-        assert store.fetch(store.get("aa" + "0" * 30)) == "before"
-        assert store.fetch(store.get("aa" + "1" * 30)) == "after"
+        """A campaign completing over a torn store file keeps every
+        record parseable, so resubmitting it is a pure cache hit."""
+        spec = _spec(seeds=(0, 1), scenario=BrakeScenario(n_frames=20))
+        path = tmp_path / f"{spec.store_name()}.jsonl"
+        path.write_bytes(b'{"key": "torn...')
+        client = LocalClient(Coordinator(ResultStore(tmp_path)))
+        with pytest.warns(RuntimeWarning):
+            status = client.submit(spec)
+        assert status["pending"] == len(spec.seeds)
+        assert Worker(client).run(max_jobs=status["jobs"]) == status["jobs"]
         # the torn line is terminated, not merged into the next record
-        lines = shard.read_bytes().splitlines()
-        assert len(lines) == 3
-        assert store.malformed == {"aa.jsonl": 1}
-
-    def test_compact_drops_shadowed_and_torn(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put("aa" + "0" * 30, 0, "stale")
-        store.put("aa" + "0" * 30, 0, "fresh")
-        with (tmp_path / "aa.jsonl").open("ab") as handle:
-            handle.write(b"torn line no newline")
-        summary = store.compact()
-        assert summary == {"records": 1, "dropped": 2}
-        assert store.fetch(store.get("aa" + "0" * 30)) == "fresh"
-        content = (tmp_path / "aa.jsonl").read_text()
-        assert len(content.splitlines()) == 1
-        assert json.loads(content)["payload"] is not None
-        assert store.stats()["malformed_lines"] == 0
+        assert len(path.read_bytes().splitlines()) == 1 + len(spec.seeds)
+        again = Coordinator(ResultStore(tmp_path))
+        with pytest.warns(RuntimeWarning):
+            status = again.submit(spec)
+        assert status["pending"] == 0
+        assert status["cached"] == len(spec.seeds)

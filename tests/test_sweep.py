@@ -1,27 +1,36 @@
-"""Tests for the parallel sweep engine and its on-disk result cache."""
+"""Tests for the parallel sweep engine and its on-disk result store.
+
+:class:`repro.harness.sweep.ResultStore` is shared by
+:class:`SweepRunner` and the sweep service's coordinator; its tests from
+the coordinator's side live in ``test_service_store.py``.
+"""
 
 import multiprocessing
 import os
 import warnings
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 
 import pytest
 
 from repro.apps.brake import BrakeScenario, run_det_brake_assistant
 from repro.harness import (
+    ResultStore,
+    ScenarioSpec,
     SweepError,
     SweepRunner,
     code_fingerprint,
     driver_fingerprint,
+    make_record,
 )
 from repro.harness.sweep import (
-    ResultCache,
     _cgroup_cpu_quota,
-    _decode_value,
-    _encode_value,
+    decode_value,
     default_workers,
+    encode_value,
 )
+from repro.service import Coordinator, LocalClient, Worker
 
 
 def _double(seed):
@@ -140,9 +149,10 @@ class TestResultCache:
         )
         cache_file = tmp_path / "exp.jsonl"
         cache_file.write_text("not json\n" + cache_file.read_text())
-        result = SweepRunner(workers=1, cache_dir=tmp_path).run(
-            _double, range(2), name="exp"
-        )
+        with pytest.warns(RuntimeWarning):
+            result = SweepRunner(workers=1, cache_dir=tmp_path).run(
+                _double, range(2), name="exp"
+            )
         assert result.cache_hits == 2  # valid records survive the junk
 
     def test_payload_encoding_round_trips(self):
@@ -154,14 +164,55 @@ class TestResultCache:
             {3: "x"},                     # int keys: JSON would stringify
             Counter({"a": 2}),
         ):
-            encoding, payload = _encode_value(value)
-            decoded = _decode_value(encoding, payload)
+            encoding, payload = encode_value(value)
+            decoded = decode_value(encoding, payload)
             assert decoded == value
             assert type(decoded) is type(value)
 
     def test_code_fingerprint_is_stable(self):
         assert code_fingerprint() == code_fingerprint()
         assert len(code_fingerprint()) == 16
+
+
+def _small_spec(seeds=(0, 1, 2), label=""):
+    return ScenarioSpec(
+        variant="det",
+        seeds=seeds,
+        scenario=BrakeScenario(n_frames=20),
+        label=label,
+    )
+
+
+class TestSharedStore:
+    """``run_spec`` and the coordinator address the same records."""
+
+    def test_local_sweep_then_campaign_is_a_pure_hit(self, tmp_path):
+        spec = _small_spec()
+        SweepRunner(workers=1, cache_dir=tmp_path).run_spec(spec)
+        status = Coordinator(ResultStore(tmp_path)).submit(spec)
+        assert status["pending"] == 0
+        assert status["cached"] == len(spec.seeds)
+
+    def test_campaign_then_local_sweep_is_a_pure_hit(self, tmp_path):
+        spec = _small_spec()
+        client = LocalClient(Coordinator(ResultStore(tmp_path)))
+        status = client.submit(spec)
+        assert Worker(client).run(max_jobs=status["jobs"]) == status["jobs"]
+        result = SweepRunner(workers=1, cache_dir=tmp_path).run_spec(spec)
+        assert result.cache_hits == len(spec.seeds)
+
+    def test_relabelled_spec_and_seed_subset_hit(self, tmp_path):
+        spec = _small_spec(label="first")
+        cold = SweepRunner(workers=1, cache_dir=tmp_path).run_spec(spec)
+        relabelled = SweepRunner(workers=1, cache_dir=tmp_path).run_spec(
+            replace(spec, label="renamed")
+        )
+        assert relabelled.cache_hits == 3
+        assert relabelled.values() == cold.values()
+        subset = SweepRunner(workers=1, cache_dir=tmp_path).run_spec(
+            spec.with_seeds((2, 0))
+        )
+        assert subset.cache_hits == 2
 
 
 def _load_external_driver(path):
@@ -217,16 +268,13 @@ class TestDriverFingerprint:
         assert direct == wrapped != ""
 
 
-def _cache_hammer(args):
+def _store_hammer(args):
     directory, writer, count = args
-    cache = ResultCache(directory)
+    store = ResultStore(directory)
     for index in range(count):
-        record = {
-            "key": f"w{writer}-{index}",
-            "encoding": "json",
-            "payload": [writer, index],
-        }
-        cache.append("contended", [record])
+        store.append(
+            "contended", [make_record(f"w{writer}-{index}", index, [writer, index])]
+        )
     return writer
 
 
@@ -234,31 +282,31 @@ class TestResultCacheCrashSafety:
     """Regression tests for concurrent appends and crash-torn lines."""
 
     def test_torn_tail_is_skipped_and_warned(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.append("exp", [{"key": "k1", "encoding": "json", "payload": 1}])
+        store = ResultStore(tmp_path)
+        store.append("exp", [make_record("k1", 0, 1)])
         with (tmp_path / "exp.jsonl").open("ab") as handle:
             handle.write(b'{"key": "k2", "enc')  # writer crashed mid-append
-        fresh = ResultCache(tmp_path)
+        fresh = ResultStore(tmp_path)
         with pytest.warns(RuntimeWarning, match="1 malformed"):
-            records = fresh.load("exp")
-        assert set(records) == {"k1"}
+            found = fresh.get_many("exp", ["k1", "k2"])
+        assert found == {"k1": 1}
         assert fresh.malformed == {"exp.jsonl": 1}
-        # ...and only warns once per cache file, not per load.
+        # ...and only warns once per store file, not per read.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fresh.load("exp")
+            fresh.get_many("exp", ["k1"])
 
     def test_append_after_crash_repairs_the_tail(self, tmp_path):
         """A record appended after a torn line must stay parseable."""
-        cache = ResultCache(tmp_path)
-        cache.append("exp", [{"key": "before", "encoding": "json", "payload": 1}])
+        store = ResultStore(tmp_path)
+        store.append("exp", [make_record("before", 0, 1)])
         path = tmp_path / "exp.jsonl"
         with path.open("ab") as handle:
             handle.write(b'{"key": "torn...')
-        cache.append("exp", [{"key": "after", "encoding": "json", "payload": 2}])
+        store.append("exp", [make_record("after", 1, 2)])
         with pytest.warns(RuntimeWarning):
-            records = ResultCache(tmp_path).load("exp")
-        assert set(records) == {"before", "after"}
+            found = ResultStore(tmp_path).get_many("exp", ["before", "after"])
+        assert found == {"before": 1, "after": 2}
         assert len(path.read_bytes().splitlines()) == 3
 
     def test_sweep_recomputes_past_a_crashed_writer(self, tmp_path):
@@ -279,14 +327,27 @@ class TestResultCacheCrashSafety:
         writers, per_writer = 4, 20
         with multiprocessing.Pool(writers) as pool:
             pool.map(
-                _cache_hammer,
+                _store_hammer,
                 [(str(tmp_path), w, per_writer) for w in range(writers)],
             )
-        records = ResultCache(tmp_path).load("contended")
-        assert len(records) == writers * per_writer
+        keys = [f"w{w}-{i}" for w in range(writers) for i in range(per_writer)]
+        found = ResultStore(tmp_path).get_many("contended", keys)
+        assert len(found) == writers * per_writer
         for writer in range(writers):
             for index in range(per_writer):
-                assert records[f"w{writer}-{index}"]["payload"] == [writer, index]
+                assert found[f"w{writer}-{index}"] == [writer, index]
+
+    def test_compact_drops_shadowed_and_torn(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.append("exp", [make_record("k", 0, "stale")])
+        store.append("exp", [make_record("k", 0, "fresh")])
+        with (tmp_path / "exp.jsonl").open("ab") as handle:
+            handle.write(b"torn line no newline")
+        with pytest.warns(RuntimeWarning):
+            assert store.compact() == {"records": 1, "dropped": 2}
+        assert store.get_many("exp", ["k"]) == {"k": "fresh"}
+        assert len((tmp_path / "exp.jsonl").read_text().splitlines()) == 1
+        assert store.stats() == {"records": 1, "files": 1, "malformed_lines": 0}
 
 
 class TestDefaultWorkers:
