@@ -13,7 +13,14 @@ other — demonstrating:
 Run:  python examples/distributed_pipeline.py
 """
 
-from repro.ara import AraProcess, Event, Field, Method, ServiceInterface
+from repro.ara import (
+    AraProcess,
+    Event,
+    Field,
+    Method,
+    ServiceInterface,
+    build_world,
+)
 from repro.dear import (
     MethodCall,
     MethodReturn,
@@ -22,11 +29,8 @@ from repro.dear import (
     generate_client_transactors,
     generate_server_transactors,
 )
-from repro.network import NetworkInterface, Switch
 from repro.reactors import Environment, Reactor
-from repro.sim import World
 from repro.sim.platform import CALM
-from repro.someip import SdDaemon
 from repro.someip.serialization import FLOAT64, INT32
 from repro.time import MS, SEC, format_duration
 
@@ -100,12 +104,7 @@ class PlannerLogic(Reactor):
 
 
 def run(seed: int):
-    world = World(seed)
-    switch = Switch(world.sim, world.rng.stream("net"))
-    world.attach_network(switch)
-    for host in ("fusion-ecu", "planner-ecu"):
-        platform = world.add_platform(host, CALM)
-        SdDaemon(platform, NetworkInterface(platform, switch))
+    world = build_world(seed, [("fusion-ecu", CALM), ("planner-ecu", CALM)])
 
     server_process = AraProcess(world.platform("fusion-ecu"), "fusion",
                                 tag_aware=True)

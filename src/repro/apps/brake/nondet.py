@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.ara import AraProcess, Event, ServiceInterface
+from repro.ara import AraProcess, Event, ServiceInterface, build_world
 from repro.apps.brake.data import (
     BRAKE_SPEC,
     FRAME_SPEC,
@@ -42,12 +42,10 @@ from repro.apps.brake.instrumentation import (
 from repro.apps.brake.logic import decide_brake, detect_vehicles, preprocess
 from repro.apps.brake.scenario import BrakeScenario
 from repro.apps.brake.vision import SceneGenerator
-from repro.network import ConstantLatency, NetworkInterface, Switch, SwitchConfig
+from repro.network import CALM_LAN, NetworkInterface, SwitchConfig
 from repro.obs import context as obs_context
 from repro.sim import Compute, SleepUntil, World
 from repro.sim.platform import CALM, MINNOWBOARD, Platform, PlatformConfig
-from repro.someip import SdDaemon
-from repro.time.duration import US
 
 #: Raw datagram port of the Video Adapter's proprietary camera input.
 ADAPTER_RAW_PORT = 15000
@@ -98,17 +96,8 @@ def build_brake_world(
     """
     from repro.time.clock import ClockModel
 
-    world = World(seed)
-    if switch_config is None:
-        if scenario.deterministic_camera:
-            switch_config = SwitchConfig(
-                latency=ConstantLatency(300 * US),
-                loopback_latency=ConstantLatency(50 * US),
-            )
-        else:
-            switch_config = SwitchConfig()
-    switch = Switch(world.sim, world.rng.stream("net"), switch_config)
-    world.attach_network(switch)
+    if switch_config is None and scenario.deterministic_camera:
+        switch_config = CALM_LAN
     vision_config = CALM if scenario.deterministic_camera else MINNOWBOARD
     hosts = [(VISION_ECU, vision_config), (FUSION_ECU, MINNOWBOARD)]
     if scenario.distributed:
@@ -119,21 +108,15 @@ def build_brake_world(
             timer_jitter_ns=MINNOWBOARD.timer_jitter_ns,
         )
         hosts.append((FUSION2_ECU, skewed))
-    for host, config in hosts:
-        platform = world.add_platform(host, config)
-        nic = NetworkInterface(platform, switch)
-        SdDaemon(platform, nic)
-    if fault_plan is not None and not fault_plan.is_empty:
-        from repro.faults import install_fault_plan
-
-        install_fault_plan(
-            world,
-            fault_plan,
-            replay=fault_replay,
-            universe=fault_universe,
-            checkpointer=fault_checkpointer,
-        )
-    return world
+    return build_world(
+        seed,
+        hosts,
+        switch_config,
+        fault_plan,
+        fault_replay,
+        fault_universe,
+        fault_checkpointer,
+    )
 
 
 def start_camera(

@@ -20,7 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ara import Method, ServiceInterface
+from repro.ara import (
+    AraProcess,
+    Method,
+    MethodCallProcessingMode,
+    ServiceInterface,
+    build_world,
+)
 from repro.dear import (
     MethodCall,
     MethodReturn,
@@ -29,11 +35,10 @@ from repro.dear import (
     generate_client_transactors,
     generate_server_transactors,
 )
-from repro.network import NetworkInterface, Switch, SwitchConfig, UniformLatency
+from repro.network import SwitchConfig, UniformLatency
 from repro.reactors import Environment, Reactor
 from repro.sim import World
 from repro.sim.platform import PlatformConfig
-from repro.someip import SdDaemon
 from repro.someip.serialization import INT32
 from repro.time import MS, SEC
 
@@ -63,19 +68,20 @@ class CounterResult:
     seed: int
 
 
-def _build_world(seed: int, platform_config: PlatformConfig) -> World:
-    world = World(seed)
+def _build_world(
+    seed: int,
+    platform_config: PlatformConfig,
+    in_order: bool = True,
+    two_clients: bool = False,
+) -> World:
     # A quiet switched LAN: latency variation well below the thread
     # dispatch jitter, so the server-side scheduler — not the network —
     # decides the processing order, as in the paper's analysis.
-    switch_config = SwitchConfig(latency=UniformLatency(180_000, 260_000))
-    switch = Switch(world.sim, world.rng.stream("net"), switch_config)
-    world.attach_network(switch)
-    for host in ("server-ecu", "client-ecu"):
-        platform = world.add_platform(host, platform_config)
-        nic = NetworkInterface(platform, switch)
-        SdDaemon(platform, nic)
-    return world
+    switch_config = SwitchConfig(
+        latency=UniformLatency(180_000, 260_000), in_order=in_order
+    )
+    hosts = ["server-ecu", "client-ecu"] + (["client2-ecu"] if two_clients else [])
+    return build_world(seed, [(host, platform_config) for host in hosts], switch_config)
 
 
 class _CounterServer:
@@ -86,9 +92,11 @@ class _CounterServer:
     on pool threads in scheduler-determined order.
     """
 
-    def __init__(self, process):
+    def __init__(self, process, processing_mode=MethodCallProcessingMode.EVENT):
         self.value = 0
-        self.skeleton = process.create_skeleton(COUNTER_INTERFACE, 1)
+        self.skeleton = process.create_skeleton(
+            COUNTER_INTERFACE, 1, processing_mode=processing_mode
+        )
         self.skeleton.implement("set_value", self._set_value)
         self.skeleton.implement("add", self._add)
         self.skeleton.implement("get_value", lambda: self.value)
@@ -104,34 +112,17 @@ class _CounterServer:
 def run_nondet(
     seed: int, platform_config: PlatformConfig = FIGURE1_PLATFORM
 ) -> CounterResult:
-    """Run the paper's Figure 1 client on the stock AP stack."""
-    from repro.ara import AraProcess
+    """Run the paper's Figure 1 client on the stock AP stack.
 
-    world = _build_world(seed, platform_config)
-    _CounterServer(AraProcess(world.platform("server-ecu"), "server"))
-    client_process = AraProcess(world.platform("client-ecu"), "client")
-    printed: list[int] = []
-
-    def client_main():
-        proxy = yield from client_process.find_service(COUNTER_INTERFACE, 1)
-        # The naive client: three non-blocking calls, only the last
-        # future is awaited — exactly the code in Figure 1.
-        proxy.call("set_value", value=1)
-        proxy.call("add", amount=2)
-        result = proxy.call("get_value")
-        value = yield from result.get()
-        printed.append(value)
-
-    client_process.spawn("main", client_main())
-    world.run_for(5 * SEC)
-    if not printed:
-        raise RuntimeError("client did not finish; simulation horizon too short")
-    return CounterResult(printed_value=printed[0], seed=seed)
+    The naive client of Figure 1: three non-blocking calls, only the
+    last future is awaited.
+    """
+    return run_variant(seed, platform_config=platform_config)
 
 
 def run_variant(
     seed: int,
-    processing_mode=None,
+    processing_mode=MethodCallProcessingMode.EVENT,
     in_order: bool = True,
     two_clients: bool = False,
     platform_config: PlatformConfig = FIGURE1_PLATFORM,
@@ -149,33 +140,9 @@ def run_variant(
       from another ECU, exposing source 2 (undefined processing order of
       messages from different clients) even with a serialized server.
     """
-    from repro.ara import AraProcess, MethodCallProcessingMode
-
-    if processing_mode is None:
-        processing_mode = MethodCallProcessingMode.EVENT
-    world = World(seed)
-    switch_config = SwitchConfig(
-        latency=UniformLatency(180_000, 260_000), in_order=in_order
-    )
-    switch = Switch(world.sim, world.rng.stream("net"), switch_config)
-    world.attach_network(switch)
-    hosts = ["server-ecu", "client-ecu"] + (["client2-ecu"] if two_clients else [])
-    for host in hosts:
-        platform = world.add_platform(host, platform_config)
-        nic = NetworkInterface(platform, switch)
-        SdDaemon(platform, nic)
-
+    world = _build_world(seed, platform_config, in_order, two_clients)
     server_process = AraProcess(world.platform("server-ecu"), "server")
-    server = _CounterServer.__new__(_CounterServer)
-    server.value = 0
-    server.skeleton = server_process.create_skeleton(
-        COUNTER_INTERFACE, 1, processing_mode=processing_mode
-    )
-    server.skeleton.implement("set_value", server._set_value)
-    server.skeleton.implement("add", server._add)
-    server.skeleton.implement("get_value", lambda: server.value)
-    server.skeleton.offer()
-
+    _CounterServer(server_process, processing_mode)
     printed: list[int] = []
     client_process = AraProcess(world.platform("client-ecu"), "client")
 
@@ -199,7 +166,7 @@ def run_variant(
         second_process.spawn("main", second_main())
     world.run_for(5 * SEC)
     if not printed:
-        raise RuntimeError("client did not finish")
+        raise RuntimeError("client did not finish; simulation horizon too short")
     return CounterResult(printed_value=printed[0], seed=seed)
 
 
@@ -269,8 +236,6 @@ def run_det(
     config: TransactorConfig | None = None,
 ) -> CounterResult:
     """Run the DEAR (deterministic) counter application."""
-    from repro.ara import AraProcess
-
     world = _build_world(seed, platform_config)
     if config is None:
         config = TransactorConfig(

@@ -1,8 +1,9 @@
 """Shared plumbing of the scenario library.
 
-Every library app builds its world the same way — a
-:class:`~repro.network.topology.TopologySpec` fabric, one platform +
-NIC + SD daemon per node, an optional fault plan — and reports results
+Every library app builds its world the same way — one
+:func:`repro.ara.build_world` call on the app's
+:class:`~repro.network.topology.TopologySpec` fabric (see
+:func:`library_switch_config`) — and reports results
 in the same :class:`~repro.apps.brake.instrumentation.BrakeRunResult`
 shape the whole harness (sweeps, obs drivers, CLI reports,
 ``outcome_digest``) already consumes.
@@ -12,19 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.network import ConstantLatency, NetworkInterface, Switch, SwitchConfig
+from repro.network import CALM_LAN, SwitchConfig
 from repro.network.topology import TopologySpec
 from repro.obs import context as obs_context
 from repro.sim import World
 from repro.sim.platform import MINNOWBOARD, PlatformConfig
-from repro.someip import SdDaemon
 from repro.time.clock import ClockModel
-from repro.time.duration import US
 
 __all__ = [
     "SinkCommand",
     "PipelineErrors",
-    "build_library_world",
     "library_platform_config",
     "library_switch_config",
     "begin_flow",
@@ -58,22 +56,26 @@ def library_platform_config(scenario) -> PlatformConfig:
     return MINNOWBOARD
 
 
-def library_switch_config(scenario, switch_config):
-    """The app-default network when the caller supplied none.
+def library_switch_config(
+    scenario, switch_config: SwitchConfig | None, topology: TopologySpec
+) -> SwitchConfig:
+    """The network of a library world, on the app's native fabric.
 
-    Under ``deterministic_inputs`` the links get constant latencies —
-    the same defaults the brake world uses for ``deterministic_camera``
-    — so physical arrival times (and with them every physical-action
-    tag) are identical across world seeds.
+    Without a caller-supplied *switch_config* (from ``ScenarioSpec``)
+    the app default applies: under ``deterministic_inputs`` the links
+    get the constant latencies of :data:`~repro.network.CALM_LAN` — the
+    brake world's ``deterministic_camera`` defaults — so physical
+    arrival times (and with them every physical-action tag) are
+    identical across world seeds.  A config without a topology gets the
+    app's native *topology* embedded, so CLI-supplied network knobs
+    compose with the app's fabric.
     """
-    if switch_config is not None:
-        return switch_config
-    if getattr(scenario, "deterministic_inputs", False):
-        return SwitchConfig(
-            latency=ConstantLatency(300 * US),
-            loopback_latency=ConstantLatency(50 * US),
-        )
-    return None
+    if switch_config is None:
+        calm = getattr(scenario, "deterministic_inputs", False)
+        switch_config = CALM_LAN if calm else SwitchConfig()
+    if switch_config.topology is None:
+        switch_config = replace(switch_config, topology=topology)
+    return switch_config
 
 
 @dataclass(frozen=True)
@@ -115,46 +117,6 @@ class PipelineErrors:
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in LIB_ERROR_TYPES}
-
-
-def build_library_world(
-    seed: int,
-    hosts: list[tuple[str, PlatformConfig]],
-    topology: TopologySpec,
-    switch_config: SwitchConfig | None = None,
-    fault_plan=None,
-    fault_replay=None,
-    fault_universe=None,
-    fault_checkpointer=None,
-) -> World:
-    """One fabric, one platform + NIC + SD daemon per topology node.
-
-    *switch_config* (from ``ScenarioSpec``) may already carry a
-    topology; when it does not, the app's native *topology* is embedded
-    so CLI-supplied network knobs compose with the app's fabric.
-    """
-    world = World(seed)
-    if switch_config is None:
-        switch_config = SwitchConfig(topology=topology)
-    elif switch_config.topology is None:
-        switch_config = replace(switch_config, topology=topology)
-    switch = Switch(world.sim, world.rng.stream("net"), switch_config)
-    world.attach_network(switch)
-    for host, config in hosts:
-        platform = world.add_platform(host, config)
-        nic = NetworkInterface(platform, switch)
-        SdDaemon(platform, nic)
-    if fault_plan is not None and not fault_plan.is_empty:
-        from repro.faults import install_fault_plan
-
-        install_fault_plan(
-            world,
-            fault_plan,
-            replay=fault_replay,
-            universe=fault_universe,
-            checkpointer=fault_checkpointer,
-        )
-    return world
 
 
 def begin_flow(seq: int, now: int):

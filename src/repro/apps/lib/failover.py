@@ -25,13 +25,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.ara import AraProcess, Event, ServiceInterface
+from repro.ara import AraProcess, Event, ServiceInterface, build_world
 from repro.apps.brake.instrumentation import BrakeRunResult, OneSlotBuffer
 from repro.apps.lib.common import (
     PipelineErrors,
     SinkCommand,
     begin_flow,
-    build_library_world,
     library_platform_config,
     library_switch_config,
     deliver_flow,
@@ -45,7 +44,7 @@ from repro.faults import FaultPlan, NodeOutage
 from repro.network.topology import TopologySpec
 from repro.obs.flows import CAUSE_NO_SUBSCRIBER, LAYER_SOMEIP
 from repro.reactors import Environment, Reactor
-from repro.sim import Compute, SleepUntil, World
+from repro.sim import Compute, SleepUntil
 from repro.someip.serialization import INT64, Struct, UINT32
 from repro.time.duration import SEC
 
@@ -188,20 +187,15 @@ class _ConsumerSupervisor:
 
 def _build_world(scenario, seed, switch_config, fault_plan, replay, universe, ckpt):
     config = library_platform_config(scenario)
-    hosts = [
-        (PRIMARY_ECU, config),
-        (STANDBY_ECU, config),
-        (CONSUMER_ECU, config),
-    ]
-    return build_library_world(
+    hosts = (PRIMARY_ECU, STANDBY_ECU, CONSUMER_ECU)
+    return build_world(
         seed,
-        hosts,
-        failover_topology(scenario),
-        switch_config=library_switch_config(scenario, switch_config),
-        fault_plan=fault_plan,
-        fault_replay=replay,
-        fault_universe=universe,
-        fault_checkpointer=ckpt,
+        [(host, config) for host in hosts],
+        library_switch_config(scenario, switch_config, failover_topology(scenario)),
+        fault_plan,
+        replay,
+        universe,
+        ckpt,
     )
 
 

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.ara import AraProcess, Event, ServiceInterface
+from repro.ara import AraProcess, Event, ServiceInterface, build_world
 from repro.apps.brake.instrumentation import BrakeRunResult, OneSlotBuffer
 from repro.apps.lib.common import (
     PipelineErrors,
     SinkCommand,
     begin_flow,
-    build_library_world,
     library_platform_config,
     library_switch_config,
     deliver_flow,
@@ -44,7 +43,6 @@ from repro.dear import (
     StpConfig,
     TransactorConfig,
 )
-from repro.network import NetworkInterface
 from repro.network.topology import TopologySpec
 from repro.obs.flows import CAUSE_FANIN_MISMATCH, LAYER_APP, LAYER_REACTOR
 from repro.reactors import Environment, Reactor
@@ -101,21 +99,15 @@ def fuse_values(cam: int, rad: int, lid: int) -> float:
 
 def _build_world(scenario, seed, switch_config, fault_plan, replay, universe, ckpt):
     config = library_platform_config(scenario)
-    hosts = [
-        (CAMERA_ECU, config),
-        (RADAR_ECU, config),
-        (LIDAR_ECU, config),
-        (FUSION_ECU, config),
-    ]
-    return build_library_world(
+    hosts = (CAMERA_ECU, RADAR_ECU, LIDAR_ECU, FUSION_ECU)
+    return build_world(
         seed,
-        hosts,
-        fusion_topology(scenario),
-        switch_config=library_switch_config(scenario, switch_config),
-        fault_plan=fault_plan,
-        fault_replay=replay,
-        fault_universe=universe,
-        fault_checkpointer=ckpt,
+        [(host, config) for host in hosts],
+        library_switch_config(scenario, switch_config, fusion_topology(scenario)),
+        fault_plan,
+        replay,
+        universe,
+        ckpt,
     )
 
 

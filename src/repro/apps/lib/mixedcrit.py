@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.ara import AraProcess, Event, ServiceInterface
+from repro.ara import AraProcess, Event, ServiceInterface, build_world
 from repro.apps.brake.instrumentation import BrakeRunResult, OneSlotBuffer
 from repro.apps.lib.common import (
     PipelineErrors,
     SinkCommand,
     begin_flow,
-    build_library_world,
     library_platform_config,
     library_switch_config,
     deliver_flow,
@@ -82,21 +81,15 @@ def sample_value(seq: int) -> int:
 
 def _build_world(scenario, seed, switch_config, fault_plan, replay, universe, ckpt):
     config = library_platform_config(scenario)
-    hosts = [
-        (SENSOR_ECU, config),
-        (TELEMETRY_ECU, config),
-        (CONTROL_ECU, config),
-        (LOGGER_ECU, config),
-    ]
-    return build_library_world(
+    hosts = (SENSOR_ECU, TELEMETRY_ECU, CONTROL_ECU, LOGGER_ECU)
+    return build_world(
         seed,
-        hosts,
-        mixedcrit_topology(scenario),
-        switch_config=library_switch_config(scenario, switch_config),
-        fault_plan=fault_plan,
-        fault_replay=replay,
-        fault_universe=universe,
-        fault_checkpointer=ckpt,
+        [(host, config) for host in hosts],
+        library_switch_config(scenario, switch_config, mixedcrit_topology(scenario)),
+        fault_plan,
+        replay,
+        universe,
+        ckpt,
     )
 
 

@@ -13,7 +13,8 @@ This is the programming API that application SWCs use, mirroring the
   communication endpoints of Figure 2, including the three method-call
   processing modes of the communication-management spec;
 * :mod:`repro.ara.process` — an adaptive application (one SWC = one
-  process) bundling endpoint, SD access and worker pool;
+  process) bundling endpoint, SD access and worker pool, and
+  :func:`build_world`, the networked world such processes run in;
 * :mod:`repro.ara.execution` — a minimal execution manager;
 * :mod:`repro.ara.detclient` — the AP "deterministic client", which the
   paper notes addresses only the first source of nondeterminism.
@@ -24,7 +25,7 @@ from repro.ara.future import Future, FutureState, Promise
 from repro.ara.pool import DispatchPool
 from repro.ara.proxy import ServiceProxy
 from repro.ara.skeleton import MethodCallProcessingMode, ServiceSkeleton
-from repro.ara.process import AraProcess
+from repro.ara.process import AraProcess, build_world
 from repro.ara.execution import ExecutionManager, ProcessState
 from repro.ara.detclient import ActivationReturnType, DeterministicClient
 
@@ -41,6 +42,7 @@ __all__ = [
     "ServiceSkeleton",
     "MethodCallProcessingMode",
     "AraProcess",
+    "build_world",
     "ExecutionManager",
     "ProcessState",
     "DeterministicClient",

@@ -4,22 +4,64 @@ An :class:`AraProcess` bundles what every AP application process owns:
 a SOME/IP endpoint (with optional DEAR tag awareness), access to the
 platform's SD daemon, and the middleware worker pool.  It is the factory
 for proxies and skeletons.
+
+:func:`build_world` builds the networked world such processes run in:
+one switch and one platform + NIC + SD daemon per host.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Generator, Iterable
 
 from repro.errors import AraError, ServiceNotAvailableError
 from repro.ara.interface import ServiceInterface
 from repro.ara.pool import DispatchPool
 from repro.ara.proxy import ServiceProxy
 from repro.ara.skeleton import MethodCallProcessingMode, ServiceSkeleton
-from repro.sim.platform import Platform
+from repro.network import NetworkInterface, Switch, SwitchConfig
+from repro.sim.platform import Platform, PlatformConfig
 from repro.sim.process import SimThread
+from repro.sim.world import World
 from repro.someip.runtime import SomeIpEndpoint
 from repro.someip.sd import SdDaemon
 from repro.time.duration import SEC
+
+
+def build_world(
+    seed: int,
+    hosts: Iterable[tuple[str, PlatformConfig | None]],
+    switch_config: SwitchConfig | None = None,
+    fault_plan=None,
+    fault_replay=None,
+    fault_universe=None,
+    fault_checkpointer=None,
+) -> World:
+    """A networked world: one switch, one platform + NIC + SD daemon per host.
+
+    The switch draws on the world's ``"net"`` RNG stream, so one seed
+    gives one schedule whichever app builds the world.  A non-empty
+    :class:`~repro.faults.FaultPlan` is installed before any traffic
+    flows, optionally replaying the recorded *fault_replay* trace
+    (*fault_universe* and *fault_checkpointer* feed the snapshot
+    engine; see :func:`repro.faults.install_fault_plan`).
+    """
+    world = World(seed)
+    switch = Switch(world.sim, world.rng.stream("net"), switch_config)
+    world.attach_network(switch)
+    for host, config in hosts:
+        platform = world.add_platform(host, config)
+        SdDaemon(platform, NetworkInterface(platform, switch))
+    if fault_plan is not None and not fault_plan.is_empty:
+        from repro.faults import install_fault_plan
+
+        install_fault_plan(
+            world,
+            fault_plan,
+            replay=fault_replay,
+            universe=fault_universe,
+            checkpointer=fault_checkpointer,
+        )
+    return world
 
 
 class AraProcess:
@@ -36,8 +78,8 @@ class AraProcess:
         sd = platform.attachments.get("sd")
         if not isinstance(sd, SdDaemon):
             raise AraError(
-                f"platform {platform.name!r} has no SD daemon; create an "
-                f"SdDaemon (and NetworkInterface) before AraProcess"
+                f"platform {platform.name!r} has no SD daemon; build its "
+                f"world with repro.ara.build_world"
             )
         self.platform = platform
         self.name = name

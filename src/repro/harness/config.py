@@ -33,14 +33,12 @@ from typing import Any
 from repro.dear.stp import StpConfig
 from repro.faults.plan import FaultPlan
 from repro.network.latency import (
-    ConstantLatency,
     LatencyModel,
     latency_model_from_dict,
     latency_model_to_dict,
 )
-from repro.network.switch import SwitchConfig
+from repro.network.switch import CALM_LAN, SwitchConfig
 from repro.network.topology import TopologySpec
-from repro.time.duration import US
 
 __all__ = [
     "NetworkSpec",
@@ -211,18 +209,13 @@ class ScenarioSpec:
         if self.network == NetworkSpec() and self.topology is None:
             return None
         scenario = self.effective_scenario()
-        if getattr(scenario, "deterministic_camera", False) or getattr(
+        calm = getattr(scenario, "deterministic_camera", False) or getattr(
             scenario, "deterministic_inputs", False
-        ):
-            default_latency: LatencyModel = ConstantLatency(300 * US)
-            default_loopback: LatencyModel = ConstantLatency(50 * US)
-        else:
-            stock = SwitchConfig()
-            default_latency = stock.latency
-            default_loopback = stock.loopback_latency
+        )
+        default = CALM_LAN if calm else SwitchConfig()
         return SwitchConfig(
-            latency=self.network.latency or default_latency,
-            loopback_latency=self.network.loopback_latency or default_loopback,
+            latency=self.network.latency or default.latency,
+            loopback_latency=self.network.loopback_latency or default.loopback_latency,
             in_order=self.network.in_order,
             drop_probability=self.network.drop_probability,
             ns_per_byte=self.network.ns_per_byte,

@@ -21,26 +21,28 @@ probe the parts of the design the paper only argues about:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from repro.analysis.report import render_table
 from repro.harness.config import ScenarioSpec
 from repro.harness.sweep import SweepRunner
-from repro.ara import AraProcess, Event, Method, ServiceInterface
+from repro.ara import AraProcess, Event, Method, ServiceInterface, build_world
 from repro.dear import (
     ClientEventTransactor,
     ServerEventTransactor,
     StpConfig,
     TransactorConfig,
 )
-from repro.network import ConstantLatency, NetworkInterface, Switch, SwitchConfig
+from repro.network import ConstantLatency, SwitchConfig
 from repro.reactors import Environment, Reactor
-from repro.sim import World
 from repro.sim.platform import CALM, PlatformConfig
-from repro.someip import SdDaemon
 from repro.someip.serialization import INT32
 from repro.time import ClockModel, MS, SEC
+
+#: The extensions' two-ECU LAN: a constant 1 ms hop, no serialization
+#: delay, so logical-time arithmetic shows no physical noise.
+_PULSE_LAN = SwitchConfig(latency=ConstantLatency(1 * MS), ns_per_byte=0)
 
 
 def _pulse_interface(service_id: int, name: str = "Pulse") -> ServiceInterface:
@@ -127,24 +129,15 @@ def _skew_point(
     """One (actual skew, assumed E) configuration (runs in a worker)."""
     actual_skew, assumed_error = configuration
     interface = _pulse_interface(0x5200)
-    world = World(0)
-    switch = Switch(
-        world.sim, world.rng.stream("net"),
-        SwitchConfig(latency=ConstantLatency(1 * MS), ns_per_byte=0),
+    skewed = PlatformConfig(
+        num_cores=1,
+        clock=ClockModel(offset_ns=actual_skew),
+        dispatch_jitter_ns=0,
+        timer_jitter_ns=0,
     )
-    world.attach_network(switch)
-    pub_platform = world.add_platform("pub-ecu", CALM)
-    sub_platform = world.add_platform(
-        "sub-ecu",
-        PlatformConfig(
-            num_cores=1,
-            clock=ClockModel(offset_ns=actual_skew),
-            dispatch_jitter_ns=0,
-            timer_jitter_ns=0,
-        ),
-    )
-    for platform in (pub_platform, sub_platform):
-        SdDaemon(platform, NetworkInterface(platform, switch))
+    world = build_world(0, [("pub-ecu", CALM), ("sub-ecu", skewed)], _PULSE_LAN)
+    pub_platform = world.platform("pub-ecu")
+    sub_platform = world.platform("sub-ecu")
     config = TransactorConfig(
         deadline_ns=5 * MS,
         stp=StpConfig(
@@ -273,19 +266,9 @@ def _scaling_point(
     config = TransactorConfig(
         deadline_ns=deadline_ns, stp=StpConfig(latency_bound_ns=latency_bound_ns)
     )
-    world = World(0)
-    switch = Switch(
-        world.sim, world.rng.stream("net"),
-        SwitchConfig(latency=ConstantLatency(1 * MS),
-                     loopback_latency=ConstantLatency(100_000),
-                     ns_per_byte=0),
-    )
-    world.attach_network(switch)
-    platforms = []
-    for host in ("ecu-a", "ecu-b"):
-        platform = world.add_platform(host, CALM)
-        SdDaemon(platform, NetworkInterface(platform, switch))
-        platforms.append(platform)
+    switch_config = replace(_PULSE_LAN, loopback_latency=ConstantLatency(100_000))
+    world = build_world(0, [("ecu-a", CALM), ("ecu-b", CALM)], switch_config)
+    platforms = list(world.platforms.values())
 
     interfaces = [
         _pulse_interface(0x5300 + index, f"Hop{index}")
@@ -445,15 +428,7 @@ class NativeTransportResult:
 def _run_encoding_chain(transport: str) -> str:
     """One pulse chain with the given tag encoding; returns its trace."""
     interface = _pulse_interface(0x5400, "EncodingPulse")
-    world = World(0)
-    switch = Switch(
-        world.sim, world.rng.stream("net"),
-        SwitchConfig(latency=ConstantLatency(1 * MS), ns_per_byte=0),
-    )
-    world.attach_network(switch)
-    for host in ("pub-ecu", "sub-ecu"):
-        platform = world.add_platform(host, CALM)
-        SdDaemon(platform, NetworkInterface(platform, switch))
+    world = build_world(0, [("pub-ecu", CALM), ("sub-ecu", CALM)], _PULSE_LAN)
     config = TransactorConfig(
         deadline_ns=5 * MS, stp=StpConfig(latency_bound_ns=5 * MS)
     )

@@ -144,7 +144,7 @@ class Figure3Result:
 
 def figure3_sequence(seed: int = 0) -> Figure3Result:
     """Run one DEAR method call and extract the tag chain of Figure 3."""
-    from repro.ara import AraProcess, Method, ServiceInterface
+    from repro.ara import AraProcess, Method, ServiceInterface, build_world
     from repro.dear import (
         ClientMethodTransactor,
         MethodCall,
@@ -153,9 +153,7 @@ def figure3_sequence(seed: int = 0) -> Figure3Result:
         StpConfig,
         TransactorConfig,
     )
-    from repro.network import NetworkInterface, Switch
     from repro.reactors import Environment, Reactor
-    from repro.someip import SdDaemon
     from repro.someip.serialization import INT32
     from repro.time.duration import SEC
 
@@ -169,13 +167,9 @@ def figure3_sequence(seed: int = 0) -> Figure3Result:
     client_config = TransactorConfig(deadline_ns=deadline_c, stp=stp)
     server_config = TransactorConfig(deadline_ns=deadline_s, stp=stp)
 
-    world = World(seed)
-    switch = Switch(world.sim, world.rng.stream("net"))
-    world.attach_network(switch)
-    for host in ("server-ecu", "client-ecu"):
-        platform = world.add_platform(host, MINNOWBOARD)
-        nic = NetworkInterface(platform, switch)
-        SdDaemon(platform, nic)
+    world = build_world(
+        seed, [("server-ecu", MINNOWBOARD), ("client-ecu", MINNOWBOARD)]
+    )
 
     observed: dict[str, int] = {}
 

@@ -25,7 +25,7 @@ from repro.network.latency import (
     latency_model_from_dict,
     latency_model_to_dict,
 )
-from repro.network.switch import CorruptedPayload, Frame, Switch, SwitchConfig
+from repro.network.switch import CALM_LAN, CorruptedPayload, Frame, Switch, SwitchConfig
 from repro.network.stack import NetworkInterface, Socket
 from repro.network.topology import Link, Route, TopologySpec
 
@@ -41,6 +41,7 @@ __all__ = [
     "Frame",
     "Switch",
     "SwitchConfig",
+    "CALM_LAN",
     "Link",
     "Route",
     "TopologySpec",

@@ -14,7 +14,12 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import NetworkError
-from repro.network.latency import GammaLatency, LatencyModel, UniformLatency
+from repro.network.latency import (
+    ConstantLatency,
+    GammaLatency,
+    LatencyModel,
+    UniformLatency,
+)
 from repro.network.topology import Route, TopologySpec
 from repro.obs import context as obs_context
 from repro.obs.bus import TRACK_NETWORK
@@ -81,6 +86,16 @@ class SwitchConfig:
     #: Serialization delay per byte (8 ns/byte ~ 1 Gbit/s), applied per frame.
     ns_per_byte: int = 8
     topology: TopologySpec | None = None
+
+
+#: The seed-fixed network: constant link and loopback latencies, so
+#: physical arrival times are identical across world seeds.  The
+#: default of ``deterministic_camera`` / ``deterministic_inputs``
+#: scenarios.
+CALM_LAN = SwitchConfig(
+    latency=ConstantLatency(300 * US),
+    loopback_latency=ConstantLatency(50 * US),
+)
 
 
 class Switch:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from repro.ara import AraProcess
-from repro.network import NetworkInterface, Switch, SwitchConfig
+from repro.ara import AraProcess, build_world
+from repro.network import SwitchConfig
 from repro.sim import World
 from repro.sim.platform import CALM, PlatformConfig
-from repro.someip import SdDaemon
 
 
 def build_ap_world(
@@ -16,14 +15,8 @@ def build_ap_world(
     switch_config: SwitchConfig | None = None,
 ) -> World:
     """A world with networked platforms, each running an SD daemon."""
-    world = World(seed)
-    switch = Switch(world.sim, world.rng.stream("net"), switch_config)
-    world.attach_network(switch)
-    for host in hosts:
-        platform = world.add_platform(host, platform_config or CALM)
-        nic = NetworkInterface(platform, switch)
-        SdDaemon(platform, nic)
-    return world
+    config = platform_config or CALM
+    return build_world(seed, [(host, config) for host in hosts], switch_config)
 
 
 def make_process(world: World, host: str, name: str, **kwargs) -> AraProcess:

@@ -9,18 +9,16 @@ different ECUs into one consumer and checks the merged order is the tag
 order, identically for every seed.
 """
 
-from repro.ara import AraProcess, Event, Method, ServiceInterface
+from repro.ara import AraProcess, Event, Method, ServiceInterface, build_world
 from repro.dear import (
     ClientEventTransactor,
     ServerEventTransactor,
     StpConfig,
     TransactorConfig,
 )
-from repro.network import NetworkInterface, Switch, SwitchConfig, UniformLatency
+from repro.network import SwitchConfig, UniformLatency
 from repro.reactors import Environment, Reactor
-from repro.sim import World
 from repro.sim.platform import CALM
-from repro.someip import SdDaemon
 from repro.someip.serialization import INT32, STRING
 from repro.time import MS, SEC
 
@@ -74,16 +72,12 @@ class _Merger(Reactor):
 
 
 def run_fanin(seed: int):
-    world = World(seed)
     # Wild latency spread: arrival interleaving varies strongly by seed.
-    switch = Switch(
-        world.sim, world.rng.stream("net"),
+    world = build_world(
+        seed,
+        [(host, CALM) for host in ("ecu-a", "ecu-b", "ecu-c")],
         SwitchConfig(latency=UniformLatency(200_000, 8 * MS)),
     )
-    world.attach_network(switch)
-    for host in ("ecu-a", "ecu-b", "ecu-c"):
-        platform = world.add_platform(host, CALM)
-        SdDaemon(platform, NetworkInterface(platform, switch))
 
     def make_publisher(host, interface, label, offset):
         process = AraProcess(world.platform(host), f"pub-{label}", tag_aware=True)

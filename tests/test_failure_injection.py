@@ -7,7 +7,7 @@ skew above the assumed ``E``, deadlines below WCET — and check the
 violation is counted, never silent.
 """
 
-
+from repro import ara
 from repro.ara import AraProcess, Event, Method, ServiceInterface
 from repro.dear import (
     ClientEventTransactor,
@@ -15,17 +15,9 @@ from repro.dear import (
     StpConfig,
     TransactorConfig,
 )
-from repro.network import (
-    ConstantLatency,
-    NetworkInterface,
-    SpikyLatency,
-    Switch,
-    SwitchConfig,
-)
+from repro.network import ConstantLatency, SpikyLatency, SwitchConfig
 from repro.reactors import Environment, Reactor
-from repro.sim import World
 from repro.sim.platform import CALM, PlatformConfig
-from repro.someip import SdDaemon
 from repro.someip.serialization import INT32
 from repro.someip.wire import ReturnCode
 from repro.time import ClockModel, MS, SEC
@@ -38,16 +30,11 @@ PULSE = ServiceInterface(
 
 
 def build_world(seed=0, switch_config=None, client_clock=None):
-    world = World(seed)
-    switch = Switch(world.sim, world.rng.stream("net"), switch_config)
-    world.attach_network(switch)
-    for host, clock in (("server", None), ("client", client_clock)):
-        config = CALM if clock is None else PlatformConfig(
-            num_cores=1, clock=clock, dispatch_jitter_ns=0, timer_jitter_ns=0
-        )
-        platform = world.add_platform(host, config)
-        SdDaemon(platform, NetworkInterface(platform, switch))
-    return world
+    client = CALM if client_clock is None else PlatformConfig(
+        num_cores=1, clock=client_clock, dispatch_jitter_ns=0, timer_jitter_ns=0
+    )
+    hosts = [("server", CALM), ("client", client)]
+    return ara.build_world(seed, hosts, switch_config)
 
 
 class Publisher(Reactor):

@@ -18,7 +18,7 @@ import pytest
 from repro.apps.brake import BrakeScenario
 from repro.apps.brake.det import run_det_brake_assistant
 from repro.apps.brake.nondet import run_nondet_brake_assistant
-from repro.ara import AraProcess
+from repro.ara import AraProcess, build_world
 from repro.dear import (
     ClientEventTransactor,
     DeadlineFault,
@@ -27,19 +27,15 @@ from repro.dear import (
     StpConfig,
     TransactorConfig,
 )
-from repro.faults import (
-    ClockFault,
-    FaultPlan,
-    NodeOutage,
-    Partition,
-    install_fault_plan,
+from repro.faults import ClockFault, FaultPlan, NodeOutage, Partition
+from repro.harness.extensions import (
+    _PULSE_LAN,
+    _Publisher,
+    _pulse_interface,
+    _Subscriber,
 )
-from repro.harness.extensions import _Publisher, _pulse_interface, _Subscriber
-from repro.network import ConstantLatency, NetworkInterface, Switch, SwitchConfig
 from repro.reactors import Environment
-from repro.sim import World
 from repro.sim.platform import CALM
-from repro.someip import SdDaemon
 from repro.time import MS, SEC
 
 #: Pulses leave at 400, 420, ... ms; the partition swallows the last four.
@@ -58,16 +54,10 @@ def _pulse_chain(
     Returns ``(received, rx_transactor, injector)`` after the run.
     """
     interface = _pulse_interface(0x5600, "FaultPulse")
-    world = World(seed)
-    switch = Switch(
-        world.sim, world.rng.stream("net"),
-        SwitchConfig(latency=ConstantLatency(1 * MS), ns_per_byte=0),
+    world = build_world(
+        seed, [("pub-ecu", CALM), ("sub-ecu", CALM)], _PULSE_LAN, fault_plan=plan
     )
-    world.attach_network(switch)
-    for host in ("pub-ecu", "sub-ecu"):
-        platform = world.add_platform(host, CALM)
-        SdDaemon(platform, NetworkInterface(platform, switch))
-    injector = install_fault_plan(world, plan) if plan is not None else None
+    injector = world.fault_injector
     config = TransactorConfig(
         deadline_ns=5 * MS,
         stp=StpConfig(latency_bound_ns=LATENCY_BOUND_NS),

@@ -12,7 +12,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
