@@ -13,8 +13,7 @@ import json
 from pathlib import Path
 
 from repro.analysis.traces import TraceDivergence, first_divergence
-from repro.reactors.telemetry import Trace, TraceRecord
-from repro.time.tag import Tag
+from repro.reactors.telemetry import Trace
 
 #: Format marker written in the header line.
 FORMAT = "repro-trace-v1"
@@ -23,14 +22,15 @@ FORMAT = "repro-trace-v1"
 def save_trace(trace: Trace, path: str | Path) -> int:
     """Write *trace* to *path*; returns the number of records written."""
     path = Path(path)
+    records = trace.records
     with path.open("w") as handle:
         header = {
             "format": FORMAT,
-            "records": len(trace.records),
+            "records": len(records),
             "fingerprint": trace.fingerprint(),
         }
         handle.write(json.dumps(header) + "\n")
-        for record in trace.records:
+        for record in records:
             handle.write(
                 json.dumps(
                     {
@@ -43,7 +43,7 @@ def save_trace(trace: Trace, path: str | Path) -> int:
                 )
                 + "\n"
             )
-    return len(trace.records)
+    return len(records)
 
 
 def load_trace(path: str | Path) -> Trace:
@@ -60,11 +60,7 @@ def load_trace(path: str | Path) -> Trace:
         trace = Trace()
         for line in handle:
             entry = json.loads(line)
-            trace.records.append(
-                TraceRecord(
-                    Tag(entry["t"], entry["m"]), entry["k"], entry["n"], entry["v"]
-                )
-            )
+            trace.add_row(entry["t"], entry["m"], entry["k"], entry["n"], entry["v"])
     if trace.fingerprint() != header["fingerprint"]:
         raise ValueError(f"{path}: fingerprint mismatch (file corrupted?)")
     return trace

@@ -28,6 +28,8 @@ class Port:
     def __init__(self, name: str, owner: "Reactor") -> None:
         self.name = name
         self.owner = owner
+        #: Fully qualified name (the reactor tree is fixed at build time).
+        self.fqn = f"{owner.fqn}.{name}"
         #: The port feeding this one, if any (set by Environment.connect).
         self.upstream: "Port | None" = None
         #: Ports fed by this one through zero-delay connections.
@@ -41,13 +43,6 @@ class Port:
         # Runtime state: value at the current tag.
         self._value: Any = None
         self._present: bool = False
-
-    # -- identity ---------------------------------------------------------
-
-    @property
-    def fqn(self) -> str:
-        """Fully qualified name."""
-        return f"{self.owner.fqn}.{self.name}"
 
     # -- runtime value access ------------------------------------------------
 

@@ -263,15 +263,13 @@ class ReactorScheduler:
 
     def _propagate(self, port: Port, value: Any, tag: Tag) -> None:
         """Make *port* (and its zero-delay closure) present with *value*."""
-        trace = self._env.trace
         to_clear = self._to_clear
+        first = len(to_clear)
         stack = [port]
         while stack:
             current = stack.pop()
             current._put(value)
             to_clear.append(current)
-            if trace.enabled:
-                trace.port_set(tag, current.fqn, value)
             for reaction in current.triggered_reactions:
                 if not reaction._queued:
                     reaction._queued = True
@@ -281,6 +279,11 @@ class ReactorScheduler:
             stack.extend(current.downstream)
             for downstream, delay in current.delayed_downstream:
                 self._push(tag.delay(delay), downstream, value)
+        trace = self._env.trace
+        if trace.enabled:
+            # The closure's ports, in propagation order: one "set" record
+            # each, all sharing a single rendering of the value.
+            trace.port_sets(tag, to_clear[first:], value)
 
     def _enqueue_reaction(self, reaction: Reaction) -> None:
         if reaction._queued:

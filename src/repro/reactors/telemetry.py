@@ -32,7 +32,28 @@ class TraceRecord:
     def line(self) -> str:
         """Canonical one-line rendering (input to the fingerprint)."""
         tag = self.tag
-        return f"{tag.time}.{tag.microstep} {self.kind} {self.name} {self.value}"
+        return _line(tag.time, tag.microstep, self.kind, self.name, self.value)
+
+
+#: Rows hashed per ``update`` call: large enough to amortize the call,
+#: small enough that fingerprinting a long trace does not hold a second
+#: whole-trace copy of its text.
+_HASH_BATCH = 512
+
+#: Canonical one-line rendering of a row (the fingerprint's input).
+_line = "{}.{} {} {} {}".format
+
+
+def _render(value: Any) -> str:
+    """Trace text of a port value: ``repr``, or ``""`` for the empty string.
+
+    "No value" is decided from the type, never through the value's own
+    ``__ne__``, so array-like values (whose comparison returns an array)
+    render like any other.
+    """
+    if isinstance(value, str) and not value:
+        return ""
+    return repr(value)
 
 
 class Trace:
@@ -41,48 +62,74 @@ class Trace:
     Tags are stored relative to :attr:`origin` (the environment's logical
     start time), so traces of the same program are comparable between
     runs even when OS jitter shifted the moment the runtime started.
+
+    Each record is kept as one flat row ``(time - origin, microstep,
+    kind, name, text)`` with the value already rendered; the
+    :class:`TraceRecord` objects of :attr:`records` are built on read.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.origin = 0
-        self.records: list[TraceRecord] = []
+        self._rows: list[tuple[int, int, str, str, str]] = []
+
+    @property
+    def records(self) -> tuple[TraceRecord, ...]:
+        """Read-only view of the records, built from the rows on each read."""
+        return tuple(
+            TraceRecord(Tag(time, microstep), kind, name, text)
+            for time, microstep, kind, name, text in self._rows
+        )
 
     def record(self, tag: Tag, kind: str, name: str, value: Any = "") -> None:
         """Append a record (no-op when disabled)."""
-        if not self.enabled:
-            return
-        normalized = Tag(tag.time - self.origin, tag.microstep)
-        self.records.append(
-            TraceRecord(normalized, kind, name, repr(value) if value != "" else "")
-        )
+        if self.enabled:
+            self._rows.append(
+                (tag.time - self.origin, tag.microstep, kind, name, _render(value))
+            )
 
     def reaction(self, tag: Tag, name: str) -> None:
         """Record a reaction execution."""
-        self.record(tag, "reaction", name)
+        if self.enabled:
+            self._rows.append(
+                (tag.time - self.origin, tag.microstep, "reaction", name, "")
+            )
 
-    def port_set(self, tag: Tag, name: str, value: Any) -> None:
-        """Record a port being set."""
-        self.record(tag, "set", name, value)
+    def port_sets(self, tag: Tag, ports: list, value: Any) -> None:
+        """Record *value* being set on each of *ports*, rendering it once."""
+        if self.enabled:
+            text = _render(value)
+            time = tag.time - self.origin
+            microstep = tag.microstep
+            rows = self._rows
+            for port in ports:
+                rows.append((time, microstep, "set", port.fqn, text))
 
     def deadline_miss(self, tag: Tag, name: str, lag_ns: int) -> None:
         """Record a deadline violation (an observable error)."""
         self.record(tag, "deadline-miss", name, lag_ns)
 
+    def add_row(
+        self, time: int, microstep: int, kind: str, name: str, text: str
+    ) -> None:
+        """Append an already normalized and rendered row (trace loading)."""
+        self._rows.append((time, microstep, kind, name, text))
+
     def fingerprint(self) -> str:
         """SHA-256 over the canonical rendering of all records."""
         digest = hashlib.sha256()
-        for record in self.records:
-            digest.update(record.line().encode())
-            digest.update(b"\n")
+        rows = self._rows
+        for start in range(0, len(rows), _HASH_BATCH):
+            batch = rows[start : start + _HASH_BATCH]
+            digest.update("".join([_line(*row) + "\n" for row in batch]).encode())
         return digest.hexdigest()
 
     def lines(self) -> list[str]:
         """Human-readable rendering."""
-        return [record.line() for record in self.records]
+        return [_line(*row) for row in self._rows]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._rows)
 
     def __repr__(self) -> str:
-        return f"Trace(records={len(self.records)}, enabled={self.enabled})"
+        return f"Trace(records={len(self._rows)}, enabled={self.enabled})"

@@ -51,7 +51,9 @@ class TestRoundTrip:
         env.execute()
         path = tmp_path / "env.trace"
         save_trace(env.trace, path)
-        assert load_trace(path).fingerprint() == env.trace.fingerprint()
+        loaded = load_trace(path)
+        assert loaded.fingerprint() == env.trace.fingerprint()
+        assert loaded.lines() == env.trace.lines()
 
 
 class TestDiff:

@@ -1,0 +1,132 @@
+"""The logical trace's row storage: render once, read-only records view.
+
+``Trace`` keeps each record as a flat row with the value already
+rendered, and the scheduler renders a propagated value once for the
+whole zero-delay closure it reaches.  These tests pin that contract and
+the API the rest of the package (persistence, trace diffing, fault
+shrinking's callers) relies on.
+"""
+
+import numpy as np
+import pytest
+
+from repro.reactors import Environment, Reactor, telemetry
+from repro.reactors.telemetry import Trace
+from repro.time import MS, Tag
+
+
+class Counted:
+    """A value whose ``repr`` counts its calls."""
+
+    calls = 0
+
+    def __repr__(self):
+        type(self).calls += 1
+        return "Counted()"
+
+
+def _fan_out(make_values, fan_out=3):
+    """One output set once per value at startup, connected to *fan_out* inputs."""
+    env = Environment(timeout=1 * MS)
+    source = Reactor("source", env)
+    out = source.output("out")
+
+    def emit(ctx):
+        for value in make_values():
+            ctx.set(out, value)
+
+    source.reaction("emit", triggers=[source.startup], effects=[out], body=emit)
+    received = []
+    for index in range(fan_out):
+        sink = Reactor(f"sink{index}", env)
+        inp = sink.input("inp")
+        sink.reaction(
+            "take",
+            triggers=[inp],
+            body=lambda ctx, inp=inp: received.append(ctx.get(inp)),
+        )
+        env.connect(out, inp)
+    env.execute()
+    return env.trace, received
+
+
+def _set_rows(trace):
+    return [record for record in trace.records if record.kind == "set"]
+
+
+class TestRenderOnce:
+    def test_closure_shares_one_repr(self):
+        Counted.calls = 0
+        trace, received = _fan_out(lambda: [Counted()])
+        rows = _set_rows(trace)
+        assert Counted.calls == 1
+        assert len(rows) == 4
+        assert {row.name for row in rows} == {
+            "source.out", "sink0.inp", "sink1.inp", "sink2.inp"
+        }
+        assert {row.value for row in rows} == {"Counted()"}
+        assert len(received) == 3
+        Trace(enabled=False).port_sets(Tag(0, 0), [], Counted())
+        assert Counted.calls == 1  # a disabled trace renders nothing
+
+    def test_each_set_renders_the_value_it_carried(self):
+        """No identity memo across propagations: a mutated value re-renders."""
+        env = Environment(timeout=1 * MS)
+        source = Reactor("source", env)
+        out1 = source.output("out1")
+        out2 = source.output("out2")
+
+        def emit(ctx):
+            payload = {"x": 1}
+            ctx.set(out1, payload)
+            payload["x"] = 2
+            ctx.set(out2, payload)
+
+        source.reaction(
+            "emit", triggers=[source.startup], effects=[out1, out2], body=emit
+        )
+        env.execute()
+        values = {row.name: row.value for row in _set_rows(env.trace)}
+        assert values == {"source.out1": "{'x': 1}", "source.out2": "{'x': 2}"}
+
+    def test_array_values_fan_out(self):
+        array = np.array([1.5, 2.0, 3.25])
+        trace, received = _fan_out(lambda: [array])
+        rows = _set_rows(trace)
+        assert len(rows) == 4
+        assert {row.value for row in rows} == {repr(array)}
+        assert all(value is array for value in received)
+
+    def test_empty_string_renders_empty(self):
+        trace, _ = _fan_out(lambda: ["", np.str_("")])
+        assert {row.value for row in _set_rows(trace)} == {""}
+
+    def test_record_builds_no_record_objects(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("TraceRecord built while recording")
+
+        monkeypatch.setattr(telemetry, "TraceRecord", forbidden)
+        trace, _ = _fan_out(lambda: [1, 2])
+        trace.deadline_miss(Tag(0, 0), "source.emit", 5)
+        assert len(trace) == 13  # 4 reactions, 2 x 4 sets, 1 miss
+        assert len(trace.fingerprint()) == 64
+
+
+class TestApiCompatibility:
+    def _trace(self):
+        trace, _ = _fan_out(lambda: [1, None, "a b", {"k": [1.5]}])
+        trace.deadline_miss(Tag(2 * MS, 1), "source.emit", 17)
+        return trace
+
+    def test_records_view_matches_lines_and_len(self):
+        trace = self._trace()
+        assert [record.line() for record in trace.records] == trace.lines()
+        assert len(trace) == len(trace.records)
+        assert trace.records[-1].tag == Tag(2 * MS, 1)
+
+    def test_records_view_is_read_only(self):
+        trace = self._trace()
+        with pytest.raises(AttributeError):
+            trace.records.append(trace.records[0])
+        with pytest.raises(AttributeError):
+            trace.records = []
