@@ -5,12 +5,17 @@ regressions in the simulator, the reactor scheduler and the SOME/IP
 stack are visible.  These use pytest-benchmark's normal repetition.
 """
 
+import time
+
+from repro.apps.brake.data import FRAME_SPEC
 from repro.reactors import Environment, Reactor
 from repro.sim import Compute, World
 from repro.sim.platform import CALM
 from repro.someip import MessageType, SomeIpHeader, SomeIpMessage
-from repro.someip.serialization import Array, INT32, Struct, UINT32
 from repro.time import MS, US
+
+#: Frame roundtrips per timed call of the SOME/IP roundtrip benchmark.
+ROUNDTRIPS = 5_000
 
 # The bare-kernel event-throughput benchmark moved to bench_sim_kernel.py
 # (per-shape rates + the floor gate used by CI's kernel-throughput job).
@@ -80,18 +85,47 @@ def test_reactor_fast_mode_throughput(benchmark, bench_json):
 
 
 def test_someip_message_roundtrip(benchmark, bench_json):
-    """Pack + unpack of a realistic SOME/IP message."""
-    spec = Struct([("seq", UINT32), ("values", Array(INT32))])
-    payload = spec.to_bytes({"seq": 7, "values": list(range(64))})
+    """Roundtrips/s of a brake camera frame through a SOME/IP notification.
+
+    One roundtrip is the stock brake's per-hop wire work: serialize the
+    frame payload, pack the message, unpack it and deserialize the
+    payload.
+    """
+    vehicle = {
+        "vehicle_id": 3,
+        "distance_m": 42.5,
+        "lateral_m": -0.25,
+        "speed_mps": 13.875,
+    }
+    frame = {
+        "seq": 17,
+        "capture_time_ns": 850_000_000,
+        "ego_speed_mps": 27.5,
+        "lane_center_m": 0.125,
+        "lane_width_m": 3.5,
+        "vehicles": [vehicle, {**vehicle, "vehicle_id": 4}],
+    }
     header = SomeIpHeader(
-        service_id=0x1234, method_id=0x8001, client_id=0, session_id=9,
+        service_id=0x0A01,
+        method_id=0x8001,
+        client_id=0,
+        session_id=9,
         message_type=MessageType.NOTIFICATION,
     )
 
-    def run():
-        packed = SomeIpMessage(header, payload).pack()
-        message = SomeIpMessage.unpack(packed)
-        return spec.from_bytes(message.payload)["seq"]
+    # Generate the frame codec before timing.
+    FRAME_SPEC.from_bytes(FRAME_SPEC.to_bytes(frame))
 
-    assert benchmark(run) == 7
-    bench_json.record().timing(benchmark)
+    def run():
+        started = time.perf_counter()
+        for _ in range(ROUNDTRIPS):
+            payload = FRAME_SPEC.to_bytes(frame)
+            message = SomeIpMessage.unpack(SomeIpMessage(header, payload).pack())
+            decoded = FRAME_SPEC.from_bytes(message.payload)
+        return decoded, time.perf_counter() - started
+
+    decoded, elapsed = benchmark(run)
+    assert decoded == frame
+    bench_json.record(
+        roundtrips=ROUNDTRIPS, roundtrips_per_s=round(ROUNDTRIPS / elapsed)
+    ).timing(benchmark)

@@ -4,9 +4,11 @@ Implements the protocol pieces the paper's system relies on:
 
 * :mod:`repro.someip.wire` — the 16-byte SOME/IP header, message types
   and return codes, packed to real bytes;
-* :mod:`repro.someip.serialization` — a typed payload serializer
-  (integers, floats, strings, arrays, structs) standing in for the
-  generated SOME/IP serializers;
+* :mod:`repro.someip.serialization` — typed payload serializers
+  (integers, floats, strings, arrays, structs), generated like an AP
+  toolchain's by :mod:`repro.someip.codegen`: each struct or array
+  layout is compiled once into flat pack/unpack code, and a failed
+  check re-runs its field group field by field for the exact error;
 * :mod:`repro.someip.sd` — service discovery: cyclic offers, find
   requests, event-group subscriptions with TTL;
 * :mod:`repro.someip.runtime` — the per-process endpoint daemon routing

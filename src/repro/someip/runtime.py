@@ -280,13 +280,12 @@ class SomeIpEndpoint:
         """
         if self.tag_aware and tag is None:
             tag = self.tx_bypass.collect()
-        native_tag = None
-        if tag is not None:
-            if self.tag_transport == "native":
-                native_tag = tag
-            else:
+        if tag is not None and self.tag_transport == "native":
+            data = SomeIpMessage(header, payload, tag).pack()
+        else:
+            if tag is not None:
                 payload = attach_tag(payload, tag)
-        data = SomeIpMessage(header, payload, native_tag).pack()
+            data = header.pack(len(payload)) + payload
         o = obs_context.ACTIVE
         if o.enabled:
             o.metrics.counter("someip.tx_messages").inc()

@@ -1,19 +1,44 @@
 """Typed payload serialization.
 
 SOME/IP payloads are serialized per the interface description; real AP
-toolchains generate serializers from ARXML.  This module provides the
-same capability as composable :class:`TypeSpec` objects: fixed-width
-integers and floats, booleans, length-prefixed strings and byte blobs,
-homogeneous arrays and nested structs.  All multi-byte values are
-big-endian, matching SOME/IP's network byte order default.
+toolchains generate serializers from ARXML.  This module does the same
+from composable :class:`TypeSpec` objects: fixed-width integers and
+floats, booleans, length-prefixed strings and byte blobs, homogeneous
+arrays and nested structs.  All multi-byte values are big-endian,
+matching SOME/IP's network byte order default.
+
+The serializers are generated.  On first use, every :class:`Struct` and
+:class:`Array` is compiled into one flat ``serialize`` and one
+``deserialize`` function (by :mod:`repro.someip.codegen`):
+
+* each run of adjacent fixed-width fields (integers, floats, ``BOOL``)
+  is one :class:`struct.Struct` ``pack`` / ``unpack_from``;
+* nested structs and arrays, of structs or of scalars, are inlined, the
+  arrays as loops;
+* ``BOOL`` is inlined and still rejects any byte other than 0 or 1.
+
+The compiled pair is cached by field layout, so a spec rebuilt per run
+(the ``data_spec`` of an :class:`~repro.ara.Event`, say) reuses the code
+of the first spec with the same layout.
+
+Only the success path is generated.  When a check fails, the code
+re-runs field by field through the scalar specs: the field group, for
+a value ``pack`` rejects, a truncated run or an invalid bool byte; the
+whole struct, for a missing or extra key.  The first failing field
+therefore raises the same :class:`~repro.errors.SerializationError`
+text, and leaves the same partial bytes in ``out``, as encoding field
+by field would.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import SerializationError
+
+if TYPE_CHECKING:
+    from repro.someip.codegen import Codec
 
 
 class TypeSpec:
@@ -59,18 +84,19 @@ class _Scalar(TypeSpec):
         hi: int | float | None = None,
     ) -> None:
         self.name = name
+        self.fmt = fmt
         self.lo = lo
         self.hi = hi
         self._struct = struct.Struct(">" + fmt)
 
     def serialize(self, value: Any, out: bytearray) -> None:
-        if self.lo is not None and not (self.lo <= value <= self.hi):
-            raise SerializationError(
-                f"{value!r} out of range for {self.name} [{self.lo}, {self.hi}]"
-            )
         try:
+            if self.lo is not None and not (self.lo <= value <= self.hi):
+                raise SerializationError(
+                    f"{value!r} out of range for {self.name} [{self.lo}, {self.hi}]"
+                )
             out += self._struct.pack(value)
-        except struct.error as exc:
+        except (TypeError, OverflowError, struct.error) as exc:
             raise SerializationError(f"cannot pack {value!r} as {self.name}") from exc
 
     def deserialize(self, data: memoryview, offset: int) -> tuple[Any, int]:
@@ -97,6 +123,7 @@ class _Bool(TypeSpec):
     """A boolean as one byte (0 or 1)."""
 
     name = "bool"
+    fmt = "B"
 
     def serialize(self, value: Any, out: bytearray) -> None:
         out.append(1 if value else 0)
@@ -156,30 +183,30 @@ class _String(TypeSpec):
 STRING = _String()
 
 
-class Array(TypeSpec):
+class _Generated(TypeSpec):
+    """A spec whose codec is generated on first use, once per layout."""
+
+    _layout: tuple
+
+    def serialize(self, value: Any, out: bytearray) -> None:
+        self.serialize, self.deserialize = _codec(self)
+        self.serialize(value, out)
+
+    def deserialize(self, data: memoryview, offset: int) -> tuple[Any, int]:
+        self.serialize, self.deserialize = _codec(self)
+        return self.deserialize(data, offset)
+
+
+class Array(_Generated):
     """A homogeneous dynamic array with a uint32 element count."""
 
     def __init__(self, element: TypeSpec) -> None:
         self.element = element
         self.name = f"array<{element.name}>"
-
-    def serialize(self, value: Any, out: bytearray) -> None:
-        if not isinstance(value, (list, tuple)):
-            raise SerializationError(f"expected sequence, got {type(value).__name__}")
-        UINT32.serialize(len(value), out)
-        for item in value:
-            self.element.serialize(item, out)
-
-    def deserialize(self, data: memoryview, offset: int) -> tuple[Any, int]:
-        count, offset = UINT32.deserialize(data, offset)
-        items = []
-        for _ in range(count):
-            item, offset = self.element.deserialize(data, offset)
-            items.append(item)
-        return items, offset
+        self._layout = ("array", _layout_of(element))
 
 
-class Struct(TypeSpec):
+class Struct(_Generated):
     """An ordered set of named fields, (de)serialized as a dict."""
 
     def __init__(self, fields: Sequence[tuple[str, TypeSpec]], name: str = "struct"):
@@ -190,25 +217,40 @@ class Struct(TypeSpec):
             seen.add(field_name)
         self.fields = list(fields)
         self.name = name
+        self._layout = (
+            "struct",
+            name,
+            tuple((field_name, _layout_of(spec)) for field_name, spec in self.fields),
+        )
 
-    def serialize(self, value: Any, out: bytearray) -> None:
-        if not isinstance(value, dict):
-            raise SerializationError(f"expected dict for {self.name}")
-        extra = set(value) - {name for name, _ in self.fields}
-        if extra:
-            raise SerializationError(f"unknown fields {sorted(extra)} for {self.name}")
-        for field_name, spec in self.fields:
-            if field_name not in value:
-                raise SerializationError(
-                    f"missing field {field_name!r} for {self.name}"
-                )
-            spec.serialize(value[field_name], out)
 
-    def deserialize(self, data: memoryview, offset: int) -> tuple[Any, int]:
-        result = {}
-        for field_name, spec in self.fields:
-            result[field_name], offset = spec.deserialize(data, offset)
-        return result, offset
+# --------------------------------------------------------------------------
+# Generated codecs, cached by layout.
+# --------------------------------------------------------------------------
+
+#: Generated codecs by field layout (see :func:`_layout_of`).
+_CODECS: dict[Any, Codec] = {}
+
+
+def _layout_of(spec: TypeSpec) -> Any:
+    """A hashable key equal for specs that encode alike, errors included.
+
+    Struct and array layouts are built from their fields' layouts (and
+    the struct name, which error texts carry); any other spec is its own
+    key.
+    """
+    return spec._layout if isinstance(spec, _Generated) else spec
+
+
+def _codec(spec: _Generated) -> Codec:
+    codec = _CODECS.get(spec._layout)
+    if codec is None:
+        # Imported on first use: the generator needs the classes above,
+        # and a process that only describes payload types never loads it.
+        from repro.someip.codegen import compile_codec
+
+        codec = _CODECS[spec._layout] = compile_codec(spec)
+    return codec
 
 
 #: An empty payload (zero-field struct), for methods without arguments.

@@ -69,6 +69,11 @@ class ReturnCode(enum.IntEnum):
     E_WRONG_MESSAGE_TYPE = 0x0A
 
 
+#: Wire value -> member, for :meth:`SomeIpMessage.unpack`.
+_MESSAGE_TYPES = {member.value: member for member in MessageType}
+_RETURN_CODES = {member.value: member for member in ReturnCode}
+
+
 @dataclass(frozen=True, slots=True)
 class SomeIpHeader:
     """The fixed 16-byte SOME/IP header."""
@@ -189,18 +194,14 @@ class SomeIpMessage:
             raise MalformedMessageError(
                 f"unsupported protocol version 0x{protocol_version:02x}"
             )
-        try:
-            message_type = MessageType(message_type_raw)
-        except ValueError as exc:
+        message_type = _MESSAGE_TYPES.get(message_type_raw)
+        if message_type is None:
             raise MalformedMessageError(
                 f"unknown message type 0x{message_type_raw:02x}"
-            ) from exc
-        try:
-            return_code = ReturnCode(return_code_raw)
-        except ValueError as exc:
-            raise MalformedMessageError(
-                f"unknown return code 0x{return_code_raw:02x}"
-            ) from exc
+            )
+        return_code = _RETURN_CODES.get(return_code_raw)
+        if return_code is None:
+            raise MalformedMessageError(f"unknown return code 0x{return_code_raw:02x}")
         header = SomeIpHeader(
             service_id=service_id,
             method_id=method_id,

@@ -3,14 +3,17 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SerializationError
 from repro.someip import (
     Array,
     BOOL,
     BYTES,
+    FLOAT32,
     FLOAT64,
+    INT8,
+    INT16,
     INT32,
     INT64,
     STRING,
@@ -18,6 +21,7 @@ from repro.someip import (
     UINT8,
     UINT16,
     UINT32,
+    UINT64,
 )
 
 
@@ -37,7 +41,16 @@ class TestScalars:
         assert spec.from_bytes(spec.to_bytes(value)) == value
 
     @pytest.mark.parametrize(
-        "spec,value", [(UINT8, 256), (UINT8, -1), (INT32, 2**31), (UINT16, -7)]
+        "spec,value",
+        [
+            (UINT8, 256),
+            (UINT8, -1),
+            (INT32, 2**31),
+            (UINT16, -7),
+            (UINT32, None),
+            (UINT32, "7"),
+            (FLOAT32, 1e40),
+        ],
     )
     def test_out_of_range(self, spec, value):
         with pytest.raises(SerializationError):
@@ -134,3 +147,167 @@ class TestStruct:
     def test_field_order_is_wire_order(self):
         spec = Struct([("a", UINT8), ("b", UINT8)])
         assert spec.to_bytes({"a": 1, "b": 2}) == b"\x01\x02"
+
+
+# --------------------------------------------------------------------------
+# The generated Struct/Array codecs against the field-wise definition.
+# --------------------------------------------------------------------------
+
+
+def reference_serialize(spec, value, out):
+    """Field-wise, recursive encoding: the behaviour generated code keeps."""
+    if isinstance(spec, Struct):
+        if not isinstance(value, dict):
+            raise SerializationError(f"expected dict for {spec.name}")
+        extra = set(value) - {name for name, _ in spec.fields}
+        if extra:
+            raise SerializationError(f"unknown fields {sorted(extra)} for {spec.name}")
+        for name, field in spec.fields:
+            if name not in value:
+                raise SerializationError(f"missing field {name!r} for {spec.name}")
+            reference_serialize(field, value[name], out)
+    elif isinstance(spec, Array):
+        if not isinstance(value, (list, tuple)):
+            raise SerializationError(f"expected sequence, got {type(value).__name__}")
+        UINT32.serialize(len(value), out)
+        for item in value:
+            reference_serialize(spec.element, item, out)
+    else:
+        spec.serialize(value, out)
+
+
+def reference_deserialize(spec, data, offset):
+    if isinstance(spec, Struct):
+        result = {}
+        for name, field in spec.fields:
+            result[name], offset = reference_deserialize(field, data, offset)
+        return result, offset
+    if isinstance(spec, Array):
+        count, offset = UINT32.deserialize(data, offset)
+        items = []
+        for _ in range(count):
+            item, offset = reference_deserialize(spec.element, data, offset)
+            items.append(item)
+        return items, offset
+    return spec.deserialize(data, offset)
+
+
+def reference_from_bytes(spec, data):
+    value, offset = reference_deserialize(spec, memoryview(data), 0)
+    if offset != len(data):
+        raise SerializationError(
+            f"{len(data) - offset} trailing bytes after {spec.name}"
+        )
+    return value
+
+
+def _outcome(call):
+    try:
+        return ("ok", repr(call()))
+    except SerializationError as exc:
+        return ("error", str(exc))
+
+
+_LEAVES = [
+    UINT8,
+    UINT16,
+    UINT32,
+    UINT64,
+    INT8,
+    INT16,
+    INT32,
+    INT64,
+    FLOAT32,
+    FLOAT64,
+    BOOL,
+    STRING,
+    BYTES,
+]
+
+
+def _struct(fields):
+    return Struct([(f"f{i}", spec) for i, spec in enumerate(fields)], name="s")
+
+
+#: Random layouts.  Structs have at least one field: an array of empty
+#: structs would decode a forged count without consuming any bytes.
+specs = st.recursive(
+    st.one_of(st.sampled_from(_LEAVES), st.just(BOOL)),
+    lambda children: st.one_of(
+        children.map(Array), st.lists(children, min_size=1, max_size=4).map(_struct)
+    ),
+    max_leaves=8,
+)
+
+
+def values(spec):
+    """Mostly well-formed values for *spec*, with malformed ones mixed in."""
+    junk = st.sampled_from([None, "7", 1.5, [], {}])
+    if isinstance(spec, Struct):
+        well_formed = st.fixed_dictionaries(
+            {name: values(field) for name, field in spec.fields}
+        )
+        return st.one_of(
+            well_formed,
+            well_formed.map(lambda d: dict(list(d.items())[1:])),
+            well_formed.map(lambda d: {**d, "bogus": 1}),
+            junk,
+        )
+    if isinstance(spec, Array):
+        return st.one_of(st.lists(values(spec.element), max_size=3), junk)
+    if spec is BOOL:
+        return st.one_of(st.booleans(), st.integers(0, 2))
+    if spec is STRING:
+        return st.one_of(st.text(max_size=4), junk)
+    if spec is BYTES:
+        return st.one_of(st.binary(max_size=4), junk)
+    if spec.lo is None:
+        return st.one_of(st.floats(width=64), junk)
+    return st.one_of(st.integers(spec.lo - 2, spec.hi + 2), junk)
+
+
+@st.composite
+def spec_and_value(draw):
+    spec = draw(specs)
+    return spec, draw(values(spec))
+
+
+class TestGeneratedCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(spec_and_value())
+    def test_encode_matches_field_wise(self, case):
+        spec, value = case
+        out, expected = bytearray(b"\xaa"), bytearray(b"\xaa")
+        got = _outcome(lambda: spec.serialize(value, out))
+        want = _outcome(lambda: reference_serialize(spec, value, expected))
+        assert (got, out) == (want, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec_and_value(), st.data())
+    def test_decode_matches_field_wise(self, case, data):
+        spec, value = case
+        encoded = bytearray()
+        if _outcome(lambda: reference_serialize(spec, value, encoded))[0] != "ok":
+            encoded = bytearray(data.draw(st.binary(max_size=12)))
+        mutation = data.draw(st.sampled_from(["none", "truncate", "flip", "append"]))
+        if mutation == "truncate":
+            del encoded[data.draw(st.integers(0, len(encoded))) :]
+        elif mutation == "flip" and encoded:
+            index = data.draw(st.integers(0, len(encoded) - 1))
+            encoded[index] = data.draw(st.sampled_from([2, 0xFF]) | st.integers(0, 255))
+        elif mutation == "append":
+            encoded += data.draw(st.binary(min_size=1, max_size=3))
+        payload = bytes(encoded)
+        assert _outcome(lambda: spec.from_bytes(payload)) == _outcome(
+            lambda: reference_from_bytes(spec, payload)
+        )
+
+    def test_layouts_compile_once(self):
+        first = Struct([("a", UINT8), ("b", Array(STRING))], name="same")
+        second = Struct([("a", UINT8), ("b", Array(STRING))], name="same")
+        renamed = Struct([("a", UINT8), ("b", Array(STRING))], name="other")
+        for spec in (first, second, renamed):
+            spec.to_bytes({"a": 1, "b": ["x"]})
+        assert first.serialize is second.serialize
+        assert first.deserialize is second.deserialize
+        assert renamed.serialize is not first.serialize
