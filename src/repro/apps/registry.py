@@ -133,6 +133,31 @@ class AppDefinition:
     def faults_for(self, scenario: Any):
         return None if self.default_faults is None else self.default_faults(scenario)
 
+    def qualified(self, prefix: str, variant: str, sep: str = "-") -> str:
+        """``<prefix>-<app>-<variant>``, or ``<prefix>-<variant>`` for brake.
+
+        The one legacy-name rule: sweep names, run labels, spec store
+        names and (``prefix=""``, ``sep=" "``) display tags.  The brake
+        app predates the library and keeps the unqualified names its
+        result stores were written under; :meth:`sweep_params` follows.
+        """
+        words = (prefix, self.name, variant) if self.library else (prefix, variant)
+        return sep.join(word for word in words if word)
+
+    def sweep_params(self, **params: Any) -> dict:
+        """Sweep-key *params*, plus ``"app"`` where :meth:`qualified` adds it."""
+        return {**params, "app": self.name} if self.library else params
+
+    @property
+    def fixed_inputs_knob(self) -> str:
+        """The scenario flag holding inputs fixed per seed (calm hosts,
+        constant latencies, no input jitter): brake's original
+        ``deterministic_camera``, else the library's ``deterministic_inputs``.
+        """
+        if "deterministic_camera" in {f.name for f in fields(self.scenario_type)}:
+            return "deterministic_camera"
+        return "deterministic_inputs"
+
 
 _REGISTRY: dict[str, AppDefinition] = {}
 _BUILTINS_LOADED = False

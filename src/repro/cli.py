@@ -19,18 +19,33 @@ Usage::
     python -m repro worker --coordinator http://host:8765 # join the fleet
 
 Every subcommand runs the corresponding experiment driver and prints
-the text rendering of the paper figure/table it reproduces.  Sweeps run
-in parallel on a process pool (``--workers``, ``REPRO_WORKERS``,
-default: all cores) and cache per-seed results under ``.repro_cache/``
-so repeated invocations only pay for what changed; a throughput summary
-(seeds/s, cache hits) is printed to stderr after each run.
+the text rendering of the paper figure/table it reproduces.  The twelve
+figure/extension subcommands are rows of one command table
+(:data:`_FIGURES`) that builds their parsers, runs them and drives
+``all``; every other subcommand is one entry of :data:`_COMMANDS`.
+Sweeps run in parallel on a process pool (``--workers``,
+``REPRO_WORKERS``, default: all cores) and cache per-seed results under
+``.repro_cache/`` so repeated invocations only pay for what changed; a
+throughput summary (seeds/s, cache hits) is printed to stderr after
+each run.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import sys
 import time
+from dataclasses import dataclass, field, replace
+from functools import partial
+
+#: Brake's frames for an observed run (``trace``, ``metrics`` and the
+#: ``--trace-out`` ride-along); library apps run at their own size.
+_OBSERVED_FRAMES = 200
+
+#: Brake's ``faults --drop`` default; library apps default to no drop.
+_BRAKE_DROP = 0.05
 
 
 def _add_int(parser: argparse.ArgumentParser, name: str, default: int, help_text: str):
@@ -48,24 +63,116 @@ def _add_app(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _app_scenario(app: str, frames: int | None, brake_default: int):
-    """The app's default scenario with ``--frames`` applied.
+def _add_frames(
+    parser: argparse.ArgumentParser, brake_frames: int, what: str = "frames per run"
+) -> None:
+    """``--frames`` of an app-generic subcommand, and brake's own default.
 
-    Brake keeps its historical per-subcommand frame default; library
-    scenarios run at their own size unless ``--frames`` is given.
+    Library scenarios run at their own size unless ``--frames`` is
+    given; the brake app (which predates the library) keeps its
+    historical per-subcommand default, stored as ``args.brake_frames``.
     """
-    from dataclasses import replace
+    parser.add_argument(
+        "--frames", type=int, default=None, metavar="N",
+        help=f"{what} (default: {brake_frames} for brake, the scenario's "
+             "own size for library apps)",
+    )
+    parser.set_defaults(brake_frames=brake_frames)
 
+
+def _app_scenario(app: str, frames: int | None, brake_frames: int):
+    """The app's default scenario with ``--frames`` applied."""
     from repro import apps
 
-    scenario = apps.get(app).default_scenario()
-    if app == "brake":
-        return replace(
-            scenario, n_frames=frames if frames is not None else brake_default
-        )
-    if frames is not None:
-        scenario = replace(scenario, n_frames=frames)
-    return scenario
+    definition = apps.get(app)
+    if frames is None and not definition.library:
+        frames = brake_frames
+    scenario = definition.default_scenario()
+    return scenario if frames is None else replace(scenario, n_frames=frames)
+
+
+@dataclass(frozen=True)
+class _Figure:
+    """One figure/extension subcommand: its parser, driver and sizes."""
+
+    name: str
+    help: str
+    #: ``driver`` as ``"module:function"`` under :mod:`repro.harness`.
+    driver: str
+    #: ``(flag, driver keyword, default, help)`` per int flag.
+    flags: tuple[tuple[str, str, int, str], ...] = ()
+    #: flag dest -> size under ``all --quick``.
+    quick: dict = field(default_factory=dict)
+    #: variant of the ``--trace-out``/``--metrics-out`` representative run.
+    observed: str = "det"
+
+    def defaults(self, quick: bool) -> dict:
+        """Flag dest -> default, or the ``all --quick`` size if *quick*."""
+        sizes = {flag[2:]: default for flag, _, default, _ in self.flags}
+        return {**sizes, **self.quick} if quick else sizes
+
+    def render(self, sizes: dict, sweep, spec) -> str:
+        """Run the driver at *sizes*, handing it whichever of *sweep* and
+        *spec* its signature takes, and render the result."""
+        module, _, name = self.driver.partition(":")
+        driver = getattr(importlib.import_module(f"repro.harness.{module}"), name)
+        kwargs = {keyword: sizes[flag[2:]] for flag, keyword, _, _ in self.flags}
+        accepted = inspect.signature(driver).parameters
+        shared = {"sweep": sweep, "spec": spec}
+        kwargs.update((key, value) for key, value in shared.items() if key in accepted)
+        return driver(**kwargs).render()
+
+
+_FIGURES = (
+    _Figure(
+        "fig1", "Figure 1: client/server histogram", "figures:figure1",
+        (("--seeds", "nondet_seeds", 200, "number of stock-AP runs"),),
+        {"seeds": 40}, "nondet",
+    ),
+    _Figure("fig3", "Figure 3: tagged message sequence", "figures:figure3_sequence"),
+    _Figure(
+        "fig5", "Figure 5: error prevalence", "figures:figure5",
+        (("--runs", "n_runs", 20, "number of experiment instances"),
+         ("--frames", "n_frames", 2_000, "frames per run (paper: 100000)")),
+        {"runs": 6, "frames": 400}, "nondet",
+    ),
+    _Figure(
+        "det", "Section IV.B: deterministic variant", "figures:det_case_study",
+        (("--seeds", "n_seeds", 5, "number of seeds"),
+         ("--frames", "n_frames", 500, "frames per run")),
+        {"seeds": 2, "frames": 150},
+    ),
+    _Figure(
+        "tradeoff", "deadline vs. error/latency", "figures:tradeoff",
+        (("--frames", "n_frames", 300, "frames per point"),),
+        {"frames": 100},
+    ),
+    _Figure(
+        "ablation", "the three sources (II.B)", "figures:ablation_sources",
+        (("--seeds", "n_seeds", 25, "seeds per configuration"),), {"seeds": 8},
+    ),
+    _Figure(
+        "overhead", "cost of determinism", "figures:overhead",
+        (("--frames", "n_frames", 400, "frames per variant"),),
+        {"frames": 150},
+    ),
+    _Figure(
+        "let", "LET baseline comparison", "figures:let_baseline",
+        (("--frames", "n_frames", 300, "frames"),), {"frames": 100},
+    ),
+    _Figure("skew", "EXT: clock-sync error sweep", "extensions:clock_skew_sweep"),
+    _Figure("scaling", "EXT: pipeline-depth latency", "extensions:pipeline_scaling"),
+    _Figure(
+        "native", "EXT: native tag transport",
+        "extensions:native_transport_comparison",
+    ),
+    _Figure(
+        "distributed", "EXT: brake assistant across two processing ECUs",
+        "extensions:distributed_brake",
+        (("--frames", "n_frames", 200, "frames per configuration"),),
+        {"frames": 100},
+    ),
+)
 
 
 def _sweep_options() -> argparse.ArgumentParser:
@@ -118,64 +225,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
     common = _sweep_options()
-
-    fig1 = commands.add_parser(
-        "fig1", help="Figure 1: client/server histogram", parents=[common]
+    # The sweep-service clients' shared options.
+    coordinator = argparse.ArgumentParser(add_help=False)
+    coordinator.add_argument(
+        "--coordinator", default="http://127.0.0.1:8765", metavar="URL",
+        help="coordinator base URL (default: http://127.0.0.1:8765)",
     )
-    _add_int(fig1, "--seeds", 200, "number of stock-AP runs")
-
-    commands.add_parser(
-        "fig3", help="Figure 3: tagged message sequence", parents=[common]
+    connect = argparse.ArgumentParser(add_help=False)
+    connect.add_argument(
+        "--connect-timeout", type=float, default=30.0, metavar="S",
+        help="seconds to wait for the coordinator to come up (default: 30)",
     )
-
-    fig5 = commands.add_parser(
-        "fig5", help="Figure 5: error prevalence", parents=[common]
-    )
-    _add_int(fig5, "--runs", 20, "number of experiment instances")
-    _add_int(fig5, "--frames", 2_000, "frames per run (paper: 100000)")
-
-    det = commands.add_parser(
-        "det", help="Section IV.B: deterministic variant", parents=[common]
-    )
-    _add_int(det, "--seeds", 5, "number of seeds")
-    _add_int(det, "--frames", 500, "frames per run")
-
-    tradeoff = commands.add_parser(
-        "tradeoff", help="deadline vs. error/latency", parents=[common]
-    )
-    _add_int(tradeoff, "--frames", 300, "frames per point")
-
-    ablation = commands.add_parser(
-        "ablation", help="the three sources (II.B)", parents=[common]
-    )
-    _add_int(ablation, "--seeds", 25, "seeds per configuration")
-
-    overhead = commands.add_parser(
-        "overhead", help="cost of determinism", parents=[common]
-    )
-    _add_int(overhead, "--frames", 400, "frames per variant")
-
-    let = commands.add_parser(
-        "let", help="LET baseline comparison", parents=[common]
-    )
-    _add_int(let, "--frames", 300, "frames")
-
-    commands.add_parser(
-        "skew", help="EXT: clock-sync error sweep", parents=[common]
-    )
-    commands.add_parser(
-        "scaling", help="EXT: pipeline-depth latency", parents=[common]
-    )
-    commands.add_parser(
-        "native", help="EXT: native tag transport", parents=[common]
+    campaign = argparse.ArgumentParser(add_help=False)
+    campaign.add_argument(
+        "campaign", nargs="?", default=None,
+        help="campaign id (default: the most recently submitted)",
     )
 
-    distributed = commands.add_parser(
-        "distributed",
-        help="EXT: brake assistant across two processing ECUs",
-        parents=[common],
-    )
-    _add_int(distributed, "--frames", 200, "frames per configuration")
+    for figure in _FIGURES:
+        sub = commands.add_parser(figure.name, help=figure.help, parents=[common])
+        for flag, _, default, help_text in figure.flags:
+            _add_int(sub, flag, default, help_text)
 
     explore = commands.add_parser(
         "explore",
@@ -243,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--drop", type=float, default=None, metavar="P",
         help="camera-flow frame drop probability "
-             "(default: 0.05 for brake, 0 for library apps)",
+             f"(default: {_BRAKE_DROP} for brake, 0 for library apps)",
     )
     faults.add_argument(
         "--duplicate", type=float, default=0.0, metavar="P",
@@ -273,11 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_int(faults, "--fault-seed", 1, "fault-plan PRF seed")
     _add_int(faults, "--seeds", 5, "world seeds to sweep per variant")
-    faults.add_argument(
-        "--frames", type=int, default=None, metavar="N",
-        help="frames per run (default: 150 for brake, the scenario's "
-             "own size for library apps)",
-    )
+    _add_frames(faults, 150)
     faults.add_argument(
         "--late-policy",
         choices=("process", "drop", "last-known", "fault-signal"),
@@ -309,11 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_app(flows)
     _add_int(flows, "--seeds", 10, "world seeds to sweep per variant")
-    flows.add_argument(
-        "--frames", type=int, default=None, metavar="N",
-        help="frames per run (default: 120 for brake, the scenario's "
-             "own size for library apps)",
-    )
+    _add_frames(flows, 120)
     flows.add_argument(
         "--variant", choices=("det", "nondet", "both"), default="both",
         help="which variant(s) to flow-trace (default: both)",
@@ -414,14 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a scenario-spec campaign to a running coordinator "
              "and optionally wait for the merged result",
+        parents=[coordinator, connect],
     )
     submit.add_argument(
         "--spec", required=True, metavar="FILE",
         help="scenario-spec/v1 JSON file describing the campaign",
-    )
-    submit.add_argument(
-        "--coordinator", default="http://127.0.0.1:8765", metavar="URL",
-        help="coordinator base URL (default: http://127.0.0.1:8765)",
     )
     submit.add_argument(
         "--wait", action="store_true",
@@ -430,10 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--timeout", type=float, default=600.0, metavar="S",
         help="--wait timeout in seconds (default: 600)",
-    )
-    submit.add_argument(
-        "--connect-timeout", type=float, default=30.0, metavar="S",
-        help="seconds to wait for the coordinator to come up (default: 30)",
     )
     submit.add_argument(
         "--out", metavar="FILE", default=None,
@@ -448,10 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="run one sweep-service worker: lease jobs from a "
              "coordinator under a heartbeat and stream results back",
-    )
-    worker.add_argument(
-        "--coordinator", default="http://127.0.0.1:8765", metavar="URL",
-        help="coordinator base URL (default: http://127.0.0.1:8765)",
+        parents=[coordinator, connect],
     )
     worker.add_argument(
         "--poll", type=float, default=0.2, metavar="S",
@@ -462,23 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after this long without work (default: run forever)",
     )
     _add_int(worker, "--max-jobs", 0, "exit after completing N jobs (0 = no limit)")
-    worker.add_argument(
-        "--connect-timeout", type=float, default=30.0, metavar="S",
-        help="seconds to wait for the coordinator to come up (default: 30)",
-    )
 
     status = commands.add_parser(
         "status",
         help="live campaign status from a running coordinator "
              "(per-job state, queue depth, seeds/s, ETA)",
-    )
-    status.add_argument(
-        "campaign", nargs="?", default=None,
-        help="campaign id (default: the most recently submitted)",
-    )
-    status.add_argument(
-        "--coordinator", default="http://127.0.0.1:8765", metavar="URL",
-        help="coordinator base URL (default: http://127.0.0.1:8765)",
+        parents=[campaign, coordinator],
     )
     status.add_argument(
         "--watch", action="store_true",
@@ -493,14 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="fetch a campaign's post-mortem report; --trace-out renders "
              "the job timelines as a Perfetto fleet trace",
-    )
-    report.add_argument(
-        "campaign", nargs="?", default=None,
-        help="campaign id (default: the most recently submitted)",
-    )
-    report.add_argument(
-        "--coordinator", default="http://127.0.0.1:8765", metavar="URL",
-        help="coordinator base URL (default: http://127.0.0.1:8765)",
+        parents=[campaign, coordinator],
     )
     report.add_argument(
         "--out", metavar="FILE", default=None,
@@ -522,11 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="variant to observe",
     )
     _add_int(trace, "--seed", 0, "seed of the observed run")
-    trace.add_argument(
-        "--frames", type=int, default=None, metavar="N",
-        help="frames for the observed run (default: 200 for brake, the "
-             "scenario's own size for library apps)",
-    )
+    _add_frames(trace, _OBSERVED_FRAMES, "frames for the observed run")
 
     metrics = commands.add_parser(
         "metrics",
@@ -540,11 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="variant to observe",
     )
     _add_int(metrics, "--seeds", 10, "number of observed seeds")
-    metrics.add_argument(
-        "--frames", type=int, default=None, metavar="N",
-        help="frames per run (default: 200 for brake, the scenario's "
-             "own size for library apps)",
-    )
+    _add_frames(metrics, _OBSERVED_FRAMES)
 
     library = commands.add_parser(
         "library",
@@ -577,6 +603,16 @@ def _make_sweep(args: argparse.Namespace):
     )
 
 
+def _write_json(path: str, document, what: str | None = None) -> None:
+    """Write *document* as sorted, indented JSON; announce it as *what*."""
+    import json
+
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+    if what:
+        print(f"{what} -> {path}")
+
+
 def _load_spec(args: argparse.Namespace):
     """The :class:`ScenarioSpec` named by ``--spec``, or ``None``."""
     if not getattr(args, "spec", None):
@@ -586,103 +622,39 @@ def _load_spec(args: argparse.Namespace):
     return ScenarioSpec.load(args.spec)
 
 
-def _run_one(name: str, args: argparse.Namespace, sweep) -> str:
-    from repro.harness import extensions, figures
-
-    spec = _load_spec(args)
-    if name == "fig1":
-        return figures.figure1(nondet_seeds=args.seeds, sweep=sweep).render()
-    if name == "fig3":
-        return figures.figure3_sequence().render()
-    if name == "fig5":
-        return figures.figure5(
-            n_runs=args.runs, n_frames=args.frames, sweep=sweep, spec=spec
-        ).render()
-    if name == "det":
-        return figures.det_case_study(
-            n_seeds=args.seeds, n_frames=args.frames, sweep=sweep, spec=spec
-        ).render()
-    if name == "tradeoff":
-        return figures.tradeoff(
-            n_frames=args.frames, sweep=sweep, spec=spec
-        ).render()
-    if name == "ablation":
-        return figures.ablation_sources(n_seeds=args.seeds, sweep=sweep).render()
-    if name == "overhead":
-        return figures.overhead(
-            n_frames=args.frames, sweep=sweep, spec=spec
-        ).render()
-    if name == "let":
-        return figures.let_baseline(n_frames=args.frames, sweep=sweep).render()
-    if name == "skew":
-        return extensions.clock_skew_sweep(sweep=sweep, spec=spec).render()
-    if name == "scaling":
-        return extensions.pipeline_scaling(sweep=sweep, spec=spec).render()
-    if name == "native":
-        return extensions.native_transport_comparison(sweep=sweep).render()
-    if name == "distributed":
-        return _render_distributed(args.frames, sweep)
-    raise ValueError(f"unknown command {name!r}")
+def _run_figure(figure: _Figure, args: argparse.Namespace, sweep) -> int:
+    """One figure/extension subcommand: print the driver's rendering."""
+    print(figure.render(vars(args), sweep, _load_spec(args)))
+    return 0
 
 
-def _distributed_point(configuration, frames: int):
-    """One (skew, assumed E) distributed run (runs in a worker)."""
-    from repro.apps.brake import BrakeScenario, run_det_brake_assistant
-
-    skew, error = configuration
-    scenario = BrakeScenario(
-        n_frames=frames, distributed=True,
-        processing_clock_skew_ns=skew, clock_error_ns=error,
-    )
-    return run_det_brake_assistant(0, scenario)
-
-
-def _render_distributed(frames: int, sweep) -> str:
-    from functools import partial
-
-    from repro.analysis.report import render_table
-    from repro.time import MS
-
-    configurations = [(0, 0), (15 * MS, 0), (20 * MS, 25 * MS)]
-    runs = sweep.map(
-        partial(_distributed_point, frames=frames),
-        configurations,
-        name="ext-dist",
-        params={"frames": frames},
-    )
-    rows = []
-    for (skew, error), run in zip(configurations, runs):
-        rows.append([
-            f"{skew / 1e6:.0f} ms", f"{error / 1e6:.0f} ms",
-            str(run.stp_violations), f"{len(run.commands)}/{frames}",
-        ])
-    return render_table(
-        ["clock skew", "assumed E", "STP violations", "frames answered"],
-        rows,
-        title="EXT-DIST - distributed brake assistant:",
-    )
+def _run_all(args: argparse.Namespace, sweep) -> int:
+    """``repro all``: every table row at its default (or quick) sizes."""
+    for figure in _FIGURES:
+        started = time.time()
+        print(f"==== {figure.name} " + "=" * (60 - len(figure.name)))
+        print(figure.render(figure.defaults(args.quick), sweep, None))
+        print(f"---- {figure.name} done in {time.time() - started:.1f}s\n")
+    return 0
 
 
 def _explore_scenario(app: str, frames: int, deterministic: bool = False):
     """The scenario explore/replay runs: hazard-prone and small.
 
-    Brake uses its calibration scenario (tightened to provoke failures);
-    library scenarios are hazard-prone by construction and just get the
-    frame count applied.  *deterministic* selects the DEAR-friendly
-    camera for brake; library det variants need no such knob.
+    Brake (the non-library app) uses its calibration scenario,
+    tightened to provoke failures; library scenarios are hazard-prone
+    by construction and just get the frame count applied.
+    *deterministic* sets the app's seed-fixed-input knob.
     """
-    from dataclasses import replace
-
     from repro import apps
     from repro.explore import calibration_scenario
 
-    if app == "brake":
-        return calibration_scenario(frames, deterministic_camera=deterministic)
-    return replace(
-        apps.get(app).default_scenario(),
-        n_frames=frames,
-        deterministic_inputs=deterministic,
-    )
+    definition = apps.get(app)
+    if definition.library:
+        scenario = replace(definition.default_scenario(), n_frames=frames)
+    else:
+        scenario = calibration_scenario(frames)
+    return replace(scenario, **{definition.fixed_inputs_knob: deterministic})
 
 
 def _replay_trace(args: argparse.Namespace) -> int:
@@ -693,7 +665,7 @@ def _replay_trace(args: argparse.Namespace) -> int:
     from repro.sim.rng import stream_hooks
 
     trace = DecisionTrace.load(args.replay)
-    app = trace.params.get("app", getattr(args, "app", "brake"))
+    app = trace.params.get("app", args.app)
     frames = trace.params.get("frames", args.frames)
     scenario = _explore_scenario(app, frames)
     replayer = ScheduleReplayer(trace)
@@ -718,7 +690,20 @@ def _replay_trace(args: argparse.Namespace) -> int:
 
 def _run_explore(args: argparse.Namespace, sweep) -> int:
     """``repro explore``: search, then optionally shrink/record/verify."""
-    from repro.explore import PctStrategy, RandomSweepStrategy
+    from repro import apps
+    from repro.analysis.report import (
+        exploration_report,
+        shrink_report,
+        verification_report,
+    )
+    from repro.explore import (
+        IN_BUDGET_PREEMPT_NS,
+        Explorer,
+        PctStrategy,
+        RandomSweepStrategy,
+        shrink_schedule,
+        verify_determinism,
+    )
     from repro.time import MS
 
     if args.replay:
@@ -739,131 +724,110 @@ def _run_explore(args: argparse.Namespace, sweep) -> int:
         if SNAPSHOTS_SUPPORTED:
             engine = SnapshotEngine()
     try:
-        return _run_explore_inner(args, sweep, strategy, engine)
+        app = args.app
+        definition = apps.get(app)
+        explorer = Explorer(
+            experiment=definition.runner("nondet"),
+            scenario=_explore_scenario(app, args.frames),
+            base_seed=args.seed,
+            strategy=strategy,
+            sweep=sweep,
+            snapshots=engine,
+        )
+        result = explorer.explore(budget=args.budget)
+        print(exploration_report(result))
+
+        schedule = result.found.schedule if result.found else None
+        errors = dict(result.found.errors) if result.found else {}
+        shrunk = None
+        if result.found is not None and args.shrink:
+            if schedule.preemptions:
+                shrunk = shrink_schedule(explorer, schedule)
+                schedule, errors = shrunk.minimal, dict(shrunk.errors)
+                print(shrink_report(shrunk))
+            else:
+                print("shrink: schedule has no preemption points, nothing to remove")
+
+        if result.found is not None and args.record:
+            run_result, trace = explorer.record(schedule)
+            trace.params["app"] = app
+            trace.params["frames"] = args.frames
+            trace.params["errors"] = run_result.errors.as_dict()
+            trace.save(args.record)
+            print(
+                f"record: {len(trace.records)} decisions "
+                f"({trace.fingerprint()[:12]}) -> {args.record}"
+            )
+
+        if args.schedule_out:
+            artifact = {
+                "app": app,
+                "experiment": getattr(
+                    explorer.experiment, "__name__", repr(explorer.experiment)
+                ),
+                "strategy": result.strategy,
+                "budget": result.budget,
+                "executions_used": result.executions_used,
+                "horizon": result.horizon,
+                "found": result.found is not None,
+                "schedule": schedule.to_dict() if schedule else None,
+                "errors": errors,
+                "shrink": (
+                    {"trials": shrunk.trials, "removed": shrunk.removed}
+                    if shrunk
+                    else None
+                ),
+                "snapshots": engine.stats.as_dict() if engine is not None else None,
+            }
+            _write_json(args.schedule_out, artifact, "schedule artifact")
+
+        code = 0 if result.found is not None else 1
+        if args.verify > 0:
+            det_scenario = _explore_scenario(app, args.frames, deterministic=True)
+            det_horizon = Explorer(
+                experiment=definition.runner("det"),
+                scenario=det_scenario,
+                base_seed=args.seed,
+            ).horizon
+            in_budget = PctStrategy(
+                depth=args.depth, preempt_ns=IN_BUDGET_PREEMPT_NS, seed=args.seed + 9
+            )
+            schedules = [
+                in_budget.schedule_for(index + 1, args.seed, det_horizon)
+                for index in range(args.verify)
+            ]
+            verification = verify_determinism(
+                schedules,
+                det_scenario,
+                base_seed=args.seed,
+                experiment=definition.runner("det"),
+                input_threads=definition.input_threads,
+                sweep=sweep,
+            )
+            print(verification_report(verification))
+            if not verification.ok:
+                code = 1
+        return code
     finally:
         if engine is not None:
             engine.close()
             print(engine.stats.describe(), file=sys.stderr)
 
 
-def _run_explore_inner(args, sweep, strategy, engine) -> int:
-    import json
-
-    from repro.analysis.report import (
-        exploration_report,
-        shrink_report,
-        verification_report,
-    )
-    from repro import apps
-    from repro.explore import (
-        IN_BUDGET_PREEMPT_NS,
-        Explorer,
-        PctStrategy,
-        shrink_schedule,
-        verify_determinism,
-    )
-
-    app = getattr(args, "app", "brake")
-    definition = apps.get(app)
-    explorer = Explorer(
-        experiment=definition.runner("nondet"),
-        scenario=_explore_scenario(app, args.frames),
-        base_seed=args.seed,
-        strategy=strategy,
-        sweep=sweep,
-        snapshots=engine,
-    )
-    result = explorer.explore(budget=args.budget)
-    print(exploration_report(result))
-
-    schedule = result.found.schedule if result.found else None
-    errors = dict(result.found.errors) if result.found else {}
-    shrunk = None
-    if result.found is not None and args.shrink:
-        if schedule.preemptions:
-            shrunk = shrink_schedule(explorer, schedule)
-            schedule, errors = shrunk.minimal, dict(shrunk.errors)
-            print(shrink_report(shrunk))
-        else:
-            print("shrink: schedule has no preemption points, nothing to remove")
-
-    if result.found is not None and args.record:
-        run_result, trace = explorer.record(schedule)
-        trace.params["app"] = app
-        trace.params["frames"] = args.frames
-        trace.params["errors"] = run_result.errors.as_dict()
-        trace.save(args.record)
-        print(
-            f"record: {len(trace.records)} decisions "
-            f"({trace.fingerprint()[:12]}) -> {args.record}"
-        )
-
-    if args.schedule_out:
-        artifact = {
-            "app": app,
-            "experiment": getattr(
-                explorer.experiment, "__name__", repr(explorer.experiment)
-            ),
-            "strategy": result.strategy,
-            "budget": result.budget,
-            "executions_used": result.executions_used,
-            "horizon": result.horizon,
-            "found": result.found is not None,
-            "schedule": schedule.to_dict() if schedule else None,
-            "errors": errors,
-            "shrink": (
-                {"trials": shrunk.trials, "removed": shrunk.removed}
-                if shrunk
-                else None
-            ),
-            "snapshots": engine.stats.as_dict() if engine is not None else None,
-        }
-        with open(args.schedule_out, "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle, indent=2)
-        print(f"schedule artifact -> {args.schedule_out}")
-
-    code = 0 if result.found is not None else 1
-    if args.verify > 0:
-        det_scenario = _explore_scenario(app, args.frames, deterministic=True)
-        det_horizon = Explorer(
-            experiment=definition.runner("det"),
-            scenario=det_scenario,
-            base_seed=args.seed,
-        ).horizon
-        in_budget = PctStrategy(
-            depth=args.depth, preempt_ns=IN_BUDGET_PREEMPT_NS, seed=args.seed + 9
-        )
-        schedules = [
-            in_budget.schedule_for(index + 1, args.seed, det_horizon)
-            for index in range(args.verify)
-        ]
-        verification = verify_determinism(
-            schedules,
-            det_scenario,
-            base_seed=args.seed,
-            experiment=definition.runner("det"),
-            input_threads=definition.input_threads,
-            sweep=sweep,
-        )
-        print(verification_report(verification))
-        if not verification.ok:
-            code = 1
-    return code
-
-
-def _faults_plan(args: argparse.Namespace):
+def _faults_plan(args: argparse.Namespace, definition, spec):
     """The :class:`FaultPlan` from ``--plan`` or the quick flags.
 
-    Returns ``None`` when a library app was selected and no quick fault
-    flag was set — the spec then falls through to the app's own default
-    plan (e.g. the failover scenario's primary-node outage).
+    Returns ``None`` to keep the plan the run already has: the spec's
+    own faults under ``--spec``, or a library app's default plan (e.g.
+    the failover scenario's primary-node outage), unless ``--plan`` or a
+    quick fault flag was given.  Brake without ``--spec`` always gets
+    the camera-drop plan.
     """
     from repro.faults import FaultPlan, Partition
     from repro.time import MS
 
     if args.plan:
         return FaultPlan.load(args.plan)
-    app = getattr(args, "app", "brake")
     partitions = []
     for window in args.partition or ():
         start_text, _, end_text = window.partition(":")
@@ -876,15 +840,18 @@ def _faults_plan(args: argparse.Namespace):
         partitions.append(
             Partition(start_ns=int(start_ms * MS), end_ns=int(end_ms * MS))
         )
-    drop = args.drop if args.drop is not None else (
-        0.05 if app == "brake" else 0.0
-    )
     quick = any(
         p > 0.0
-        for p in (drop, args.duplicate, args.reorder, args.corrupt, args.spike)
+        for p in (
+            args.drop or 0.0, args.duplicate, args.reorder, args.corrupt,
+            args.spike,
+        )
     ) or bool(partitions)
-    if app != "brake" and not quick:
+    if not quick and (spec is not None or definition.library):
         return None
+    drop = args.drop if args.drop is not None else (
+        0.0 if definition.library else _BRAKE_DROP
+    )
     return FaultPlan.camera_faults(
         seed=args.fault_seed,
         drop=drop,
@@ -908,8 +875,6 @@ def _faults_snapshot_triage(spec, det_runs, plan):
     block for the fault-sweep report, or ``None`` when there is nothing
     to triage (no faults fired, outcome unchanged, or no ``os.fork``).
     """
-    from dataclasses import replace
-
     from repro.explore.decisions import DecisionTrace
     from repro.faults import shrink_fault_trace
     from repro.harness.config import run_scenario_spec
@@ -971,52 +936,44 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
     the runtime (STP violations / deadline faults).  Silent divergence
     writes a counterexample artifact and exits nonzero.
     """
-    import json
-    from dataclasses import replace
-
+    from repro import apps
     from repro.analysis.report import render_table
     from repro.faults import FaultPlan
     from repro.harness.config import ScenarioSpec
 
-    plan = _faults_plan(args)
     spec = _load_spec(args)
+    definition = apps.get(spec.app if spec is not None else args.app)
+    plan = _faults_plan(args, definition, spec)
     if spec is not None:
-        app = spec.app
-        if plan is not None:
-            spec = replace(spec, faults=plan, variant="det")
-        else:
-            spec = replace(spec, variant="det")
+        spec = replace(
+            spec, variant="det", faults=spec.faults if plan is None else plan
+        )
     else:
-        app = getattr(args, "app", "brake")
-        scenario = _app_scenario(app, args.frames, 150)
+        scenario = _app_scenario(args.app, args.frames, args.brake_frames)
         # The cross-seed trace-identity check needs seed-fixed inputs:
         # the deterministic camera for brake, the library analogue
         # (calm hosts, constant latencies, no input jitter) otherwise.
-        deterministic_knob = (
-            "deterministic_camera" if app == "brake" else "deterministic_inputs"
-        )
         scenario = replace(
             scenario,
             late_policy=args.late_policy,
-            **{deterministic_knob: True},
+            **{definition.fixed_inputs_knob: True},
         )
         spec = ScenarioSpec(
             variant="det",
             seeds=tuple(range(args.seeds)),
             scenario=scenario,
             faults=plan,
-            label="faults-det" if app == "brake" else f"faults-{app}-det",
-            app=app,
+            label=definition.qualified("faults", "det"),
+            app=definition.name,
         )
     # Library apps may carry their fault plan in the scenario itself
     # (e.g. failover's primary outage); report whatever actually runs.
     plan = spec.effective_faults() or FaultPlan(label="none")
     print(plan.describe())
     det_runs = sweep.run_spec(spec).values()
-    nondet_label = (
-        "faults-nondet" if app == "brake" else f"faults-{app}-nondet"
+    nondet_spec = replace(
+        spec, variant="nondet", label=definition.qualified("faults", "nondet")
     )
-    nondet_spec = replace(spec, variant="nondet", label=nondet_label)
     nondet_runs = sweep.run_spec(nondet_spec).values()
 
     rows = []
@@ -1088,12 +1045,9 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
         "snapshots": snapshots_block,
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"fault-sweep report -> {args.out}")
+        _write_json(args.out, report, "fault-sweep report")
     if silent_divergence:
-        with open(args.counterexample_out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
+        _write_json(args.counterexample_out, report)
         print(
             "FAULTS: silent DEAR divergence under in-bound faults; "
             f"counterexample -> {args.counterexample_out}",
@@ -1111,10 +1065,6 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
     documents, prints drop attribution and the critical path, and (with
     both variants) a stock-vs-DEAR delivery/drop diff.
     """
-    import json
-    from dataclasses import replace
-    from functools import partial
-
     from repro import apps, obs
     from repro.obs.drivers import run_brake_flows
     from repro.analysis.report import render_table
@@ -1129,11 +1079,11 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
         fault_plan = spec.faults
         switch_config = spec.switch_config()
     else:
-        app = getattr(args, "app", "brake")
-        scenario = _app_scenario(app, args.frames, 120)
+        app = args.app
+        scenario = _app_scenario(app, args.frames, args.brake_frames)
         seeds = list(range(args.seeds))
         if args.drop > 0.0:
-            if app != "brake":
+            if apps.get(app).library:
                 raise SystemExit(
                     "flows: --drop targets the brake camera flow; use "
                     "--spec with a fault plan for library apps"
@@ -1155,15 +1105,6 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
             )
     merged: dict[str, dict] = {}
     for variant in variants:
-        # The brake sweep name and params predate --app; keep them
-        # byte-identical so existing result caches stay warm.
-        params = {
-            "frames": scenario.n_frames,
-            "spec": spec.to_dict() if spec is not None else None,
-            "faults": fault_plan.to_dict() if fault_plan is not None else None,
-        }
-        if app != "brake":
-            params["app"] = app
         runs = sweep.map(
             partial(
                 run_brake_flows,
@@ -1174,15 +1115,16 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
                 app=app,
             ),
             seeds,
-            name=(
-                f"flows-{variant}" if app == "brake"
-                else f"flows-{app}-{variant}"
+            name=definition.qualified("flows", variant),
+            params=definition.sweep_params(
+                frames=scenario.n_frames,
+                spec=spec.to_dict() if spec is not None else None,
+                faults=fault_plan.to_dict() if fault_plan is not None else None,
             ),
-            params=params,
         )
         merged[variant] = obs.merge_flow_reports([run["report"] for run in runs])
         summary = merged[variant]["summary"]
-        tag = variant if app == "brake" else f"{app} {variant}"
+        tag = definition.qualified("", variant, sep=" ")
         drop_rows = [
             [cause, str(count)]
             for cause, count in summary["drops_by_cause"].items()
@@ -1241,9 +1183,7 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
         }
         if diff is not None:
             document["diff"] = diff
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-        print(f"flow-sweep report -> {args.out}")
+        _write_json(args.out, document, "flow-sweep report")
 
     if args.trace_out or args.metrics_out:
         observation, _ = obs.observe_brake_flows(
@@ -1270,19 +1210,10 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     """``repro serve``: coordinator + HTTP API (+ optional local workers)."""
     import os
-    import threading
 
-    from repro.harness.sweep import DEFAULT_CACHE_DIR, ResultStore
-    from repro.obs import fleet
-    from repro.service import (
-        Coordinator,
-        CoordinatorConfig,
-        HttpClient,
-        Worker,
-        serve,
-    )
+    from repro.harness.sweep import DEFAULT_CACHE_DIR
+    from repro.service import CoordinatorConfig, LocalService
 
-    fleet.enable_from_env()
     store_dir = args.store_dir or os.environ.get(
         "REPRO_CACHE_DIR", DEFAULT_CACHE_DIR
     )
@@ -1293,68 +1224,45 @@ def _run_serve(args: argparse.Namespace) -> int:
         job_timeout_s=args.job_timeout,
         retry_backoff_s=args.retry_backoff,
     )
-    coordinator = Coordinator(ResultStore(store_dir), config)
-    server = serve(coordinator, args.host, args.port)
+    service = LocalService(
+        store_dir, args.local_workers, config, host=args.host, port=args.port
+    )
     print(
-        f"sweep-service/v1 coordinator on {server.url} "
+        f"sweep-service/v1 coordinator on {service.url} "
         f"(store: {store_dir}, chunk {config.chunk_size}, "
         f"lease TTL {config.lease_ttl_s:g}s)",
         flush=True,
     )
-    stop = threading.Event()
-    threads = []
-    for index in range(args.local_workers):
-        local = Worker(
-            HttpClient(server.url), info={"local": True, "index": index}
-        )
-        thread = threading.Thread(
-            target=local.run, kwargs={"stop": stop}, daemon=True
-        )
-        threads.append(thread)
-        thread.start()
     if args.local_workers:
         print(f"spawned {args.local_workers} local worker(s)", flush=True)
     try:
-        if args.campaigns > 0:
-            import time as _time
-
-            while True:
-                campaigns = coordinator.campaigns()
-                done = sum(1 for c in campaigns if c["status"] == "done")
-                if done >= args.campaigns:
-                    # Wind down the local workers (their lease polling
-                    # would otherwise never let the API go quiet), then
-                    # linger until clients finish draining results: a
-                    # `submit --wait` still has result/report reads in
-                    # flight when its campaign completes.
-                    stop.set()
-                    if _time.monotonic() - server.last_request > 1.0:
-                        print(
-                            f"served {done} campaign(s); shutting down",
-                            flush=True,
-                        )
-                        break
-                    _time.sleep(0.1)
-                else:
-                    stop.wait(0.2)
-        else:
-            while not stop.wait(3600.0):
-                pass
+        while args.campaigns <= 0:
+            time.sleep(3600.0)
+        while True:
+            campaigns = service.coordinator.campaigns()
+            done = sum(1 for c in campaigns if c["status"] == "done")
+            if done < args.campaigns:
+                time.sleep(0.2)
+                continue
+            # Wind down the local workers (their lease polling would
+            # otherwise never let the API go quiet), then linger until
+            # clients finish draining results: a `submit --wait` still
+            # has result/report reads in flight when its campaign
+            # completes.
+            service.stop_workers()
+            if time.monotonic() - service.server.last_request > 1.0:
+                print(f"served {done} campaign(s); shutting down", flush=True)
+                break
+            time.sleep(0.1)
     except KeyboardInterrupt:
         print("interrupted; shutting down", file=sys.stderr)
     finally:
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        server.shutdown()
-        server.server_close()
+        service.close()
     return 0
 
 
 def _run_submit(args: argparse.Namespace) -> int:
     """``repro submit``: one campaign in, (optionally) one merged result out."""
-    import json
-
     from repro.harness.config import ScenarioSpec
     from repro.service import HttpClient, seed_outcomes
 
@@ -1383,13 +1291,9 @@ def _run_submit(args: argparse.Namespace) -> int:
         first_line = (outcome.error or "").strip().splitlines()[-1:]
         print(f"  seed {outcome.seed}: {first_line[0] if first_line else '?'}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-        print(f"result -> {args.out}")
+        _write_json(args.out, result, "result")
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            json.dump(client.report(campaign), handle, indent=2, sort_keys=True)
-        print(f"report -> {args.report_out}")
+        _write_json(args.report_out, client.report(campaign), "report")
     return 1 if failures else 0
 
 
@@ -1413,14 +1317,18 @@ def _run_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _latest_campaign(client, campaign_id: str | None) -> str:
-    """Resolve the campaign argument (default: most recently submitted)."""
-    if campaign_id:
-        return campaign_id
+def _campaign_client(args: argparse.Namespace):
+    """A client of ``--coordinator`` and the campaign argument's id
+    (default: the most recently submitted campaign)."""
+    from repro.service import HttpClient
+
+    client = HttpClient(args.coordinator)
+    if args.campaign:
+        return client, args.campaign
     campaigns = client.campaigns()
     if not campaigns:
         raise SystemExit("no campaigns submitted to this coordinator yet")
-    return campaigns[-1]["campaign"]
+    return client, campaigns[-1]["campaign"]
 
 
 def _status_table(status: dict, report: dict) -> str:
@@ -1454,12 +1362,7 @@ def _status_table(status: dict, report: dict) -> str:
 
 def _run_status(args: argparse.Namespace) -> int:
     """``repro status [campaign] [--watch]``: live campaign status."""
-    import time as _time
-
-    from repro.service import HttpClient
-
-    client = HttpClient(args.coordinator)
-    campaign = _latest_campaign(client, args.campaign)
+    client, campaign = _campaign_client(args)
     while True:
         status = client.status(campaign)
         report = client.report(campaign)
@@ -1472,18 +1375,14 @@ def _run_status(args: argparse.Namespace) -> int:
             print(table)
         if not args.watch or status["status"] == "done":
             return 0
-        _time.sleep(max(0.05, args.interval))
+        time.sleep(max(0.05, args.interval))
 
 
 def _run_report(args: argparse.Namespace) -> int:
     """``repro report [campaign]``: post-mortem + optional fleet trace."""
-    import json
-
     from repro.obs import fleet
-    from repro.service import HttpClient
 
-    client = HttpClient(args.coordinator)
-    campaign = _latest_campaign(client, args.campaign)
+    client, campaign = _campaign_client(args)
     report = client.report(campaign)
     merged = report.get("fleet", {}).get("merged", {})
     print(
@@ -1498,9 +1397,7 @@ def _run_report(args: argparse.Namespace) -> int:
         f"{len(merged.get('histograms', {}))} histogram(s)"
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"report -> {args.out}")
+        _write_json(args.out, report, "report")
     if args.trace_out:
         path = fleet.write_fleet_trace(report, args.trace_out)
         events = len(fleet.fleet_trace_events(report))
@@ -1510,8 +1407,6 @@ def _run_report(args: argparse.Namespace) -> int:
 
 def _run_bench_diff(args: argparse.Namespace) -> int:
     """``repro bench-diff``: the perf-trajectory gate."""
-    import json
-
     from repro.harness.benchdiff import compare_dirs, render_bench_diff
 
     report = compare_dirs(
@@ -1523,9 +1418,7 @@ def _run_bench_diff(args: argparse.Namespace) -> int:
     )
     print(render_bench_diff(report))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"bench-diff report -> {args.out}")
+        _write_json(args.out, report, "bench-diff report")
     if args.strict and report["summary"]["fail"]:
         print(
             f"bench-diff: {report['summary']['fail']} regression(s) beyond "
@@ -1536,12 +1429,12 @@ def _run_bench_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_trace(args: argparse.Namespace) -> int:
+def _run_trace(args: argparse.Namespace, _sweep) -> int:
     """``repro trace det|nondet``: one observed run -> Perfetto JSON."""
     from repro import obs
 
-    app = getattr(args, "app", "brake")
-    scenario = _app_scenario(app, args.frames, 200)
+    app = args.app
+    scenario = _app_scenario(app, args.frames, args.brake_frames)
     observation, result = obs.observe_brake_run(
         args.seed, scenario, args.experiment, app=app
     )
@@ -1563,19 +1456,14 @@ def _run_trace(args: argparse.Namespace) -> int:
 
 def _run_metrics(args: argparse.Namespace, sweep) -> int:
     """``repro metrics det|nondet``: cross-seed metric aggregates."""
-    import json
-    from functools import partial
-
-    from repro import obs
+    from repro import apps, obs
     from repro.analysis.report import render_table
     from repro.harness.sweep import merge_metric_snapshots
     from repro.obs.drivers import run_brake_with_obs
 
-    app = getattr(args, "app", "brake")
-    scenario = _app_scenario(app, args.frames, 200)
-    params = {"frames": scenario.n_frames}
-    if app != "brake":
-        params["app"] = app
+    app = args.app
+    definition = apps.get(app)
+    scenario = _app_scenario(app, args.frames, args.brake_frames)
     runs = sweep.map(
         partial(
             run_brake_with_obs,
@@ -1584,15 +1472,12 @@ def _run_metrics(args: argparse.Namespace, sweep) -> int:
             app=app,
         ),
         range(args.seeds),
-        name=(
-            f"obs-{args.experiment}" if app == "brake"
-            else f"obs-{app}-{args.experiment}"
-        ),
-        params=params,
+        name=definition.qualified("obs", args.experiment),
+        params=definition.sweep_params(frames=scenario.n_frames),
     )
     aggregate = merge_metric_snapshots(runs)
 
-    tag = args.experiment if app == "brake" else f"{app} {args.experiment}"
+    tag = definition.qualified("", args.experiment, sep=" ")
     rows = [
         [name, str(entry["total"]), str(entry["p50"]), str(entry["max"])]
         for name, entry in aggregate["counters"].items()
@@ -1625,9 +1510,7 @@ def _run_metrics(args: argparse.Namespace, sweep) -> int:
             "seeds": args.seeds,
             "aggregate": aggregate,
         }
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-        print(f"metrics aggregate -> {args.metrics_out}")
+        _write_json(args.metrics_out, document, "metrics aggregate")
     if args.trace_out:
         observation, _ = obs.observe_brake_run(
             0, scenario, args.experiment, app=app
@@ -1686,114 +1569,73 @@ def _run_library(args: argparse.Namespace) -> int:
 def _export_observability(args: argparse.Namespace) -> None:
     """Honour ``--trace-out``/``--metrics-out`` on regular subcommands.
 
-    Runs one observed representative brake run (nondet for the stock-AP
-    figures, det otherwise) and writes the requested artifacts, without
-    touching the experiment results themselves.
+    Runs one observed representative run of the app (nondet for the
+    stock-AP figures, det otherwise) and writes the requested artifacts,
+    without touching the experiment results themselves.
     """
     if not (getattr(args, "trace_out", None) or getattr(args, "metrics_out", None)):
         return
     from repro import obs
 
-    variant = "nondet" if args.command in ("fig1", "fig5") else "det"
+    variant = next((f.observed for f in _FIGURES if f.name == args.command), "det")
     app = getattr(args, "app", "brake")
     frames = getattr(args, "frames", None)
     frames = min(frames, 500) if frames is not None else None
     seed = getattr(args, "seed", 0) or 0
-    scenario = _app_scenario(app, frames, 200)
+    scenario = _app_scenario(app, frames, _OBSERVED_FRAMES)
     observation, _ = obs.observe_brake_run(seed, scenario, variant, app=app)
-    if args.trace_out:
-        obs.write_trace(observation, args.trace_out)
-        print(
-            f"observability: representative {variant} trace -> {args.trace_out}",
-            file=sys.stderr,
-        )
-    if args.metrics_out:
-        obs.write_metrics(observation, args.metrics_out)
-        print(
-            f"observability: representative {variant} metrics -> {args.metrics_out}",
-            file=sys.stderr,
-        )
+    for kind, path, write in (
+        ("trace", args.trace_out, obs.write_trace),
+        ("metrics", args.metrics_out, obs.write_metrics),
+    ):
+        if path:
+            write(observation, path)
+            print(
+                f"observability: representative {variant} {kind} -> {path}",
+                file=sys.stderr,
+            )
 
 
-_ALL = (
-    "fig1", "fig3", "fig5", "det", "tradeoff", "ablation",
-    "overhead", "let", "skew", "scaling", "native", "distributed",
-)
-
-_QUICK_SIZES = {
-    "fig1": {"seeds": 40},
-    "fig5": {"runs": 6, "frames": 400},
-    "det": {"seeds": 2, "frames": 150},
-    "tradeoff": {"frames": 100},
-    "ablation": {"seeds": 8},
-    "overhead": {"frames": 150},
-    "let": {"frames": 100},
-    "distributed": {"frames": 100},
+#: Every subcommand outside the figure table: its handler, and how
+#: :func:`main` runs it — ``"plain"`` handlers take only the arguments;
+#: ``"sweep"`` handlers also get a :class:`SweepRunner` built from the
+#: sweep options, whose summary line goes to stderr afterwards;
+#: ``"observed"`` ones then also honour ``--trace-out``/``--metrics-out``
+#: with a representative run (``trace``, ``metrics`` and ``flows``
+#: write those artifacts themselves).
+_COMMANDS = {
+    "bench-diff": (_run_bench_diff, "plain"),
+    "serve": (_run_serve, "plain"),
+    "submit": (_run_submit, "plain"),
+    "worker": (_run_worker, "plain"),
+    "status": (_run_status, "plain"),
+    "report": (_run_report, "plain"),
+    "library": (_run_library, "plain"),
+    "trace": (_run_trace, "sweep"),
+    "metrics": (_run_metrics, "sweep"),
+    "flows": (_run_flows, "sweep"),
+    "faults": (_run_faults, "observed"),
+    "explore": (_run_explore, "observed"),
+    "all": (_run_all, "observed"),
+    **{
+        figure.name: (partial(_run_figure, figure), "observed")
+        for figure in _FIGURES
+    },
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bench-diff":
-        # No sweep options: dispatched before _make_sweep reads them.
-        return _run_bench_diff(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "submit":
-        return _run_submit(args)
-    if args.command == "worker":
-        return _run_worker(args)
-    if args.command == "status":
-        return _run_status(args)
-    if args.command == "report":
-        return _run_report(args)
-    if args.command == "library":
-        return _run_library(args)
+    args = build_parser().parse_args(argv)
+    handler, mode = _COMMANDS[args.command]
+    if mode == "plain":
+        return handler(args)
     sweep = _make_sweep(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "metrics":
-        code = _run_metrics(args, sweep)
-        if sweep.stats.sweeps:
-            print(sweep.stats.summary_line(), file=sys.stderr)
-        return code
-    if args.command == "flows":
-        code = _run_flows(args, sweep)
-        if sweep.stats.sweeps:
-            print(sweep.stats.summary_line(), file=sys.stderr)
-        return code
-    if args.command == "faults":
-        code = _run_faults(args, sweep)
+    code = handler(args, sweep)
+    if mode == "observed":
         _export_observability(args)
-        if sweep.stats.sweeps:
-            print(sweep.stats.summary_line(), file=sys.stderr)
-        return code
-    if args.command == "explore":
-        code = _run_explore(args, sweep)
-        _export_observability(args)
-        if sweep.stats.sweeps:
-            print(sweep.stats.summary_line(), file=sys.stderr)
-        return code
-    if args.command != "all":
-        print(_run_one(args.command, args, sweep))
-        _export_observability(args)
-        if sweep.stats.sweeps:
-            print(sweep.stats.summary_line(), file=sys.stderr)
-        return 0
-    for name in _ALL:
-        sub_args = build_parser().parse_args([name])
-        if args.quick:
-            for key, value in _QUICK_SIZES.get(name, {}).items():
-                setattr(sub_args, key, value)
-        started = time.time()
-        print(f"==== {name} " + "=" * (60 - len(name)))
-        print(_run_one(name, sub_args, sweep))
-        print(f"---- {name} done in {time.time() - started:.1f}s\n")
-    _export_observability(args)
     if sweep.stats.sweeps:
         print(sweep.stats.summary_line(), file=sys.stderr)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

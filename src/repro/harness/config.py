@@ -98,6 +98,11 @@ class NetworkSpec:
         )
 
 
+#: The one app the legacy ``scenario-spec/v1`` format carries; specs
+#: that name no app (older v2 documents, ``ScenarioSpec()``) mean it too.
+_V1_APP = "brake"
+
+
 def _app_definition(name: str):
     from repro.apps import registry
 
@@ -150,7 +155,7 @@ class ScenarioSpec:
         faults: FaultPlan | None = None,
         label: str = "",
         *,
-        app: str = "brake",
+        app: str = _V1_APP,
         network: NetworkSpec | None = None,
         topology: TopologySpec | None = None,
     ) -> None:
@@ -208,10 +213,8 @@ class ScenarioSpec:
         """
         if self.network == NetworkSpec() and self.topology is None:
             return None
-        scenario = self.effective_scenario()
-        calm = getattr(scenario, "deterministic_camera", False) or getattr(
-            scenario, "deterministic_inputs", False
-        )
+        knob = self.definition().fixed_inputs_knob
+        calm = getattr(self.effective_scenario(), knob, False)
         default = CALM_LAN if calm else SwitchConfig()
         return SwitchConfig(
             latency=self.network.latency or default.latency,
@@ -226,12 +229,11 @@ class ScenarioSpec:
         """The result-store file of this spec's seeds.
 
         Derived from content only (app and variant), never from
-        ``label`` or ``seeds``.  The brake app keeps its historical
-        ``spec-<variant>`` name; other apps include the app name.
+        ``label`` or ``seeds``: ``spec-<app>-<variant>``, or the
+        historical ``spec-<variant>`` for brake (see
+        :meth:`~repro.apps.AppDefinition.qualified`).
         """
-        if self.app == "brake":
-            return f"spec-{self.variant}"
-        return f"spec-{self.app}-{self.variant}"
+        return self.definition().qualified("spec", self.variant)
 
     def sweep_name(self) -> str:
         """Report identity of this spec's sweep: the label, if any."""
@@ -257,7 +259,7 @@ class ScenarioSpec:
 
     def _is_v1_expressible(self) -> bool:
         """Whether the legacy flattened format can carry this spec."""
-        return self.app == "brake" and self.topology is None
+        return self.app == _V1_APP and self.topology is None
 
     def to_dict(self) -> dict:
         """JSON form; v1-expressible specs keep the v1 byte layout.
@@ -305,11 +307,11 @@ class ScenarioSpec:
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         fmt = data.get("format")
         if fmt == "scenario-spec/v1":
-            app = "brake"
+            app = _V1_APP
             network = NetworkSpec.from_dict(data)
             topology = None
         elif fmt == "scenario-spec/v2":
-            app = data.get("app", "brake")
+            app = data.get("app", _V1_APP)
             network = NetworkSpec.from_dict(data.get("network") or {})
             topology = (
                 None
@@ -349,48 +351,6 @@ class ScenarioSpec:
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioSpec":
         return cls.from_json(Path(path).read_text())
-
-    # -- CLI bridge ---------------------------------------------------------
-
-    @classmethod
-    def from_args(cls, args, variant: str | None = None) -> "ScenarioSpec":
-        """Build a spec from an ``argparse`` namespace.
-
-        ``--spec FILE`` (when present and set) wins outright; otherwise
-        the recognised loose flags — ``app``, ``seed``/``seeds``,
-        ``frames``, ``drop``, ``plan`` — are folded into a fresh spec.
-        Unknown attributes are ignored, so every subcommand can share
-        this.
-        """
-        spec_path = getattr(args, "spec", None)
-        if spec_path:
-            spec = cls.load(spec_path)
-            if variant is not None and spec.variant != variant:
-                spec = replace(spec, variant=variant)
-            return spec
-        app = getattr(args, "app", None) or "brake"
-        definition = _app_definition(app)
-        seeds: tuple[int, ...]
-        n_seeds = getattr(args, "seeds", None)
-        if n_seeds is not None:
-            seeds = tuple(range(int(n_seeds)))
-        else:
-            seeds = (int(getattr(args, "seed", 0) or 0),)
-        scenario = definition.default_scenario()
-        frames = getattr(args, "frames", None)
-        if frames is not None:
-            scenario = replace(scenario, n_frames=int(frames))
-        plan_path = getattr(args, "plan", None)
-        faults = FaultPlan.load(plan_path) if plan_path else None
-        drop = float(getattr(args, "drop_probability", 0.0) or 0.0)
-        return cls(
-            app=app,
-            variant=variant or "det",
-            seeds=seeds,
-            scenario=scenario,
-            network=NetworkSpec(drop_probability=drop),
-            faults=faults,
-        )
 
 
 def run_scenario_spec(

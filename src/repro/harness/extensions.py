@@ -16,7 +16,10 @@ probe the parts of the design the paper only argues about:
   extension the paper's conclusion advocates) is exercised by
   :func:`native_transport_comparison`, which checks behavioural
   equivalence and measures the wire-size saving over the trailer
-  workaround.
+  workaround;
+* :func:`distributed_brake` — the brake assistant with its processing
+  SWCs on two ECUs, one of them on a skewed clock, under assumed
+  clock-error bounds that do and do not cover the skew.
 """
 
 from __future__ import annotations
@@ -123,6 +126,48 @@ class ClockSkewResult:
         )
 
 
+def _pulse_chain(
+    world, interface, config, count, transport="trailer", origin=None, ticking=True
+):
+    """Publish *count* pulses from ``pub-ecu`` to ``sub-ecu`` for 5 s.
+
+    Publisher -> server event transactor on one ECU, client event
+    transactor -> subscriber on the other, both processes speaking
+    *transport* and both environments tracing against *origin*.
+    Returns ``(subscriber, its environment, the client transactor)``.
+    """
+    pub, sub = world.platform("pub-ecu"), world.platform("sub-ecu")
+    server_process = AraProcess(pub, "pub", tag_aware=True, tag_transport=transport)
+    server_env = Environment(name="pub", timeout=2 * SEC, trace_origin=origin)
+    publisher = _Publisher("publisher", server_env, count)
+    skeleton = server_process.create_skeleton(interface, 1)
+    skeleton.implement("noop", lambda: None)
+    tx = ServerEventTransactor(
+        "tx", server_env, server_process, skeleton, "pulse", config
+    )
+    server_env.connect(publisher.out, tx.inp)
+    skeleton.offer()
+    server_env.start(pub)
+
+    client_process = AraProcess(sub, "sub", tag_aware=True, tag_transport=transport)
+    client_env = Environment(name="sub", timeout=3 * SEC, trace_origin=origin)
+    subscriber = _Subscriber("subscriber", client_env, ticking)
+    holder = {}
+
+    def setup():
+        proxy = yield from client_process.find_service(interface, 1)
+        rx = ClientEventTransactor(
+            "rx", client_env, client_process, proxy, "pulse", config
+        )
+        client_env.connect(rx.out, subscriber.inp)
+        client_env.start(sub)
+        holder["rx"] = rx
+
+    client_process.spawn("setup", setup())
+    world.run_for(5 * SEC)
+    return subscriber, client_env, holder["rx"]
+
+
 def _skew_point(
     configuration, count: int, latency_bound_ns: int = 2 * MS
 ) -> SkewPoint:
@@ -136,47 +181,18 @@ def _skew_point(
         timer_jitter_ns=0,
     )
     world = build_world(0, [("pub-ecu", CALM), ("sub-ecu", skewed)], _PULSE_LAN)
-    pub_platform = world.platform("pub-ecu")
-    sub_platform = world.platform("sub-ecu")
     config = TransactorConfig(
         deadline_ns=5 * MS,
         stp=StpConfig(
             latency_bound_ns=latency_bound_ns, clock_error_ns=assumed_error
         ),
     )
-    server_process = AraProcess(pub_platform, "pub", tag_aware=True)
-    server_env = Environment(name="pub", timeout=2 * SEC)
-    publisher = _Publisher("publisher", server_env, count)
-    skeleton = server_process.create_skeleton(interface, 1)
-    skeleton.implement("noop", lambda: None)
-    tx = ServerEventTransactor(
-        "tx", server_env, server_process, skeleton, "pulse", config
-    )
-    server_env.connect(publisher.out, tx.inp)
-    skeleton.offer()
-    server_env.start(pub_platform)
-
-    client_process = AraProcess(sub_platform, "sub", tag_aware=True)
-    client_env = Environment(name="sub", timeout=3 * SEC)
-    subscriber = _Subscriber("subscriber", client_env)
-    holder = {}
-
-    def setup():
-        proxy = yield from client_process.find_service(interface, 1)
-        rx = ClientEventTransactor(
-            "rx", client_env, client_process, proxy, "pulse", config
-        )
-        client_env.connect(rx.out, subscriber.inp)
-        client_env.start(sub_platform)
-        holder["rx"] = rx
-
-    client_process.spawn("setup", setup())
-    world.run_for(5 * SEC)
+    subscriber, _, rx = _pulse_chain(world, interface, config, count)
     tags = [tag for tag, _ in subscriber.received]
     return SkewPoint(
         actual_skew_ns=actual_skew,
         assumed_error_ns=assumed_error,
-        stp_violations=holder["rx"].stp_violations,
+        stp_violations=rx.stp_violations,
         delivered=len(subscriber.received),
         in_order=tags == sorted(tags),
     )
@@ -432,34 +448,9 @@ def _run_encoding_chain(transport: str) -> str:
     config = TransactorConfig(
         deadline_ns=5 * MS, stp=StpConfig(latency_bound_ns=5 * MS)
     )
-    server_process = AraProcess(
-        world.platform("pub-ecu"), "pub", tag_aware=True, tag_transport=transport
+    _, client_env, _ = _pulse_chain(
+        world, interface, config, 4, transport, origin=0, ticking=False
     )
-    server_env = Environment(name="pub", timeout=2 * SEC, trace_origin=0)
-    publisher = _Publisher("publisher", server_env, count=4)
-    skeleton = server_process.create_skeleton(interface, 1)
-    skeleton.implement("noop", lambda: None)
-    tx = ServerEventTransactor("tx", server_env, server_process, skeleton,
-                               "pulse", config)
-    server_env.connect(publisher.out, tx.inp)
-    skeleton.offer()
-    server_env.start(world.platform("pub-ecu"))
-
-    client_process = AraProcess(
-        world.platform("sub-ecu"), "sub", tag_aware=True, tag_transport=transport
-    )
-    client_env = Environment(name="sub", timeout=3 * SEC, trace_origin=0)
-    subscriber = _Subscriber("subscriber", client_env, ticking=False)
-
-    def setup():
-        proxy = yield from client_process.find_service(interface, 1)
-        rx = ClientEventTransactor("rx", client_env, client_process, proxy,
-                                   "pulse", config)
-        client_env.connect(rx.out, subscriber.inp)
-        client_env.start(world.platform("sub-ecu"))
-
-    client_process.spawn("setup", setup())
-    world.run_for(5 * SEC)
     return client_env.trace.fingerprint()
 
 
@@ -488,4 +479,61 @@ def native_transport_comparison(
         behaviour_identical=behaviour_identical,
         trailer_bytes=trailer,
         native_bytes=native,
+    )
+
+
+# ---------------------------------------------------------------------------
+# EXT-DIST — the brake assistant across two processing ECUs.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class DistributedResult:
+    """The EXT-DIST table: ``(skew, assumed E, STP violations, frames
+    answered)`` per clock configuration."""
+
+    rows: list[tuple[int, int, int, int]]
+    frames: int
+
+    def render(self) -> str:
+        rows = [
+            [f"{skew / 1e6:.0f} ms", f"{error / 1e6:.0f} ms", str(violations),
+             f"{answered}/{self.frames}"]
+            for skew, error, violations, answered in self.rows
+        ]
+        return render_table(
+            ["clock skew", "assumed E", "STP violations", "frames answered"],
+            rows,
+            title="EXT-DIST - distributed brake assistant:",
+        )
+
+
+def _distributed_point(configuration, frames: int):
+    """One (skew, assumed E) distributed run (runs in a worker)."""
+    from repro.apps.brake import BrakeScenario, run_det_brake_assistant
+
+    skew, error = configuration
+    scenario = BrakeScenario(
+        n_frames=frames, distributed=True,
+        processing_clock_skew_ns=skew, clock_error_ns=error,
+    )
+    return run_det_brake_assistant(0, scenario)
+
+
+def distributed_brake(
+    n_frames: int = 200, sweep: SweepRunner | None = None
+) -> DistributedResult:
+    """No skew, a 15 ms skew that ``E = 0`` does not cover, and a 20 ms
+    skew under ``E = 25 ms``."""
+    configurations = [(0, 0), (15 * MS, 0), (20 * MS, 25 * MS)]
+    runs = (sweep or SweepRunner()).map(
+        partial(_distributed_point, frames=n_frames),
+        configurations,
+        name="ext-dist",
+        params={"frames": n_frames},
+    )
+    return DistributedResult(
+        [(*config, run.stp_violations, len(run.commands))
+         for config, run in zip(configurations, runs)],
+        n_frames,
     )

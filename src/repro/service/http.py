@@ -565,8 +565,12 @@ class LocalService:
         """Submit, wait, and decode — the service-side ``run_spec``."""
         return merged_values(self.submit_and_wait(spec, timeout_s=timeout_s))
 
-    def close(self) -> None:
+    def stop_workers(self) -> None:
+        """Stop the in-process workers; the HTTP API keeps serving."""
         self._stop.set()
+
+    def close(self) -> None:
+        self.stop_workers()
         for thread in self._threads:
             thread.join(timeout=10.0)
         self.server.shutdown()

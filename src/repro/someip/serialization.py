@@ -201,6 +201,12 @@ class Array(_Generated):
     """A homogeneous dynamic array with a uint32 element count."""
 
     def __init__(self, element: TypeSpec) -> None:
+        if _encodes_empty(element):
+            # Each element would decode from zero bytes, so a forged
+            # 4-byte count could demand billions of them.
+            raise ValueError(
+                f"array element {element.name} always encodes to zero bytes"
+            )
         self.element = element
         self.name = f"array<{element.name}>"
         self._layout = ("array", _layout_of(element))
@@ -222,6 +228,18 @@ class Struct(_Generated):
             name,
             tuple((field_name, _layout_of(spec)) for field_name, spec in self.fields),
         )
+
+
+def _encodes_empty(spec: TypeSpec) -> bool:
+    """Whether every value of *spec* encodes to zero bytes.
+
+    Only a struct whose fields all do (``VOID``, a struct of ``VOID``s)
+    qualifies: every other built-in spec writes at least a byte or a
+    length prefix.
+    """
+    return isinstance(spec, Struct) and all(
+        _encodes_empty(field) for _name, field in spec.fields
+    )
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro import apps
 from repro.cli import build_parser, main
+from repro.faults import FaultPlan
+from repro.harness import ScenarioSpec
 
 
 class TestParser:
@@ -82,6 +86,60 @@ class TestExplore:
             "--frames", "10", "--no-cache",
         ]) == 1
         assert "no failure" in capsys.readouterr().out
+
+
+class TestFaultsSpec:
+    """``faults --spec FILE`` runs the spec's own fault plan."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, spec, *flags):
+        spec_path = tmp_path / "spec.json"
+        report_path = tmp_path / "report.json"
+        spec.save(spec_path)
+        code = main([
+            "faults", "--spec", str(spec_path), "--out", str(report_path),
+            "--no-snapshot", "--no-cache", "--workers", "1", *flags,
+        ])
+        plan_line = capsys.readouterr().out.splitlines()[0]
+        return code, plan_line, json.loads(report_path.read_text())
+
+    def test_failover_spec_runs_its_outage(self, tmp_path, capsys):
+        scenario = replace(
+            apps.get("failover").default_scenario(), n_frames=100
+        )
+        code, plan_line, report = self._run(
+            tmp_path, capsys, ScenarioSpec(app="failover", scenario=scenario)
+        )
+        assert code == 0
+        assert plan_line == "fault plan seed 0: 1 outage(s)"
+        assert report["plan"]["outages"] and not report["plan"]["link_faults"]
+        # The primary's crash fired inside the 100-frame run.
+        assert report["det"]["fault_summaries"]["0"]["counters"]["crash"] == 1
+
+    def _brake_spec(self):
+        scenario = replace(
+            apps.get("brake").default_scenario(),
+            n_frames=30, deterministic_camera=True,
+        )
+        plan = FaultPlan.camera_faults(seed=3, duplicate=0.2, label="own")
+        return ScenarioSpec(scenario=scenario, faults=plan), plan
+
+    def test_brake_spec_keeps_its_plan(self, tmp_path, capsys):
+        spec, plan = self._brake_spec()
+        code, plan_line, report = self._run(tmp_path, capsys, spec)
+        assert code == 0
+        assert plan_line == plan.describe()
+        assert report["plan"] == plan.to_dict()
+
+    def test_quick_flag_still_overrides_the_spec(self, tmp_path, capsys):
+        spec, plan = self._brake_spec()
+        code, plan_line, report = self._run(
+            tmp_path, capsys, spec, "--drop", "0.1"
+        )
+        assert code == 0
+        assert "[cli-faults]" in plan_line
+        assert report["plan"]["label"] == "cli-faults"
+        assert report["plan"] != plan.to_dict()
 
 
 class TestServiceCLI:

@@ -1,6 +1,5 @@
 """The unified experiment API: ScenarioSpec round-trips and execution."""
 
-import argparse
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -118,44 +117,6 @@ class TestDerivedConfiguration:
         assert effective.latency_bound_ns == 7 * MS
         assert effective.clock_error_ns == 2 * MS
         assert spec.scenario.latency_bound_ns != 7 * MS
-
-
-class TestFromArgs:
-    def test_spec_file_wins(self, tmp_path):
-        saved = ScenarioSpec(seeds=(5, 6), label="from-disk")
-        path = tmp_path / "spec.json"
-        saved.save(path)
-        args = argparse.Namespace(spec=str(path), seeds=99, frames=1)
-        assert ScenarioSpec.from_args(args) == saved
-
-    def test_spec_file_variant_override(self, tmp_path):
-        saved = ScenarioSpec(variant="det")
-        path = tmp_path / "spec.json"
-        saved.save(path)
-        args = argparse.Namespace(spec=str(path))
-        assert ScenarioSpec.from_args(args, variant="nondet").variant == "nondet"
-
-    def test_loose_flags_fold_in(self, tmp_path):
-        plan = FaultPlan.camera_faults(seed=2, drop=0.3)
-        plan_path = tmp_path / "plan.json"
-        plan.save(plan_path)
-        args = argparse.Namespace(
-            spec=None,
-            seeds=3,
-            frames=20,
-            drop_probability=0.01,
-            plan=str(plan_path),
-        )
-        spec = ScenarioSpec.from_args(args, variant="nondet")
-        assert spec.seeds == (0, 1, 2)
-        assert spec.scenario.n_frames == 20
-        assert spec.network.drop_probability == 0.01
-        assert spec.faults == plan
-        assert spec.variant == "nondet"
-
-    def test_single_seed_fallback(self):
-        spec = ScenarioSpec.from_args(argparse.Namespace(seed=7))
-        assert spec.seeds == (7,)
 
 
 class TestExecution:

@@ -23,6 +23,7 @@ from repro.someip import (
     UINT32,
     UINT64,
 )
+from repro.someip.serialization import VOID
 
 
 class TestScalars:
@@ -110,6 +111,19 @@ class TestArray:
     def test_non_sequence_rejected(self):
         with pytest.raises(SerializationError):
             Array(UINT8).to_bytes(7)
+
+    def test_void_elements_rejected(self):
+        # A forged count would otherwise decode 2**32 - 1 elements from
+        # the 4 count bytes alone.
+        with pytest.raises(ValueError, match="zero bytes"):
+            Array(VOID)
+
+    def test_struct_of_empty_fields_rejected(self):
+        empty = Struct([("a", VOID), ("b", Struct([("c", VOID)]))], name="hollow")
+        with pytest.raises(ValueError, match="hollow"):
+            Array(empty)
+        # One byte-carrying field anywhere makes the element non-empty.
+        assert Array(Struct([("a", VOID), ("b", BOOL)])).to_bytes([]) == bytes(4)
 
 
 class TestStruct:
@@ -229,12 +243,20 @@ def _struct(fields):
     return Struct([(f"f{i}", spec) for i, spec in enumerate(fields)], name="s")
 
 
-#: Random layouts.  Structs have at least one field: an array of empty
-#: structs would decode a forged count without consuming any bytes.
+def _array(element):
+    """``Array(element)``, or ``None`` where :class:`Array` rejects it."""
+    try:
+        return Array(element)
+    except ValueError:
+        return None
+
+
+#: Random layouts, empty structs included.
 specs = st.recursive(
     st.one_of(st.sampled_from(_LEAVES), st.just(BOOL)),
     lambda children: st.one_of(
-        children.map(Array), st.lists(children, min_size=1, max_size=4).map(_struct)
+        children.map(_array).filter(lambda spec: spec is not None),
+        st.lists(children, max_size=4).map(_struct),
     ),
     max_leaves=8,
 )

@@ -63,12 +63,11 @@ def _printed(run: Callable, seeds: range, **kwargs) -> list[int]:
 
 
 def _scenario(app: str, calm: bool = False) -> Any:
-    scenario = replace(registry.get(app).default_scenario(), n_frames=FRAMES)
+    definition = registry.get(app)
+    scenario = replace(definition.default_scenario(), n_frames=FRAMES)
     if not calm:
         return scenario
-    if app == "brake":
-        return replace(scenario, deterministic_camera=True)
-    return replace(scenario, deterministic_inputs=True)
+    return replace(scenario, **{definition.fixed_inputs_knob: True})
 
 
 def _outcome(app: str, variant: str, seed: int, calm: bool = False) -> str:
@@ -83,12 +82,6 @@ def _spec_outcome(app: str) -> str:
         network=NetworkSpec(ns_per_byte=4),
     )
     return run_scenario_spec(0, spec).outcome_digest()
-
-
-def _render_distributed() -> str:
-    from repro.cli import _render_distributed as render
-
-    return render(40, _sweep())
 
 
 def _cases() -> dict[str, Callable[[], Any]]:
@@ -108,7 +101,9 @@ def _cases() -> dict[str, Callable[[], Any]]:
         "render/native": lambda: extensions.native_transport_comparison(
             sweep=_sweep()
         ).render(),
-        "render/distributed": _render_distributed,
+        "render/distributed": lambda: extensions.distributed_brake(
+            n_frames=40, sweep=_sweep()
+        ).render(),
     }
     for label, kwargs in ABLATION.items():
         cases[f"counter/variant-{label}"] = (
