@@ -13,6 +13,11 @@ shapes the runtime layers actually generate:
 * ``timer`` — re-arming ``timer_at()`` wakeups through the pooled
   handle freelist (sleepers, condvar timeouts).
 
+Worlds run through ``World.run_for``, that is ``run(until=...)``, so
+the ``until`` shape drives the chain in ``run(until=)`` slices and
+records ``until_events_per_s`` beside the four ``run()`` shapes (it is
+not part of the mixed headline, whose composition stays fixed).
+
 Scale is ``REPRO_KERNEL_EVENTS`` per shape (default 20k: CI scale; the
 nightly perf workflow runs 200k).  The CI *kernel-throughput* job sets
 ``REPRO_KERNEL_ENFORCE_FLOOR=1``, asserting the headline and burst
@@ -39,6 +44,9 @@ BURST_WIDTH = 100
 FLOOR_EVENTS_PER_S = 500_000
 FLOOR_BURST_EVENTS_PER_S = 1_500_000
 
+#: ``run(until=)`` slices the until shape's chain is driven in.
+UNTIL_SLICES = 10
+
 
 def _shape_oneshot(n: int) -> int:
     sim = Simulator()
@@ -59,7 +67,8 @@ def _shape_burst(n: int) -> int:
     return sim.events_processed
 
 
-def _shape_chain(n: int) -> int:
+def _chained(n: int) -> Simulator:
+    """A queue of *n* events, each scheduling the next one (``post_after``)."""
     sim = Simulator()
     remaining = n
 
@@ -70,7 +79,20 @@ def _shape_chain(n: int) -> int:
             sim.post_after(1, step)
 
     sim.post_after(1, step)
+    return sim
+
+
+def _shape_chain(n: int) -> int:
+    sim = _chained(n)
     sim.run()
+    return sim.events_processed
+
+
+def _shape_until(n: int) -> int:
+    sim = _chained(n)
+    slice_ns = max(1, n // UNTIL_SLICES)
+    while sim.events_processed < n:
+        sim.run(until=sim.now + slice_ns)
     return sim.events_processed
 
 
@@ -124,6 +146,7 @@ def test_sim_kernel_event_throughput(benchmark, bench_json):
     assert benchmark(mixed) == total_events
 
     burst_rate = SCALE / times["burst"]
+    until_time = _best_time(_shape_until, SCALE)
     bench_json.record(
         events=total_events,
         events_per_shape=SCALE,
@@ -132,6 +155,7 @@ def test_sim_kernel_event_throughput(benchmark, bench_json):
         burst_events_per_s=round(burst_rate),
         chain_events_per_s=round(SCALE / times["chain"]),
         timer_events_per_s=round(SCALE / times["timer"]),
+        until_events_per_s=round(SCALE / until_time),
         floor_events_per_s=FLOOR_EVENTS_PER_S,
         floor_burst_events_per_s=FLOOR_BURST_EVENTS_PER_S,
     ).timing(benchmark)

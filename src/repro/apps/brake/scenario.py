@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.sim.rng import randbelow
 from repro.time.duration import MS, US
 
 
@@ -15,8 +16,8 @@ class StageTiming:
     max_ns: int
 
     def sample(self, rng) -> int:
-        """Draw one execution time."""
-        return rng.randint(self.min_ns, self.max_ns)
+        """Draw one execution time (the draw ``rng.randint`` would make)."""
+        return self.min_ns + randbelow(rng, self.max_ns - self.min_ns + 1)
 
 
 @dataclass(frozen=True)

@@ -203,9 +203,11 @@ class _RecordingSource:
         self._path = path
         self._inner = inner
 
-    def pick_index(self, kind: str, names: list[str]) -> int:
-        choice = self._inner.pick_index(kind, names)
-        self._recorder._add(self._path, kind, names[choice], len(names), choice)
+    def pick_index(self, kind: str, candidates: list) -> int:
+        choice = self._inner.pick_index(kind, candidates)
+        self._recorder._add(
+            self._path, kind, candidates[choice].name, len(candidates), choice
+        )
         return choice
 
     def jitter(self, kind: str, name: str, bound_ns: int) -> int:
@@ -281,15 +283,15 @@ class _ReplaySource:
         self._path = path
         self._fallback = fallback
 
-    def pick_index(self, kind: str, names: list[str]) -> int:
+    def pick_index(self, kind: str, candidates: list) -> int:
         record = self._replayer._next(self._path, kind)
         if record is None:
-            return self._fallback.pick_index(kind, names)
-        if record.choice >= len(names):
+            return self._fallback.pick_index(kind, candidates)
+        if record.choice >= len(candidates):
             raise ReplayDivergence(
                 f"replay diverged at decision {record.index}: recorded pick "
                 f"{record.choice} of {record.bound}, but only "
-                f"{len(names)} candidates exist now"
+                f"{len(candidates)} candidates exist now"
             )
         return record.choice
 
@@ -470,8 +472,8 @@ class _InterventionSource:
         self._controller = controller
         self._inner = inner
 
-    def pick_index(self, kind: str, names: list[str]) -> int:
-        return self._inner.pick_index(kind, names)
+    def pick_index(self, kind: str, candidates: list) -> int:
+        return self._inner.pick_index(kind, candidates)
 
     def jitter(self, kind: str, name: str, bound_ns: int) -> int:
         return self._inner.jitter(kind, name, bound_ns)

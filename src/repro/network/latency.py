@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass, fields
 from typing import Any, Protocol
 
+from repro.sim.rng import randbelow
+
 
 class LatencyModel(Protocol):
     """A distribution of one-way transport delays."""
@@ -53,7 +55,7 @@ class UniformLatency:
             raise ValueError("need 0 <= low <= high")
 
     def sample(self, rng: random.Random) -> int:
-        return rng.randint(self.low_ns, self.high_ns)
+        return self.low_ns + randbelow(rng, self.high_ns - self.low_ns + 1)
 
     def bound(self) -> int:
         return self.high_ns

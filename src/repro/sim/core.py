@@ -12,7 +12,11 @@ The queue is a dict of *time buckets* plus a heap of pending times:
 scheduling appends to the current bucket (amortizing the heap push over
 every event sharing a timestamp, the dominant shape produced by zero-
 delay trampolines and same-tag fan-out) and the run loop dispatches a
-whole bucket per heap pop.  Three scheduling tiers trade generality for
+whole bucket per heap pop.  :meth:`Simulator.run` has one such loop
+for both modes: ``run()`` drains the queue and ``run(until=t)`` (what
+``World.run_for`` calls) stops before the first time past ``t``; only a
+time holding off-priority entries leaves the inlined loop, through
+``_dispatch_time``.  Three scheduling tiers trade generality for
 allocation cost:
 
 * :meth:`Simulator.at` / :meth:`Simulator.after` — the general API:
@@ -121,14 +125,6 @@ class Simulator:
         return self._events_processed
 
     # -- scheduling ---------------------------------------------------------
-
-    def _bucket_for(self, time: int) -> list:
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = bucket = []
-            if time not in self._late:
-                heapq.heappush(self._times, time)
-        return bucket
 
     def at(
         self,
@@ -251,31 +247,30 @@ class Simulator:
         return 1
 
     def _dispatch_time(self, time: int) -> int:
-        """Run every event at *time* in (priority, sequence) order."""
+        """Run every event at *time* in (priority, sequence) order.
+
+        The rare path :meth:`run` takes for a time with off-priority
+        entries: the early ones, then the bucket, then the late ones.
+        """
+        entries = self._late.pop(time)
+        entries.sort(key=lambda item: (item[0], item[1]))
+        fire = self._fire_target
         fired = 0
-        late = self._late
-        early_entries = later_entries = None
-        if late:
-            entries = late.pop(time, None)
-            if entries:
-                entries.sort(key=lambda item: (item[0], item[1]))
-                early_entries = [t for p, _s, t in entries if p < PRIORITY_NORMAL]
-                later_entries = [t for p, _s, t in entries if p >= PRIORITY_NORMAL]
-        if early_entries:
-            for target in early_entries:
-                fired += self._fire_target(target)
+        for priority, _seq, target in entries:
+            if priority < PRIORITY_NORMAL:
+                fired += fire(target)
         bucket = self._buckets.pop(time, None)
         if bucket is not None:
-            fire = self._fire_target
             for target in bucket:
-                if target.__class__ is EventHandle:
-                    fired += fire(target)
-                else:
-                    target()
-                    fired += 1
-        if later_entries:
-            for target in later_entries:
-                fired += self._fire_target(target)
+                fired += fire(target)
+        for priority, _seq, target in entries:
+            if priority >= PRIORITY_NORMAL:
+                fired += fire(target)
+        if time in self._late:
+            # An early event scheduled an off-priority event at *time*
+            # while the bucket still held it (so nothing was pushed):
+            # requeue the time rather than orphan the entry.
+            heapq.heappush(self._times, time)
         return fired
 
     def step(self) -> bool:
@@ -333,13 +328,16 @@ class Simulator:
     def run(self, until: int | None = None) -> None:
         """Run events until the queue drains or *until* is reached.
 
-        When *until* is given, time is advanced to exactly *until* even if
-        the last event fires earlier, mirroring "run for this long".
+        When *until* is given, events at exactly *until* fire and time
+        is then advanced to *until* even if the last event fires
+        earlier, mirroring "run for this long".  Both modes share one
+        loop: pop a time, dispatch its whole bucket inline.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
         fired = 0
+        bounded = until is not None
         times = self._times
         buckets = self._buckets
         late = self._late
@@ -348,59 +346,38 @@ class Simulator:
         handle_class = EventHandle
         pop = heapq.heappop
         try:
-            if until is None:
-                while times:
-                    time = pop(times)
-                    bucket = bucket_pop(time, None)
-                    if late or bucket is None:
-                        # Rare: off-priority events or stale duplicate.
-                        if bucket is not None:
-                            buckets[time] = bucket
-                        elif time not in late:
-                            continue
-                        self._now = time
-                        fired += self._dispatch_time(time)
-                        continue
-                    self._now = time
-                    for target in bucket:
-                        if target.__class__ is handle_class:
-                            if not target._cancelled:
-                                callback = target._callback
-                                target._callback = None
-                                fired += 1
-                                callback()
-                            if target._pooled:
-                                target._callback = None
-                                pool_append(target)
-                        else:
-                            target()
-                            fired += 1
-            else:
-                while times:
-                    time = times[0]
-                    if time not in buckets and time not in self._late:
-                        pop(times)
-                        continue
-                    if time > until:
-                        break
-                    pop(times)
+            while times:
+                time = pop(times)
+                if bounded and time > until:
+                    heapq.heappush(times, time)
+                    break
+                if late and time in late:
+                    # Rare: off-priority events at this time.
                     self._now = time
                     fired += self._dispatch_time(time)
-                if until > self._now:
-                    self._now = until
+                    continue
+                bucket = bucket_pop(time, None)
+                if bucket is None:
+                    continue  # stale duplicate
+                self._now = time
+                for target in bucket:
+                    if target.__class__ is handle_class:
+                        if not target._cancelled:
+                            callback = target._callback
+                            target._callback = None
+                            fired += 1
+                            callback()
+                        if target._pooled:
+                            target._callback = None
+                            pool_append(target)
+                    else:
+                        target()
+                        fired += 1
+            if bounded and until > self._now:
+                self._now = until
         finally:
             self._events_processed += fired
             self._running = False
-
-    def _next_pending_time(self) -> int | None:
-        times = self._times
-        while times:
-            time = times[0]
-            if time not in self._buckets and time not in self._late:
-                heapq.heappop(times)
-                continue
-            return time
-        return None
 
     def pending_count(self) -> int:
         """Number of live (non-cancelled) events in the queue."""

@@ -180,8 +180,8 @@ class SimThread:
     timeout_handle: Any = None
     #: Core index while RUNNING, else None.
     core: int | None = None
-    #: Scheduler-owned continuation closures, created once at spawn so
-    #: the hot dispatch/compute paths never allocate a per-event lambda.
+    #: Scheduler-owned continuation callables, created once at spawn so
+    #: the hot dispatch/compute paths never allocate a per-event closure.
     resume_cb: Any = None
     wake_cb: Any = None
 

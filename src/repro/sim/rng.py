@@ -100,14 +100,36 @@ class RngTree:
         return f"RngTree(seed={self._seed})"
 
 
+def randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``, draw for draw, in one Python frame.
+
+    Runs CPython's ``Random._randbelow_with_getrandbits`` loop inline:
+    ``k = n.bit_length()`` bits per draw, rejecting draws ``>= n``.  So
+    ``n == 1`` still makes the one-bit draw ``randrange(1)`` makes, and
+    the stream's state afterwards equals ``randrange``'s on every
+    supported CPython.  ``rng.randint(a, b)`` is
+    ``a + randbelow(rng, b - a + 1)``.  An empty range (``n <= 0``)
+    raises :class:`ValueError`, like ``randrange``, and never spins.
+    """
+    if n <= 0:
+        raise ValueError(f"empty range for randbelow({n})")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 class RandomDecisionSource:
     """Adapts a plain :class:`random.Random` to the scheduler's decision
     interface (see :class:`repro.sim.scheduler.CpuScheduler`).
 
-    The draw sequence is exactly the pre-decision-source behaviour —
-    one ``randrange`` per pick, one ``randint`` per jitter, nothing for
-    preemption queries — so wrapping a stream in this adapter leaves
-    every existing seeded experiment bit-identical.
+    The draw sequence is exactly the pre-decision-source behaviour: one
+    draw identical to ``randrange(len(candidates))`` per pick, one
+    identical to ``randint(0, bound_ns)`` per jitter (both through
+    :func:`randbelow`), nothing for preemption queries.  Wrapping a
+    stream in this adapter leaves every seeded experiment bit-identical.
     """
 
     __slots__ = ("_rng",)
@@ -115,13 +137,13 @@ class RandomDecisionSource:
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
 
-    def pick_index(self, kind: str, names: list[str]) -> int:
-        """Choose one of *names*; returns its index."""
-        return self._rng.randrange(len(names))
+    def pick_index(self, kind: str, candidates: list) -> int:
+        """Choose one of the *candidates* threads; returns its index."""
+        return randbelow(self._rng, len(candidates))
 
     def jitter(self, kind: str, name: str, bound_ns: int) -> int:
         """A random delay in ``[0, bound_ns]`` for thread *name*."""
-        return self._rng.randint(0, bound_ns)
+        return randbelow(self._rng, bound_ns + 1)
 
     def preempt(self, name: str) -> int:
         """Extra preemption delay before dispatching *name* (default 0)."""

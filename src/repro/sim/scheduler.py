@@ -16,10 +16,14 @@ Two knobs add timing (rather than ordering) nondeterminism:
   early).
 
 Every decision is routed through a *decision source*: any object with
-``pick_index(kind, names)``, ``jitter(kind, name, bound_ns)`` and
-``preempt(name)`` methods.  Passing a plain :class:`random.Random`
-wraps it in :class:`repro.sim.rng.RandomDecisionSource`, which
-reproduces the historical draw sequence exactly; :mod:`repro.explore`
+``pick_index(kind, candidates)``, ``jitter(kind, name, bound_ns)`` and
+``preempt(name)`` methods.  ``candidates`` is the scheduler's own list
+of :class:`~repro.sim.process.SimThread` objects (the ready queue, a
+mutex's or a condvar's waiters), passed without a copy: a source reads
+it (``candidates[i].name``) and must not mutate it.  Passing a plain
+:class:`random.Random` wraps it in
+:class:`repro.sim.rng.RandomDecisionSource`, whose draws are identical
+to the historical ``randrange``/``randint`` sequence; :mod:`repro.explore`
 substitutes recording/replaying/adversarial sources to turn the
 scheduler into a systematic concurrency-testing tool.  The ``preempt``
 query (answered with 0 by the default source) models the OS preempting
@@ -30,6 +34,7 @@ exploration uses to force rare interleavings.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Any, Callable, Generator
 
 from repro.errors import SimulationError
@@ -56,6 +61,8 @@ from repro.sim.process import (
 from repro.sim.rng import RandomDecisionSource
 from repro.sim.sync import CondVar, Mutex
 from repro.time.clock import PhysicalClock
+
+_DONE = ThreadState.DONE
 
 
 class CpuScheduler:
@@ -118,9 +125,10 @@ class CpuScheduler:
         """Create a thread and make it runnable after *start_delay_ns*."""
         thread = SimThread(name=name, generator=generator)
         # One continuation pair per thread, allocated here so compute
-        # continuations and sleep wakeups never build a per-event lambda.
-        thread.resume_cb = lambda: self._step(thread)
-        thread.wake_cb = lambda: self._wake_sleeper(thread)
+        # continuations and sleep wakeups never build a per-event
+        # closure; a partial calls straight into the bound method.
+        thread.resume_cb = partial(self._step, thread)
+        thread.wake_cb = partial(self._wake_sleeper, thread)
         self._threads.append(thread)
         if start_delay_ns < 0:
             raise ValueError("start delay must be non-negative")
@@ -202,20 +210,16 @@ class CpuScheduler:
         dispatch_jitter_ns = self._dispatch_jitter_ns
         o = obs_context.ACTIVE
         while ready:
-            core = None
-            for index, occupant in enumerate(cores):
-                if occupant is None:
-                    core = index
-                    break
-            if core is None:
+            if None not in cores:
                 return
+            core = cores.index(None)
             if self._deterministic_dispatch:
                 # FIFO by wake order: no draw, so the scheduler stream's
                 # sequence (and every platform without the flag) is
                 # untouched — goldens for existing worlds stay stable.
                 index = 0
             else:
-                index = pick_index("dispatch", [t.name for t in ready])
+                index = pick_index("dispatch", ready)
             thread = ready.pop(index)
             thread.state = ThreadState.RUNNING
             thread.core = core
@@ -255,12 +259,6 @@ class CpuScheduler:
             else:
                 self._step(thread)
 
-    def _find_free_core(self) -> int | None:
-        for index, occupant in enumerate(self._cores):
-            if occupant is None:
-                return index
-        return None
-
     def _release_core(self, thread: SimThread) -> None:
         if thread.core is not None:
             self._cores[thread.core] = None
@@ -270,7 +268,7 @@ class CpuScheduler:
     # -- stepping a thread ---------------------------------------------------
 
     def _step(self, thread: SimThread) -> None:
-        if thread.done:
+        if thread.state is _DONE:
             return
         if self._frozen:
             # The node is down: park the continuation (the thread keeps
@@ -425,9 +423,7 @@ class CpuScheduler:
         """Hand a free mutex to one randomly chosen waiter, if any."""
         if mutex.owner is not None or not mutex.waiters:
             return
-        index = self._decisions.pick_index(
-            "mutex", [t.name for t in mutex.waiters]
-        )
+        index = self._decisions.pick_index("mutex", mutex.waiters)
         waiter = mutex.waiters.pop(index)
         mutex.owner = waiter
         waiter.reacquire = None
@@ -482,16 +478,13 @@ class CpuScheduler:
             if global_deadline < self._sim.now:
                 global_deadline = self._sim.now
             thread.timeout_handle = self._sim.timer_at(
-                global_deadline,
-                lambda: self._wait_timeout(thread, condvar),
+                global_deadline, partial(self._wait_timeout, thread, condvar)
             )
 
     def _notify_one(self, condvar: CondVar) -> None:
         if not condvar.waiters:
             return
-        index = self._decisions.pick_index(
-            "notify", [t.name for t in condvar.waiters]
-        )
+        index = self._decisions.pick_index("notify", condvar.waiters)
         waiter = condvar.waiters.pop(index)
         self._resume_condvar_waiter(waiter, WaitResult.NOTIFIED)
 

@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import heapq
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from repro.sim.core import PRIORITY_EARLY, PRIORITY_LATE
 
 
 class TestScheduling:
@@ -75,6 +78,194 @@ class TestRunUntil:
         sim.at(50, lambda: fired.append(1))
         sim.run(until=50)
         assert fired == [1]
+
+
+def _edge_queue(reenter: bool = False):
+    """A queue with every shape ``run(until=)`` has to get right.
+
+    Every event that fires appends ``(now, label)`` to the log, so the
+    log length is the number of events fired.  With *reenter*, the
+    event at 90 also tries a nested ``run``.
+    """
+    sim = Simulator()
+    log = []
+
+    def mark(label):
+        return lambda: log.append((sim.now, label))
+
+    def fan():
+        # Zero-delay reposts while the time-30 bucket is dispatching.
+        log.append((sim.now, "fan"))
+        sim.post_after(0, mark("fan+0"))
+        sim.after(0, mark("fan+0 handle"))
+        sim.timer_at(sim.now, mark("fan+0 timer"))
+
+    def boundary():
+        # Fires at a slice boundary and reposts at and just past it.
+        log.append((sim.now, "boundary"))
+        sim.post_after(0, mark("boundary+0"))
+        sim.post_after(1, mark("boundary+1"))
+
+    def early_only():
+        # The only entry at 120 is early: its zero-delay repost makes a
+        # bucket after the time was popped.
+        log.append((sim.now, "early-only"))
+        sim.post_after(0, mark("early-only+0"))
+
+    doomed = sim.timer_at(60, mark("doomed"))
+    same_bucket = []
+
+    def cancel_doomed():
+        log.append((sim.now, "cancel doomed"))
+        doomed.cancel()
+
+    def cancel_same_bucket():
+        log.append((sim.now, "cancel same-bucket"))
+        same_bucket.pop().cancel()
+        # Re-arm at the cancelled timer's time: may reuse a pooled handle.
+        sim.timer_at(70, mark("rearmed"))
+
+    def nested():
+        log.append((sim.now, "nested"))
+        try:
+            sim.run(until=95)
+        except SimulationError:
+            log.append((sim.now, "nested run rejected"))
+
+    sim.post_at(20, cancel_doomed)
+    sim.post_at(30, fan)
+    sim.post_at(30, mark("fan sibling"))
+    sim.at(40, mark("late40"), priority=PRIORITY_LATE)
+    sim.post_at(40, mark("normal40"))
+    sim.at(40, mark("early40"), priority=PRIORITY_EARLY)
+    sim.at(50, mark("at-a"))
+    sim.post_at(50, boundary)
+    sim.post_at(70, cancel_same_bucket)
+    same_bucket.append(sim.timer_at(70, mark("cancelled in its bucket")))
+    sim.timer_at(80, mark("live timer"))
+    if reenter:
+        sim.post_at(90, nested)
+    sim.post_at(100, mark("at-b"))
+    sim.at(100, mark("late-b"), priority=PRIORITY_LATE)
+    sim.at(100, mark("early-b"), priority=PRIORITY_EARLY)
+    sim.at(120, early_only, priority=PRIORITY_EARLY)
+    sim.at(150, mark("past"))
+    return sim, log
+
+
+#: Slice boundaries: before, at and between the queue's event times.
+_BOUNDS = (0, 20, 29, 30, 40, 50, 51, 69, 70, 100, 120, 149, 150, 1000)
+
+
+def _observe(sim, log):
+    return list(log), sim.now, sim.events_processed, sim.pending_count()
+
+
+def _step_reference(until):
+    """Fire the events at or before *until* one ``step()`` at a time."""
+    sim, log = _edge_queue()
+    while sim.step():
+        if log[-1][0] > until:
+            # One step too far: replay one step fewer on a fresh queue.
+            count = len(log) - 1
+            sim, log = _edge_queue()
+            for _ in range(count):
+                assert sim.step()
+            break
+    log_, now, processed, pending = _observe(sim, log)
+    return log_, max(now, until), processed, pending
+
+
+class TestRunUntilSlices:
+    """``run(until=a); run(until=b)`` == ``run(until=b)`` == stepping."""
+
+    @pytest.mark.parametrize("b", _BOUNDS)
+    def test_one_run_matches_step_reference(self, b):
+        sim, log = _edge_queue()
+        sim.run(until=b)
+        assert _observe(sim, log) == _step_reference(b)
+
+    @pytest.mark.parametrize(
+        "a,b", [(a, b) for a in _BOUNDS for b in _BOUNDS if a <= b]
+    )
+    def test_two_slices_match_one_run(self, a, b):
+        sliced, sliced_log = _edge_queue()
+        sliced.run(until=a)
+        assert sliced.now == a
+        sliced.run(until=b)
+        assert _observe(sliced, sliced_log) == _step_reference(b)
+
+    def test_edges_fire_as_specified(self):
+        sim, log = _edge_queue()
+        sim.run(until=100)
+        labels = [label for _time, label in log]
+        # Priorities order a time; zero-delay reposts follow their bucket.
+        early = labels.index("early40")
+        assert labels[early : early + 3] == ["early40", "normal40", "late40"]
+        fan = labels.index("fan")
+        assert labels[fan : fan + 5] == [
+            "fan",
+            "fan sibling",
+            "fan+0",
+            "fan+0 handle",
+            "fan+0 timer",
+        ]
+        # Events exactly at until fire, repost-at-until included; the
+        # rest wait, and cancelled pooled timers never fire.
+        assert (100, "late-b") == log[-1]
+        assert "boundary+0" in labels and "boundary+1" in labels
+        assert "doomed" not in labels
+        assert "cancelled in its bucket" not in labels
+        assert "rearmed" in labels and "live timer" in labels
+        assert sim.now == 100
+        assert sim.pending_count() == 2  # early-only at 120, past at 150
+        sim.run()
+        assert [label for _t, label in log[-3:]] == [
+            "early-only", "early-only+0", "past",
+        ]
+
+    def test_stale_heap_time_past_until(self):
+        sim = Simulator()
+        fired = []
+        sim.post_at(10, lambda: fired.append(sim.now))
+        sim.run()
+        # A heap time whose events have already run (the off-priority
+        # path leaves these behind) lying past the slice.
+        heapq.heappush(sim._times, 500)
+        sim.post_at(600, lambda: fired.append(sim.now))
+        sim.run(until=400)
+        assert (sim.now, sim.events_processed, sim.pending_count()) == (400, 1, 1)
+        sim.run(until=550)
+        assert (sim.now, fired) == (550, [10])
+        sim.run(until=600)
+        assert fired == [10, 600]
+        assert sim.step() is False
+
+    def test_early_entry_scheduling_late_at_its_own_time_fires(self):
+        sim = Simulator()
+        fired = []
+        sim.at(
+            10,
+            lambda: sim.at(10, lambda: fired.append("late"), PRIORITY_LATE),
+            PRIORITY_EARLY,
+        )
+        sim.post_at(10, lambda: fired.append("normal"))
+        sim.run(until=10)
+        assert fired == ["normal", "late"]
+        assert sim.pending_count() == 0
+
+    def test_reentrant_run_rejected_mid_slice(self):
+        sliced, sliced_log = _edge_queue(reenter=True)
+        sliced.run(until=90)
+        sliced.run(until=200)
+        single, single_log = _edge_queue(reenter=True)
+        single.run(until=200)
+        assert _observe(sliced, sliced_log) == _observe(single, single_log)
+        assert (90, "nested run rejected") in single_log
+        # The rejected nested call left the kernel runnable.
+        single.post_after(5, lambda: single_log.append((single.now, "after")))
+        single.run()
+        assert single_log[-1] == (205, "after")
 
 
 class TestCancellation:

@@ -1,6 +1,26 @@
-"""Unit tests for hierarchical RNG streams."""
+"""Unit tests for hierarchical RNG streams and draw-identical decisions."""
 
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from repro.apps.brake.scenario import StageTiming
 from repro.sim import RngTree
+from tests.draw_equivalence import (
+    OPS,
+    check_draws,
+    check_empty_ranges,
+    main as check_all_edges,
+)
+
+#: Range sizes: anything up to 2**70, weighted towards the rejection
+#: loop's edges (1, powers of two and their neighbours).
+sizes = st.one_of(
+    st.integers(min_value=1, max_value=2**70),
+    st.integers(min_value=0, max_value=70).flatmap(
+        lambda k: st.sampled_from([max(1, 2**k - 1), 2**k, 2**k + 1])
+    ),
+)
 
 
 class TestStreams:
@@ -49,3 +69,33 @@ class TestChildTrees:
 
     def test_repr_contains_seed(self):
         assert "seed=9" in repr(RngTree(9))
+
+
+class TestDrawEquivalence:
+    """``randbelow`` and the decision source draw exactly like randrange."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        ops=st.lists(st.tuples(st.sampled_from(OPS), sizes), max_size=40),
+    )
+    def test_interleaved_draws_match_random(self, seed, ops):
+        check_draws(seed, ops)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        low=st.integers(min_value=0, max_value=2**40),
+        width=sizes,
+    )
+    def test_stage_timing_draws_like_randint(self, seed, low, width):
+        reference = random.Random(seed)
+        helper = random.Random(seed)
+        timing = StageTiming(low, low + width - 1)
+        assert timing.sample(helper) == reference.randint(low, low + width - 1)
+        assert helper.getstate() == reference.getstate()
+
+    def test_edge_sizes_in_every_operation(self):
+        assert check_all_edges(seeds=20, length=40) == 0
+
+    def test_empty_ranges_raise_without_drawing(self):
+        check_empty_ranges()
