@@ -47,16 +47,15 @@ class Method:
         object.__setattr__(
             self, "response_spec", Struct(list(self.returns), f"{self.name}.res")
         )
-
-    @property
-    def argument_names(self) -> list[str]:
-        """The declared argument names, in wire order."""
-        return [name for name, _ in self.arguments]
-
-    @property
-    def return_names(self) -> list[str]:
-        """The declared result field names, in wire order."""
-        return [name for name, _ in self.returns]
+        # Argument and result field names in wire order, their key sets
+        # and the error label, for wrap_payload/unwrap_payload.
+        argument_names = [name for name, _ in self.arguments]
+        return_names = [name for name, _ in self.returns]
+        object.__setattr__(self, "argument_names", argument_names)
+        object.__setattr__(self, "argument_keys", frozenset(argument_names))
+        object.__setattr__(self, "return_names", return_names)
+        object.__setattr__(self, "return_keys", frozenset(return_names))
+        object.__setattr__(self, "label", f"method {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,12 @@ class Event:
         object.__setattr__(
             self, "data_spec", Struct(list(self.data), f"{self.name}.data")
         )
+        # Data field names in wire order, their key set and the error
+        # label, for wrap_payload/unwrap_payload.
+        data_names = [name for name, _ in self.data]
+        object.__setattr__(self, "data_names", data_names)
+        object.__setattr__(self, "data_keys", frozenset(data_names))
+        object.__setattr__(self, "label", f"event {self.name!r}")
 
 
 @dataclass(frozen=True)

@@ -37,13 +37,18 @@ def unwrap_payload(names: list[str], data: dict) -> Any:
     return data
 
 
-def wrap_payload(names: list[str], value: Any, what: str) -> dict:
-    """Inverse of :func:`unwrap_payload`, with validation."""
+def wrap_payload(names: list[str], keys: frozenset[str], value: Any, what: str) -> dict:
+    """Inverse of :func:`unwrap_payload`, with validation.
+
+    *keys* is ``frozenset(names)`` and *what* the error label, both
+    precomputed on the spec (``Event.data_keys``/``Event.label``,
+    ``Method.argument_keys``/``Method.return_keys``/``Method.label``).
+    """
     if not names:
         if value is not None:
             raise AraError(f"{what} takes no data, got {value!r}")
         return {}
-    if isinstance(value, dict) and set(value) == set(names):
+    if isinstance(value, dict) and value.keys() == keys:
         return value
     if len(names) == 1:
         return {names[0]: value}
@@ -198,7 +203,7 @@ class ServiceProxy:
         and must not block — this is what DEAR transactors use.
         """
         event = self.interface.event(event_name)
-        names = [name for name, _ in event.data]
+        names = event.data_names
         process = self.process
 
         def on_notification(payload: bytes, _tag: Tag | None) -> None:

@@ -155,7 +155,6 @@ class ServiceSkeleton:
     ) -> int:
         """Publish an event to all subscribers; returns the receiver count."""
         event = self.interface.event(event_name)
-        names = [name for name, _ in event.data]
         o = obs_context.ACTIVE
         flows = o.flows if o.enabled else None
         swapped = False
@@ -177,7 +176,7 @@ class ServiceSkeleton:
                 )
         try:
             payload = event.data_spec.to_bytes(
-                wrap_payload(names, data, f"event {event_name!r}")
+                wrap_payload(event.data_names, event.data_keys, data, event.label)
             )
             return self.endpoint.send_event(
                 self.interface.service_id,
@@ -244,7 +243,9 @@ class ServiceSkeleton:
                 request.reply_error(ReturnCode.E_NOT_OK)
                 return
             payload = method.response_spec.to_bytes(
-                wrap_payload(method.return_names, result, f"method {method.name!r}")
+                wrap_payload(
+                    method.return_names, method.return_keys, result, method.label
+                )
             )
             request.reply(payload)
 

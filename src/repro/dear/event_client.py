@@ -36,7 +36,6 @@ class ClientEventTransactor(Transactor):
         #: Event data appears here, in tag order.
         self.out = self.output("out")
         self._arrival_action = self.physical_action("event_arrival")
-        self._data_names = [name for name, _ in self.event.data]
         self.received = 0
         proxy.subscribe_raw(event_name, self._on_notification)
         self.reaction(
@@ -53,7 +52,7 @@ class ClientEventTransactor(Transactor):
         if tag is None:
             tag = bypass_tag
         self.received += 1
-        value = unwrap_payload(self._data_names, data)
+        value = unwrap_payload(self.event.data_names, data)
         self._deliver(self._arrival_action, value, tag)
 
     def _deliver_event(self, ctx) -> None:

@@ -76,8 +76,9 @@ class ClientMethodTransactor(Transactor):
         tag_out = self._outgoing_tag(ctx, late)
         arguments = wrap_payload(
             self.method.argument_names,
+            self.method.argument_keys,
             self.request.get(),
-            f"method {self.method.name!r}",
+            self.method.label,
         )
         # Step (2): tag into the bypass; steps (3)-(5): the proxy call,
         # during which the modified binding collects and attaches the tag.

@@ -161,7 +161,10 @@ class ServerMethodTransactor(Transactor):
         tag_out = self._outgoing_tag(ctx, late)
         payload = self.method.response_spec.to_bytes(
             wrap_payload(
-                self.method.return_names, result, f"method {self.method.name!r}"
+                self.method.return_names,
+                self.method.return_keys,
+                result,
+                self.method.label,
             )
         )
         # Steps (13)-(17): tag via the bypass path (reply carries it

@@ -69,15 +69,9 @@ class Socket:
         socket that never blocks.
         """
         self.sent += 1
-        self._interface.transmit(
-            Frame(
-                src_host=self.host,
-                src_port=self.port,
-                dst_host=dst_host,
-                dst_port=dst_port,
-                payload=payload,
-                size_bytes=size_bytes,
-            )
+        interface = self._interface
+        interface.transmit(
+            Frame(interface.host, self.port, dst_host, dst_port, payload, size_bytes)
         )
 
     def _deliver(self, frame: Frame) -> None:

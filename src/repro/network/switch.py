@@ -36,9 +36,16 @@ if TYPE_CHECKING:
     from repro.network.stack import NetworkInterface
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class Frame:
-    """One datagram in flight."""
+    """One datagram in flight.
+
+    Not frozen, so construction costs no per-field ``object.__setattr__``;
+    nothing mutates a frame after :meth:`Socket.send` builds it (a
+    corruption fault makes a new one with ``dataclasses.replace``).
+    Equality and hashing are by identity, as the flow registry keys
+    in-flight frames by ``id()``.
+    """
 
     src_host: str
     src_port: int

@@ -31,9 +31,9 @@ registry correlates observation-side:
   without touching the frame.  The current flow never survives a sim
   yield point.
 * **frame identity** — across the switch's scheduled delivery the flow
-  rides an ``id(frame)`` map (frames are frozen and uniquely alive for
-  the duration of the hop; duplicate faults deliver the *same* object
-  twice, so entries carry a refcount).
+  rides an ``id(frame)`` map (frames are never mutated and uniquely
+  alive for the duration of the hop; duplicate faults deliver the *same*
+  object twice, so entries carry a refcount).
 * **event identity** — across the reactor scheduler's event queue the
   flow rides an ``id(value)`` map bound at ``schedule_physical`` /
   ``schedule_at_tag`` and resolved at ``_begin_tag``.

@@ -31,11 +31,17 @@ from repro.network.switch import Frame
 from repro.sim.platform import Platform
 from repro.someip.sd import SdDaemon, ServiceEntry
 from repro.someip.tagging import TimestampBypass, attach_tag, extract_tag
-from repro.someip.wire import MessageType, ReturnCode, SomeIpHeader, SomeIpMessage
+from repro.someip.wire import MessageType, ReturnCode, SomeIpHeader, pack, parse
 from repro.time.tag import Tag
 
 #: Event/notification method ids have the most significant bit set.
 EVENT_ID_FLAG = 0x8000
+
+#: Members the per-message paths compare and pack, bound once.
+_NOTIFICATION = MessageType.NOTIFICATION
+_RESPONSE = MessageType.RESPONSE
+_ERROR = MessageType.ERROR
+_E_OK = ReturnCode.E_OK
 
 
 @dataclass(slots=True)
@@ -62,32 +68,36 @@ class IncomingRequest:
         if self.replied:
             raise SomeIpError("request already replied to")
         self.replied = True
-        header = SomeIpHeader(
-            service_id=self.header.service_id,
-            method_id=self.header.method_id,
-            client_id=self.header.client_id,
-            session_id=self.header.session_id,
-            interface_version=self.header.interface_version,
-            message_type=MessageType.RESPONSE,
-            return_code=ReturnCode.E_OK,
-        )
-        self.endpoint._transmit(self.src_host, self.src_port, header, payload, tag)
+        self._send_back(MessageType.RESPONSE, ReturnCode.E_OK, payload, tag)
 
     def reply_error(self, return_code: ReturnCode) -> None:
         """Send an ERROR message back to the caller."""
         if self.fire_and_forget or self.replied:
             return
         self.replied = True
-        header = SomeIpHeader(
-            service_id=self.header.service_id,
-            method_id=self.header.method_id,
-            client_id=self.header.client_id,
-            session_id=self.header.session_id,
-            interface_version=self.header.interface_version,
-            message_type=MessageType.ERROR,
-            return_code=return_code,
+        self._send_back(MessageType.ERROR, return_code, b"", None)
+
+    def _send_back(
+        self,
+        message_type: MessageType,
+        return_code: ReturnCode,
+        payload: bytes,
+        tag: Tag | None,
+    ) -> None:
+        header = self.header
+        self.endpoint._transmit(
+            self.src_host,
+            self.src_port,
+            header.service_id,
+            header.method_id,
+            header.client_id,
+            header.session_id,
+            header.interface_version,
+            message_type,
+            return_code,
+            payload,
+            tag,
         )
-        self.endpoint._transmit(self.src_host, self.src_port, header, b"", None)
 
 
 @dataclass(slots=True)
@@ -193,16 +203,21 @@ class SomeIpEndpoint:
         registration = self._services.get(service_id)
         major = registration.major_version if registration else 1
         subscribers = self.sd.subscribers(service_id, instance_id, event_id)
-        header = SomeIpHeader(
-            service_id=service_id,
-            method_id=event_id,
-            client_id=0,
-            session_id=self._next_session(),
-            interface_version=major,
-            message_type=MessageType.NOTIFICATION,
-        )
+        session = self._next_session()
         for host, port in subscribers:
-            self._transmit(host, port, header, payload, tag)
+            self._transmit(
+                host,
+                port,
+                service_id,
+                event_id,
+                0,
+                session,
+                major,
+                _NOTIFICATION,
+                _E_OK,
+                payload,
+                tag,
+            )
         return len(subscribers)
 
     # -- client API ---------------------------------------------------------------
@@ -227,14 +242,6 @@ class SomeIpEndpoint:
         message_type = (
             MessageType.REQUEST_NO_RETURN if fire_and_forget else MessageType.REQUEST
         )
-        header = SomeIpHeader(
-            service_id=entry.service_id,
-            method_id=method_id,
-            client_id=self.client_id,
-            session_id=session,
-            interface_version=entry.major_version,
-            message_type=message_type,
-        )
         if not fire_and_forget:
             pending = _PendingRequest(completion)
             if timeout_ns is not None:
@@ -242,7 +249,19 @@ class SomeIpEndpoint:
                     timeout_ns, lambda: self._on_timeout(session)
                 )
             self._pending[session] = pending
-        self._transmit(entry.host, entry.port, header, payload, tag)
+        self._transmit(
+            entry.host,
+            entry.port,
+            entry.service_id,
+            method_id,
+            self.client_id,
+            session,
+            entry.major_version,
+            message_type,
+            ReturnCode.E_OK,
+            payload,
+            tag,
+        )
         if fire_and_forget:
             completion(ReturnCode.E_OK, b"", None)
 
@@ -268,7 +287,13 @@ class SomeIpEndpoint:
         self,
         host: str,
         port: int,
-        header: SomeIpHeader,
+        service_id: int,
+        method_id: int,
+        client_id: int,
+        session_id: int,
+        interface_version: int,
+        message_type: MessageType,
+        return_code: ReturnCode,
         payload: bytes,
         tag: Tag | None,
     ) -> None:
@@ -276,16 +301,28 @@ class SomeIpEndpoint:
 
         A tag-aware endpoint first consults the explicit *tag* argument
         (used by internal replies) and otherwise collects from the TX
-        bypass, then appends the tag trailer to the payload.
+        bypass, then appends the tag trailer to the payload (or, with
+        the native transport, sends it as the version-2 tag field).
         """
         if self.tag_aware and tag is None:
             tag = self.tx_bypass.collect()
         if tag is not None and self.tag_transport == "native":
-            data = SomeIpMessage(header, payload, tag).pack()
+            native_tag = tag
         else:
+            native_tag = None
             if tag is not None:
                 payload = attach_tag(payload, tag)
-            data = header.pack(len(payload)) + payload
+        data = pack(
+            service_id,
+            method_id,
+            client_id,
+            session_id,
+            interface_version,
+            message_type,
+            return_code,
+            payload,
+            native_tag,
+        )
         o = obs_context.ACTIVE
         if o.enabled:
             o.metrics.counter("someip.tx_messages").inc()
@@ -296,7 +333,18 @@ class SomeIpEndpoint:
     def _on_frame(self, frame: Frame) -> None:
         o = obs_context.ACTIVE
         try:
-            message = SomeIpMessage.unpack(frame.payload)
+            (
+                service_id,
+                method_id,
+                client_id,
+                session_id,
+                interface_version,
+                message_type,
+                return_code,
+                protocol_version,
+                payload,
+                native_tag,
+            ) = parse(frame.payload)
         except Exception:
             self.malformed_count += 1
             if o.enabled:
@@ -321,21 +369,39 @@ class SomeIpEndpoint:
                     f"rx {self.name}",
                     self.platform.sim.now,
                 )
-        payload, tag = extract_tag(message.payload)
-        if message.native_tag is not None:
-            tag = message.native_tag
+        payload, tag = extract_tag(payload)
+        if native_tag is not None:
+            tag = native_tag
         if self.tag_aware and tag is not None:
             # Figure 3 steps (7)/(18): the binding deposits the received
             # tag into the bypass before invoking the upper layer, which
             # collects it synchronously.
             self.rx_bypass.deposit(tag)
-        header = message.header
-        if header.message_type in (MessageType.REQUEST, MessageType.REQUEST_NO_RETURN):
+        if message_type is _NOTIFICATION:
+            handler = self._event_handlers.get((service_id, method_id))
+            if handler is not None:
+                handler(payload, tag)
+        elif message_type is _RESPONSE or message_type is _ERROR:
+            if client_id != self.client_id:
+                return
+            pending = self._pending.pop(session_id, None)
+            if pending is None:
+                return
+            if pending.timeout_handle is not None:
+                pending.timeout_handle.cancel()
+            pending.completion(return_code, payload, tag)
+        else:  # REQUEST or REQUEST_NO_RETURN: parse admits no other type
+            header = SomeIpHeader(
+                service_id,
+                method_id,
+                client_id,
+                session_id,
+                interface_version,
+                message_type,
+                return_code,
+                protocol_version,
+            )
             self._dispatch_request(header, payload, tag, frame)
-        elif header.message_type in (MessageType.RESPONSE, MessageType.ERROR):
-            self._dispatch_response(header, payload, tag)
-        elif header.message_type is MessageType.NOTIFICATION:
-            self._dispatch_notification(header, payload, tag)
 
     def _dispatch_request(
         self, header: SomeIpHeader, payload: bytes, tag: Tag | None, frame: Frame
@@ -356,25 +422,6 @@ class SomeIpEndpoint:
             request.reply_error(ReturnCode.E_WRONG_INTERFACE_VERSION)
             return
         registration.handler(request)
-
-    def _dispatch_response(
-        self, header: SomeIpHeader, payload: bytes, tag: Tag | None
-    ) -> None:
-        if header.client_id != self.client_id:
-            return
-        pending = self._pending.pop(header.session_id, None)
-        if pending is None:
-            return
-        if pending.timeout_handle is not None:
-            pending.timeout_handle.cancel()
-        pending.completion(header.return_code, payload, tag)
-
-    def _dispatch_notification(
-        self, header: SomeIpHeader, payload: bytes, tag: Tag | None
-    ) -> None:
-        handler = self._event_handlers.get((header.service_id, header.method_id))
-        if handler is not None:
-            handler(payload, tag)
 
     def _on_timeout(self, session: int) -> None:
         pending = self._pending.pop(session, None)

@@ -24,7 +24,7 @@ from repro.obs import context as obs_context
 from repro.sim.platform import Platform
 from repro.sim.process import Sleep
 from repro.someip.serialization import Array, STRING, Struct, UINT8, UINT16, UINT32
-from repro.someip.wire import MessageType, SomeIpHeader, SomeIpMessage
+from repro.someip.wire import MessageType, ReturnCode, pack, parse
 from repro.time.duration import MS, SEC
 
 #: SOME/IP-SD well-known service id and method id.
@@ -148,13 +148,22 @@ class SdDaemon:
         self, service_id: int, instance_id: int, eventgroup_id: int
     ) -> list[tuple[str, int]]:
         """Current live subscribers of an event group."""
+        table = self._subscribers.get((service_id, instance_id, eventgroup_id))
+        if not table:
+            return []
         now = self.platform.sim.now
-        table = self._subscribers.get((service_id, instance_id, eventgroup_id), {})
-        live = [ep for ep, expiry in table.items() if expiry > now]
-        for endpoint in list(table):
-            if table[endpoint] <= now:
-                del table[endpoint]
-        return sorted(live)
+        live = []
+        expired = []
+        for endpoint, expiry in table.items():
+            if expiry > now:
+                live.append(endpoint)
+            else:
+                expired.append(endpoint)
+        for endpoint in expired:
+            del table[endpoint]
+        if len(live) > 1:
+            live.sort()
+        return live
 
     # -- client side ---------------------------------------------------------
 
@@ -268,14 +277,16 @@ class SdDaemon:
 
     def _send_entries(self, host: str, entries: list[dict]) -> None:
         payload = _SD_PAYLOAD_SPEC.to_bytes({"entries": entries})
-        header = SomeIpHeader(
+        data = pack(
             service_id=SD_SERVICE_ID,
             method_id=SD_METHOD_ID,
             client_id=0,
             session_id=self._next_session(),
+            interface_version=1,
             message_type=MessageType.NOTIFICATION,
+            return_code=ReturnCode.E_OK,
+            payload=payload,
         )
-        data = SomeIpMessage(header, payload).pack()
         self._socket.send(host, self.config.port, data, len(data))
 
     def _offer_dict(self, entry: ServiceEntry, ttl_ms: int) -> dict:
@@ -345,10 +356,10 @@ class SdDaemon:
     # -- receive path (kernel context) ----------------------------------------------
 
     def _on_frame(self, frame: Frame) -> None:
-        message = SomeIpMessage.unpack(frame.payload)
-        if message.header.service_id != SD_SERVICE_ID:
+        service_id, _, _, _, _, _, _, _, payload, _ = parse(frame.payload)
+        if service_id != SD_SERVICE_ID:
             return
-        payload = _SD_PAYLOAD_SPEC.from_bytes(message.payload)
+        payload = _SD_PAYLOAD_SPEC.from_bytes(payload)
         for entry in payload["entries"]:
             self._handle_entry(entry)
 

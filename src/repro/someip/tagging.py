@@ -8,16 +8,20 @@ transactor and the binding through which the tag travels around the
 standard proxy/skeleton API (steps (2)/(5) and (7)/(10) etc. of the
 paper's Figure 3).
 
-The wire form is a 16-byte trailer after the regular payload::
+The wire form is a 20-byte trailer (:data:`TRAILER_SIZE`) after the
+regular payload::
 
-    magic   8 bytes  b"DEARtag:"
-    time    8 bytes  signed big-endian nanoseconds
-    microstep 4 bytes unsigned big-endian        (total 20 bytes)
+    magic     8 bytes  b"DEARtag:"
+    time      8 bytes  signed big-endian nanoseconds
+    microstep 4 bytes  unsigned big-endian
 
-A tag-aware endpoint checks for the trailer; a stock endpoint simply
-sees a slightly longer payload, which is why the extension "is not in
-violation of the standard" — it behaves like a third-party middleware
-layered over SOME/IP.
+On the wire the trailer is only extra payload bytes, so a SOME/IP stack
+without the extension sees a slightly longer payload, which is why the
+extension "is not in violation of the standard" — it behaves like a
+third-party middleware layered over SOME/IP.  This binding's endpoints
+all look for it: every endpoint strips a valid trailer and passes the
+tag to the handler, and a tag-aware endpoint also deposits the tag in
+its RX bypass.
 """
 
 from __future__ import annotations

@@ -69,7 +69,7 @@ class ReturnCode(enum.IntEnum):
     E_WRONG_MESSAGE_TYPE = 0x0A
 
 
-#: Wire value -> member, for :meth:`SomeIpMessage.unpack`.
+#: Wire value -> member, for :func:`parse`.
 _MESSAGE_TYPES = {member.value: member for member in MessageType}
 _RETURN_CODES = {member.value: member for member in ReturnCode}
 
@@ -86,20 +86,6 @@ class SomeIpHeader:
     message_type: MessageType = MessageType.REQUEST
     return_code: ReturnCode = ReturnCode.E_OK
     protocol_version: int = PROTOCOL_VERSION
-
-    def pack(self, payload_length: int) -> bytes:
-        """Pack the header; *payload_length* sizes the Length field."""
-        return _HEADER.pack(
-            self.service_id,
-            self.method_id,
-            payload_length + LENGTH_OVERHEAD,
-            self.client_id,
-            self.session_id,
-            self.protocol_version,
-            self.interface_version,
-            int(self.message_type),
-            int(self.return_code),
-        )
 
     @property
     def message_id(self) -> int:
@@ -128,24 +114,22 @@ class SomeIpMessage:
     native_tag: Tag | None = None
 
     def pack(self) -> bytes:
-        """Serialize to wire bytes."""
-        if self.native_tag is None:
-            return self.header.pack(len(self.payload)) + self.payload
-        versioned = SomeIpHeader(
-            service_id=self.header.service_id,
-            method_id=self.header.method_id,
-            client_id=self.header.client_id,
-            session_id=self.header.session_id,
-            interface_version=self.header.interface_version,
-            message_type=self.header.message_type,
-            return_code=self.header.return_code,
-            protocol_version=PROTOCOL_VERSION_TAGGED,
-        )
-        tag_field = _NATIVE_TAG.pack(self.native_tag.time, self.native_tag.microstep)
-        return (
-            versioned.pack(len(self.payload) + NATIVE_TAG_SIZE)
-            + tag_field
-            + self.payload
+        """Serialize to wire bytes (see :func:`pack`).
+
+        The protocol version follows *native_tag*, not
+        ``header.protocol_version``.
+        """
+        header = self.header
+        return pack(
+            header.service_id,
+            header.method_id,
+            header.client_id,
+            header.session_id,
+            header.interface_version,
+            header.message_type,
+            header.return_code,
+            self.payload,
+            self.native_tag,
         )
 
     @property
@@ -156,60 +140,113 @@ class SomeIpMessage:
 
     @staticmethod
     def unpack(data: bytes) -> "SomeIpMessage":
-        """Parse wire bytes back into a message.
+        """Parse wire bytes back into a message (see :func:`parse`)."""
+        *fields, payload, native_tag = parse(data)
+        return SomeIpMessage(SomeIpHeader(*fields), payload, native_tag)
 
-        Raises :class:`MalformedMessageError` on truncation, a length
-        mismatch or an unsupported protocol version — the checks a
-        conforming endpoint performs before dispatching.
-        """
-        if len(data) < HEADER_SIZE:
-            raise MalformedMessageError(
-                f"message truncated: {len(data)} bytes < header size"
-            )
-        (
+
+def pack(
+    service_id: int,
+    method_id: int,
+    client_id: int,
+    session_id: int,
+    interface_version: int,
+    message_type: int,
+    return_code: int,
+    payload: bytes,
+    native_tag: Tag | None = None,
+) -> bytes:
+    """Pack one message from plain header fields.
+
+    Without *native_tag* this is a protocol-version-1 message; with it,
+    the version-2 form carrying the tag field between header and
+    payload.  Builds no :class:`SomeIpHeader`.
+    """
+    if native_tag is None:
+        version, extra, prefix = PROTOCOL_VERSION, LENGTH_OVERHEAD, b""
+    else:
+        version = PROTOCOL_VERSION_TAGGED
+        extra = NATIVE_TAG_SIZE + LENGTH_OVERHEAD
+        prefix = _NATIVE_TAG.pack(native_tag.time, native_tag.microstep)
+    return (
+        _HEADER.pack(
             service_id,
             method_id,
-            length,
+            len(payload) + extra,
             client_id,
             session_id,
-            protocol_version,
+            version,
             interface_version,
-            message_type_raw,
-            return_code_raw,
-        ) = _HEADER.unpack_from(data)
-        expected = length - LENGTH_OVERHEAD
-        payload = data[HEADER_SIZE:]
-        if expected != len(payload):
-            raise MalformedMessageError(
-                f"length field says {expected} payload bytes, got {len(payload)}"
-            )
-        native_tag = None
-        if protocol_version == PROTOCOL_VERSION_TAGGED:
-            if len(payload) < NATIVE_TAG_SIZE:
-                raise MalformedMessageError("version-2 message lacks its tag field")
-            time, microstep = _NATIVE_TAG.unpack_from(payload)
-            native_tag = Tag(time, microstep)
-            payload = payload[NATIVE_TAG_SIZE:]
-        elif protocol_version != PROTOCOL_VERSION:
-            raise MalformedMessageError(
-                f"unsupported protocol version 0x{protocol_version:02x}"
-            )
-        message_type = _MESSAGE_TYPES.get(message_type_raw)
-        if message_type is None:
-            raise MalformedMessageError(
-                f"unknown message type 0x{message_type_raw:02x}"
-            )
-        return_code = _RETURN_CODES.get(return_code_raw)
-        if return_code is None:
-            raise MalformedMessageError(f"unknown return code 0x{return_code_raw:02x}")
-        header = SomeIpHeader(
-            service_id=service_id,
-            method_id=method_id,
-            client_id=client_id,
-            session_id=session_id,
-            interface_version=interface_version,
-            message_type=message_type,
-            return_code=return_code,
-            protocol_version=protocol_version,
+            message_type,
+            return_code,
         )
-        return SomeIpMessage(header, bytes(payload), native_tag)
+        + prefix
+        + payload
+    )
+
+
+def parse(data: bytes) -> tuple:
+    """Parse wire bytes into plain fields, building no header object.
+
+    Returns ``(service_id, method_id, client_id, session_id,
+    interface_version, message_type, return_code, protocol_version,
+    payload, native_tag)``: the first eight items are
+    :class:`SomeIpHeader`'s fields in declaration order, *message_type*
+    and *return_code* are enum members, and *native_tag* is ``None``
+    unless the message is version 2.
+
+    Raises :class:`MalformedMessageError` on truncation, a length
+    mismatch, an unsupported protocol version, a version-2 message
+    without its tag field, or an unknown message type or return code —
+    the checks a conforming endpoint performs before dispatching.
+    """
+    size = len(data)
+    if size < HEADER_SIZE:
+        raise MalformedMessageError(f"message truncated: {size} bytes < header size")
+    (
+        service_id,
+        method_id,
+        length,
+        client_id,
+        session_id,
+        protocol_version,
+        interface_version,
+        message_type_raw,
+        return_code_raw,
+    ) = _HEADER.unpack_from(data)
+    expected = length - LENGTH_OVERHEAD
+    if expected != size - HEADER_SIZE:
+        raise MalformedMessageError(
+            f"length field says {expected} payload bytes, got {size - HEADER_SIZE}"
+        )
+    if protocol_version == PROTOCOL_VERSION:
+        native_tag = None
+        payload = data[HEADER_SIZE:]
+    elif protocol_version == PROTOCOL_VERSION_TAGGED:
+        if expected < NATIVE_TAG_SIZE:
+            raise MalformedMessageError("version-2 message lacks its tag field")
+        time, microstep = _NATIVE_TAG.unpack_from(data, HEADER_SIZE)
+        native_tag = Tag(time, microstep)
+        payload = data[HEADER_SIZE + NATIVE_TAG_SIZE :]
+    else:
+        raise MalformedMessageError(
+            f"unsupported protocol version 0x{protocol_version:02x}"
+        )
+    message_type = _MESSAGE_TYPES.get(message_type_raw)
+    if message_type is None:
+        raise MalformedMessageError(f"unknown message type 0x{message_type_raw:02x}")
+    return_code = _RETURN_CODES.get(return_code_raw)
+    if return_code is None:
+        raise MalformedMessageError(f"unknown return code 0x{return_code_raw:02x}")
+    return (
+        service_id,
+        method_id,
+        client_id,
+        session_id,
+        interface_version,
+        message_type,
+        return_code,
+        protocol_version,
+        bytes(payload),
+        native_tag,
+    )

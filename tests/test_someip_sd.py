@@ -174,3 +174,23 @@ class TestSubscriptions:
             ("b", 41000),
             ("c", 42000),
         ]
+
+    def test_expired_subscribers_dropped_live_ones_sorted(self):
+        world, daemons = make_world()
+        sd = daemons["a"]
+        world.run_for(10 * MS)
+        now = world.sim.now
+        key = (0x1234, 1, 0x8001)
+        sd._subscribers[key] = {
+            ("c", 2): now + SEC,
+            ("b", 9): now,
+            ("a", 5): now + SEC,
+            ("b", 1): now - 1,
+        }
+        assert sd.subscribers(*key) == [("a", 5), ("c", 2)]
+        assert sd._subscribers[key] == {("c", 2): now + SEC, ("a", 5): now + SEC}
+        sd._subscribers[key] = {("b", 1): now}
+        assert sd.subscribers(*key) == []
+        assert sd._subscribers[key] == {}
+        assert sd.subscribers(0x1234, 1, 0x8002) == []
+        assert (0x1234, 1, 0x8002) not in sd._subscribers
