@@ -36,6 +36,7 @@ def _register_brake() -> None:
                 "nondet": "repro.apps.brake.nondet:run_nondet_brake_assistant",
             },
             scenario_type=BrakeScenario,
+            recipe="repro.apps.brake.nondet:brake_recipe",
             library=False,
         )
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.ara import AraProcess
+from repro.apps import registry
 from repro.apps.brake.data import (
     FRAME_SPEC,
     frame_from_wire,
@@ -44,7 +45,6 @@ from repro.apps.brake.nondet import (
     FUSION_ECU,
     FUSION2_ECU,
     PREPROCESSING_SERVICE,
-    build_brake_world,
     start_camera,
 )
 from repro.apps.brake.scenario import BrakeScenario
@@ -191,14 +191,9 @@ def run_det_brake_assistant(
 ) -> BrakeRunResult:
     """Run the DEAR brake assistant once; returns measurements."""
     scenario = scenario or BrakeScenario()
-    world = build_brake_world(
-        scenario,
-        seed,
-        switch_config=switch_config,
-        fault_plan=fault_plan,
-        fault_replay=fault_replay,
-        fault_universe=fault_universe,
-        fault_checkpointer=fault_checkpointer,
+    world = registry.get("brake").build_world(
+        seed, scenario, switch_config, fault_plan,
+        fault_replay, fault_universe, fault_checkpointer,
     )
     fusion = world.platform(FUSION_ECU)
     # Distributed extension: the back half of the pipeline runs on a
@@ -332,8 +327,6 @@ def run_det_brake_assistant(
         },
         deadline_misses=sum(t.deadline_misses for t in transactors),
         stp_violations=sum(t.stp_violations for t in transactors),
-        fault_summary=(
-            None if world.fault_injector is None else world.fault_injector.summary()
-        ),
+        fault_summary=world.fault_summary,
     )
     return result

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.ara import AraProcess, Event, ServiceInterface, build_world
+from repro.ara import AraProcess, Event, ServiceInterface
+from repro.apps import registry
 from repro.apps.brake.data import (
     BRAKE_SPEC,
     FRAME_SPEC,
@@ -42,10 +43,12 @@ from repro.apps.brake.instrumentation import (
 from repro.apps.brake.logic import decide_brake, detect_vehicles, preprocess
 from repro.apps.brake.scenario import BrakeScenario
 from repro.apps.brake.vision import SceneGenerator
-from repro.network import CALM_LAN, NetworkInterface, SwitchConfig
+from repro.apps.lib.common import random_offset, spike
+from repro.network import NetworkInterface, SwitchConfig
 from repro.obs import context as obs_context
 from repro.sim import Compute, SleepUntil, World
 from repro.sim.platform import CALM, MINNOWBOARD, Platform, PlatformConfig
+from repro.time.clock import ClockModel
 
 #: Raw datagram port of the Video Adapter's proprietary camera input.
 ADAPTER_RAW_PORT = 15000
@@ -77,27 +80,13 @@ FUSION_ECU = "fusion-ecu"
 FUSION2_ECU = "fusion2-ecu"
 
 
-def build_brake_world(
-    scenario: BrakeScenario,
-    seed: int,
-    switch_config: SwitchConfig | None = None,
-    fault_plan=None,
-    fault_replay=None,
-    fault_universe=None,
-    fault_checkpointer=None,
-) -> World:
-    """The networked platforms matching (or extending) the paper's testbed.
+def brake_recipe(scenario: BrakeScenario):
+    """The world recipe: the paper's testbed (Figure 4), or its extension.
 
-    *switch_config* overrides the scenario-derived network (any
-    :class:`~repro.network.latency.LatencyModel` via
-    :class:`~repro.harness.config.ScenarioSpec`); *fault_plan* installs a
-    :class:`~repro.faults.FaultPlan` (optionally replaying a recorded
-    fault *fault_replay* trace) before any traffic flows.
+    A vision board (calm under ``deterministic_camera``) and a fusion
+    board on one switch; ``distributed`` adds a second processing board
+    whose clock runs ``processing_clock_skew_ns`` off.
     """
-    from repro.time.clock import ClockModel
-
-    if switch_config is None and scenario.deterministic_camera:
-        switch_config = CALM_LAN
     vision_config = CALM if scenario.deterministic_camera else MINNOWBOARD
     hosts = [(VISION_ECU, vision_config), (FUSION_ECU, MINNOWBOARD)]
     if scenario.distributed:
@@ -108,15 +97,7 @@ def build_brake_world(
             timer_jitter_ns=MINNOWBOARD.timer_jitter_ns,
         )
         hosts.append((FUSION2_ECU, skewed))
-    return build_world(
-        seed,
-        hosts,
-        switch_config,
-        fault_plan,
-        fault_replay,
-        fault_universe,
-        fault_checkpointer,
-    )
+    return hosts, None, None
 
 
 def start_camera(
@@ -159,25 +140,6 @@ def start_camera(
     return generator
 
 
-def _random_offset(world: World, name: str, period_ns: int) -> int:
-    return world.rng.stream(f"offset.{name}").randint(0, period_ns - 1)
-
-
-def _spike(world: World, name: str, scenario: BrakeScenario):
-    """Occasional extra latency of a periodic callback (OS hiccup).
-
-    Returns the number of nanoseconds this activation is late, drawn
-    from the scenario's spike model (usually 0).
-    """
-    rng = world.rng.stream(f"spike.{name}")
-    if (
-        scenario.callback_spike_probability > 0.0
-        and rng.random() < scenario.callback_spike_probability
-    ):
-        return rng.randint(0, scenario.callback_spike_max_ns)
-    return 0
-
-
 def run_nondet_brake_assistant(
     seed: int,
     scenario: BrakeScenario | None = None,
@@ -189,14 +151,9 @@ def run_nondet_brake_assistant(
 ) -> BrakeRunResult:
     """Run the stock brake assistant once; returns measurements."""
     scenario = scenario or BrakeScenario()
-    world = build_brake_world(
-        scenario,
-        seed,
-        switch_config=switch_config,
-        fault_plan=fault_plan,
-        fault_replay=fault_replay,
-        fault_universe=fault_universe,
-        fault_checkpointer=fault_checkpointer,
+    world = registry.get("brake").build_world(
+        seed, scenario, switch_config, fault_plan,
+        fault_replay, fault_universe, fault_checkpointer,
     )
     fusion: Platform = world.platform(FUSION_ECU)
     errors = ErrorCounters()
@@ -221,7 +178,7 @@ def run_nondet_brake_assistant(
     adapter_rng = world.rng.stream("exec.adapter")
 
     def adapter_body():
-        late = _spike(world, "adapter", scenario)
+        late = spike(world, "adapter", scenario)
         if late:
             yield Compute(late)
         frame = adapter_buffer.read()
@@ -232,7 +189,7 @@ def run_nondet_brake_assistant(
 
     fusion.periodic(
         "adapter", scenario.period_ns, adapter_body,
-        offset_ns=_random_offset(world, "adapter", scenario.period_ns),
+        offset_ns=random_offset(world, "adapter", scenario.period_ns),
         start_delay_ns=scenario.warmup_ns // 2,
     )
 
@@ -257,7 +214,7 @@ def run_nondet_brake_assistant(
     pre_process.spawn("setup", pre_setup())
 
     def pre_body():
-        late = _spike(world, "preprocessing", scenario)
+        late = spike(world, "preprocessing", scenario)
         if late:
             yield Compute(late)
         frame = pre_buffer.read()
@@ -270,7 +227,7 @@ def run_nondet_brake_assistant(
 
     fusion.periodic(
         "preprocessing", scenario.period_ns, pre_body,
-        offset_ns=_random_offset(world, "preprocessing", scenario.period_ns),
+        offset_ns=random_offset(world, "preprocessing", scenario.period_ns),
         start_delay_ns=scenario.warmup_ns // 2,
     )
 
@@ -299,7 +256,7 @@ def run_nondet_brake_assistant(
     cv_process.spawn("setup", cv_setup())
 
     def cv_body():
-        late = _spike(world, "computer-vision", scenario)
+        late = spike(world, "computer-vision", scenario)
         if late:
             yield Compute(late)
         frame = cv_frame_buffer.read()
@@ -318,7 +275,7 @@ def run_nondet_brake_assistant(
 
     fusion.periodic(
         "computer-vision", scenario.period_ns, cv_body,
-        offset_ns=_random_offset(world, "computer-vision", scenario.period_ns),
+        offset_ns=random_offset(world, "computer-vision", scenario.period_ns),
         start_delay_ns=scenario.warmup_ns // 2,
     )
 
@@ -338,7 +295,7 @@ def run_nondet_brake_assistant(
     eba_process.spawn("setup", eba_setup())
 
     def eba_body():
-        late = _spike(world, "eba", scenario)
+        late = spike(world, "eba", scenario)
         if late:
             yield Compute(late)
         vehicles = eba_buffer.read()
@@ -361,7 +318,7 @@ def run_nondet_brake_assistant(
 
     fusion.periodic(
         "eba", scenario.period_ns, eba_body,
-        offset_ns=_random_offset(world, "eba", scenario.period_ns),
+        offset_ns=random_offset(world, "eba", scenario.period_ns),
         start_delay_ns=scenario.warmup_ns // 2,
     )
 
@@ -379,7 +336,5 @@ def run_nondet_brake_assistant(
         errors=errors,
         commands=commands,
         latencies_ns=latencies,
-        fault_summary=(
-            None if world.fault_injector is None else world.fault_injector.summary()
-        ),
+        fault_summary=world.fault_summary,
     )

@@ -68,7 +68,7 @@ class CounterResult:
     seed: int
 
 
-def _build_world(
+def _counter_world(
     seed: int,
     platform_config: PlatformConfig,
     in_order: bool = True,
@@ -140,7 +140,7 @@ def run_variant(
       from another ECU, exposing source 2 (undefined processing order of
       messages from different clients) even with a serialized server.
     """
-    world = _build_world(seed, platform_config, in_order, two_clients)
+    world = _counter_world(seed, platform_config, in_order, two_clients)
     server_process = AraProcess(world.platform("server-ecu"), "server")
     _CounterServer(server_process, processing_mode)
     printed: list[int] = []
@@ -236,7 +236,7 @@ def run_det(
     config: TransactorConfig | None = None,
 ) -> CounterResult:
     """Run the DEAR (deterministic) counter application."""
-    world = _build_world(seed, platform_config)
+    world = _counter_world(seed, platform_config)
     if config is None:
         config = TransactorConfig(
             deadline_ns=5 * MS, stp=StpConfig(latency_bound_ns=10 * MS)

@@ -34,30 +34,6 @@ __all__ = [
 ]
 
 
-def _fusion_topology(scenario):
-    from repro.apps.lib.fusion import fusion_topology
-
-    return fusion_topology(scenario)
-
-
-def _failover_topology(scenario):
-    from repro.apps.lib.failover import failover_topology
-
-    return failover_topology(scenario)
-
-
-def _failover_faults(scenario):
-    from repro.apps.lib.failover import failover_faults
-
-    return failover_faults(scenario)
-
-
-def _mixedcrit_topology(scenario):
-    from repro.apps.lib.mixedcrit import mixedcrit_topology
-
-    return mixedcrit_topology(scenario)
-
-
 def _register_library() -> None:
     register(
         AppDefinition(
@@ -72,7 +48,7 @@ def _register_library() -> None:
                 "nondet": "repro.apps.lib.fusion:run_nondet_fusion",
             },
             scenario_type=FusionScenario,
-            default_topology=_fusion_topology,
+            recipe="repro.apps.lib.fusion:fusion_recipe",
             input_threads=("camera", "radar", "lidar"),
         )
     )
@@ -89,8 +65,7 @@ def _register_library() -> None:
                 "nondet": "repro.apps.lib.failover:run_nondet_failover",
             },
             scenario_type=FailoverScenario,
-            default_topology=_failover_topology,
-            default_faults=_failover_faults,
+            recipe="repro.apps.lib.failover:failover_recipe",
             input_threads=("tick",),
         )
     )
@@ -107,7 +82,7 @@ def _register_library() -> None:
                 "nondet": "repro.apps.lib.mixedcrit:run_nondet_mixedcrit",
             },
             scenario_type=MixedCriticalityScenario,
-            default_topology=_mixedcrit_topology,
+            recipe="repro.apps.lib.mixedcrit:mixedcrit_recipe",
             input_threads=("sensor", "telemetry"),
         )
     )

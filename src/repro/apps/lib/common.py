@@ -1,20 +1,20 @@
-"""Shared plumbing of the scenario library.
+"""Shared plumbing of the scenario library (and of the brake app).
 
-Every library app builds its world the same way — one
-:func:`repro.ara.build_world` call on the app's
-:class:`~repro.network.topology.TopologySpec` fabric (see
-:func:`library_switch_config`) — and reports results
-in the same :class:`~repro.apps.brake.instrumentation.BrakeRunResult`
-shape the whole harness (sweeps, obs drivers, CLI reports,
-``outcome_digest``) already consumes.
+Every library app declares its deployment in a world recipe — its ECUs
+(:func:`library_hosts`), its
+:class:`~repro.network.topology.TopologySpec` fabric and its default
+faults — which :meth:`repro.apps.AppDefinition.build_world` turns into
+a world.  Results come back in the same
+:class:`~repro.apps.brake.instrumentation.BrakeRunResult` shape the
+whole harness (sweeps, obs drivers, CLI reports, ``outcome_digest``)
+already consumes.  The periodic-callback noise of both brake and the
+library (:func:`random_offset`, :func:`spike`) lives here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.network import CALM_LAN, SwitchConfig
-from repro.network.topology import TopologySpec
 from repro.obs import context as obs_context
 from repro.sim import World
 from repro.sim.platform import MINNOWBOARD, PlatformConfig
@@ -23,8 +23,7 @@ from repro.time.clock import ClockModel
 __all__ = [
     "SinkCommand",
     "PipelineErrors",
-    "library_platform_config",
-    "library_switch_config",
+    "library_hosts",
     "begin_flow",
     "deliver_flow",
     "drop_flow",
@@ -49,33 +48,11 @@ CALM_QUAD = PlatformConfig(
 )
 
 
-def library_platform_config(scenario) -> PlatformConfig:
-    """Host config: calm (jitter-free) when inputs must be seed-fixed."""
-    if getattr(scenario, "deterministic_inputs", False):
-        return CALM_QUAD
-    return MINNOWBOARD
-
-
-def library_switch_config(
-    scenario, switch_config: SwitchConfig | None, topology: TopologySpec
-) -> SwitchConfig:
-    """The network of a library world, on the app's native fabric.
-
-    Without a caller-supplied *switch_config* (from ``ScenarioSpec``)
-    the app default applies: under ``deterministic_inputs`` the links
-    get the constant latencies of :data:`~repro.network.CALM_LAN` — the
-    brake world's ``deterministic_camera`` defaults — so physical
-    arrival times (and with them every physical-action tag) are
-    identical across world seeds.  A config without a topology gets the
-    app's native *topology* embedded, so CLI-supplied network knobs
-    compose with the app's fabric.
-    """
-    if switch_config is None:
-        calm = getattr(scenario, "deterministic_inputs", False)
-        switch_config = CALM_LAN if calm else SwitchConfig()
-    if switch_config.topology is None:
-        switch_config = replace(switch_config, topology=topology)
-    return switch_config
+def library_hosts(scenario, *names: str) -> list[tuple[str, PlatformConfig]]:
+    """Recipe hosts: every ECU of a library app runs the same board,
+    calm (:data:`CALM_QUAD`) when ``deterministic_inputs`` holds."""
+    config = CALM_QUAD if scenario.deterministic_inputs else MINNOWBOARD
+    return [(name, config) for name in names]
 
 
 @dataclass(frozen=True)
@@ -161,9 +138,15 @@ def random_offset(world: World, name: str, period_ns: int) -> int:
     return world.rng.stream(f"offset.{name}").randint(0, period_ns - 1)
 
 
-def spike(world: World, name: str, probability: float, max_ns: int) -> int:
-    """Occasional extra latency of a periodic callback (OS hiccup)."""
+def spike(world: World, name: str, scenario) -> int:
+    """Occasional extra latency of a periodic callback (OS hiccup).
+
+    The nanoseconds this activation is late, drawn from the scenario's
+    ``callback_spike_probability``/``callback_spike_max_ns`` model
+    (usually 0).
+    """
     rng = world.rng.stream(f"spike.{name}")
+    probability = scenario.callback_spike_probability
     if probability > 0.0 and rng.random() < probability:
-        return rng.randint(0, max_ns)
+        return rng.randint(0, scenario.callback_spike_max_ns)
     return 0

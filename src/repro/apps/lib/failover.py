@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.ara import AraProcess, Event, ServiceInterface, build_world
+from repro.ara import AraProcess, Event, ServiceInterface
+from repro.apps import registry
 from repro.apps.brake.instrumentation import BrakeRunResult, OneSlotBuffer
 from repro.apps.lib.common import (
     PipelineErrors,
     SinkCommand,
     begin_flow,
-    library_platform_config,
-    library_switch_config,
+    library_hosts,
     deliver_flow,
     drop_flow,
     random_offset,
@@ -61,17 +61,17 @@ READING_SERVICE = ServiceInterface(
 INSTANCE = 1
 
 
-def failover_topology(scenario: FailoverScenario | None = None) -> TopologySpec:
-    """Producers on one switch, the consumer behind a trunk."""
-    return TopologySpec.chain(((PRIMARY_ECU, STANDBY_ECU), (CONSUMER_ECU,)))
-
-
-def failover_faults(scenario: FailoverScenario) -> FaultPlan:
-    """The scenario *is* this fault: the primary crashes for a while."""
-    return FaultPlan(
-        outages=(
-            NodeOutage(PRIMARY_ECU, scenario.outage_start_ns, scenario.outage_end_ns),
-        )
+def failover_recipe(scenario: FailoverScenario):
+    """The world recipe: producers on one switch, the consumer behind a
+    trunk.  The scenario *is* its fault: the primary crashes for a while."""
+    producers = (PRIMARY_ECU, STANDBY_ECU)
+    outage = NodeOutage(
+        PRIMARY_ECU, scenario.outage_start_ns, scenario.outage_end_ns
+    )
+    return (
+        library_hosts(scenario, *producers, CONSUMER_ECU),
+        TopologySpec.chain((producers, (CONSUMER_ECU,))),
+        FaultPlan(outages=(outage,)),
     )
 
 
@@ -185,20 +185,6 @@ class _ConsumerSupervisor:
                     break
 
 
-def _build_world(scenario, seed, switch_config, fault_plan, replay, universe, ckpt):
-    config = library_platform_config(scenario)
-    hosts = (PRIMARY_ECU, STANDBY_ECU, CONSUMER_ECU)
-    return build_world(
-        seed,
-        [(host, config) for host in hosts],
-        library_switch_config(scenario, switch_config, failover_topology(scenario)),
-        fault_plan,
-        replay,
-        universe,
-        ckpt,
-    )
-
-
 def run_nondet_failover(
     seed: int,
     scenario: FailoverScenario | None = None,
@@ -210,10 +196,8 @@ def run_nondet_failover(
 ) -> BrakeRunResult:
     """Run the stock failover pipeline once; returns measurements."""
     scenario = scenario or FailoverScenario()
-    if fault_plan is None:
-        fault_plan = failover_faults(scenario)
-    world = _build_world(
-        scenario, seed, switch_config, fault_plan,
+    world = registry.get("failover").build_world(
+        seed, scenario, switch_config, fault_plan,
         fault_replay, fault_universe, fault_checkpointer,
     )
     errors = PipelineErrors()
@@ -236,10 +220,7 @@ def run_nondet_failover(
     supervisor = _ConsumerSupervisor(world, scenario, consumer, on_reading)
 
     def consume_body():
-        late = spike(
-            world, "consume",
-            scenario.callback_spike_probability, scenario.callback_spike_max_ns,
-        )
+        late = spike(world, "consume", scenario)
         if late:
             yield Compute(late)
         reading = buffer.read()
@@ -273,9 +254,7 @@ def run_nondet_failover(
         errors=errors,
         commands=commands,
         latencies_ns=latencies,
-        fault_summary=(
-            None if world.fault_injector is None else world.fault_injector.summary()
-        ),
+        fault_summary=world.fault_summary,
     )
 
 
@@ -311,10 +290,8 @@ def run_det_failover(
 ) -> BrakeRunResult:
     """Run the DEAR failover pipeline once; returns measurements."""
     scenario = scenario or FailoverScenario()
-    if fault_plan is None:
-        fault_plan = failover_faults(scenario)
-    world = _build_world(
-        scenario, seed, switch_config, fault_plan,
+    world = registry.get("failover").build_world(
+        seed, scenario, switch_config, fault_plan,
         fault_replay, fault_universe, fault_checkpointer,
     )
     errors = PipelineErrors()
@@ -367,7 +344,5 @@ def run_det_failover(
         latencies_ns=latencies,
         trace_fingerprints={env.name: env.trace.fingerprint()},
         deadline_misses=deadline_misses,
-        fault_summary=(
-            None if world.fault_injector is None else world.fault_injector.summary()
-        ),
+        fault_summary=world.fault_summary,
     )

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.ara import AraProcess, Event, ServiceInterface, build_world
+from repro.ara import AraProcess, Event, ServiceInterface
+from repro.apps import registry
 from repro.apps.brake.instrumentation import BrakeRunResult, OneSlotBuffer
 from repro.apps.lib.common import (
     PipelineErrors,
     SinkCommand,
     begin_flow,
-    library_platform_config,
-    library_switch_config,
+    library_hosts,
     deliver_flow,
     drop_flow,
     random_offset,
@@ -81,10 +81,13 @@ SENSORS = (
 FUSE_THRESHOLD = 50.0
 
 
-def fusion_topology(scenario: FusionScenario | None = None) -> TopologySpec:
-    """Sensor switch + fusion switch, joined by one trunk."""
-    return TopologySpec.chain(
-        ((CAMERA_ECU, RADAR_ECU, LIDAR_ECU), (FUSION_ECU,))
+def fusion_recipe(scenario: FusionScenario):
+    """The world recipe: sensor switch + fusion switch, joined by one trunk."""
+    sensors = (CAMERA_ECU, RADAR_ECU, LIDAR_ECU)
+    return (
+        library_hosts(scenario, *sensors, FUSION_ECU),
+        TopologySpec.chain((sensors, (FUSION_ECU,))),
+        None,
     )
 
 
@@ -95,20 +98,6 @@ def sensor_value(seq: int, salt: int) -> int:
 
 def fuse_values(cam: int, rad: int, lid: int) -> float:
     return (cam + rad + lid) / 3.0
-
-
-def _build_world(scenario, seed, switch_config, fault_plan, replay, universe, ckpt):
-    config = library_platform_config(scenario)
-    hosts = (CAMERA_ECU, RADAR_ECU, LIDAR_ECU, FUSION_ECU)
-    return build_world(
-        seed,
-        [(host, config) for host in hosts],
-        library_switch_config(scenario, switch_config, fusion_topology(scenario)),
-        fault_plan,
-        replay,
-        universe,
-        ckpt,
-    )
 
 
 def _start_sensors(
@@ -157,8 +146,8 @@ def run_nondet_fusion(
 ) -> BrakeRunResult:
     """Run the stock fusion pipeline once; returns measurements."""
     scenario = scenario or FusionScenario()
-    world = _build_world(
-        scenario, seed, switch_config, fault_plan,
+    world = registry.get("fusion").build_world(
+        seed, scenario, switch_config, fault_plan,
         fault_replay, fault_universe, fault_checkpointer,
     )
     fusion = world.platform(FUSION_ECU)
@@ -200,10 +189,7 @@ def run_nondet_fusion(
     fusion_process.spawn("setup", fusion_setup())
 
     def fuse_body():
-        late = spike(
-            world, "fusion",
-            scenario.callback_spike_probability, scenario.callback_spike_max_ns,
-        )
+        late = spike(world, "fusion", scenario)
         if late:
             yield Compute(late)
         cam = buffers["camera"].read()
@@ -252,9 +238,7 @@ def run_nondet_fusion(
         errors=errors,
         commands=commands,
         latencies_ns=latencies,
-        fault_summary=(
-            None if world.fault_injector is None else world.fault_injector.summary()
-        ),
+        fault_summary=world.fault_summary,
     )
 
 
@@ -349,8 +333,8 @@ def run_det_fusion(
 ) -> BrakeRunResult:
     """Run the DEAR fusion pipeline once; returns measurements."""
     scenario = scenario or FusionScenario()
-    world = _build_world(
-        scenario, seed, switch_config, fault_plan,
+    world = registry.get("fusion").build_world(
+        seed, scenario, switch_config, fault_plan,
         fault_replay, fault_universe, fault_checkpointer,
     )
     fusion = world.platform(FUSION_ECU)
@@ -437,7 +421,5 @@ def run_det_fusion(
         },
         deadline_misses=sum(t.deadline_misses for t in transactors),
         stp_violations=sum(t.stp_violations for t in transactors),
-        fault_summary=(
-            None if world.fault_injector is None else world.fault_injector.summary()
-        ),
+        fault_summary=world.fault_summary,
     )

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.ara import AraProcess, Event, ServiceInterface, build_world
+from repro.ara import AraProcess, Event, ServiceInterface
+from repro.apps import registry
 from repro.apps.brake.instrumentation import BrakeRunResult, OneSlotBuffer
 from repro.apps.lib.common import (
     PipelineErrors,
     SinkCommand,
     begin_flow,
-    library_platform_config,
-    library_switch_config,
+    library_hosts,
     deliver_flow,
     random_offset,
     spike,
@@ -63,34 +63,22 @@ INSTANCE = 1
 BULK_PORT = 16000
 
 
-def mixedcrit_topology(
-    scenario: MixedCriticalityScenario | None = None,
-) -> TopologySpec:
-    """Critical and bulk sources share the trunk to the far switch."""
-    scenario = scenario or MixedCriticalityScenario()
-    return TopologySpec.chain(
-        ((SENSOR_ECU, TELEMETRY_ECU), (CONTROL_ECU, LOGGER_ECU)),
-        trunk_ns_per_byte=scenario.trunk_ns_per_byte,
+def mixedcrit_recipe(scenario: MixedCriticalityScenario):
+    """The world recipe: critical and bulk sources share the (slow)
+    trunk to the far switch."""
+    sources, sinks = (SENSOR_ECU, TELEMETRY_ECU), (CONTROL_ECU, LOGGER_ECU)
+    return (
+        library_hosts(scenario, *sources, *sinks),
+        TopologySpec.chain(
+            (sources, sinks), trunk_ns_per_byte=scenario.trunk_ns_per_byte
+        ),
+        None,
     )
 
 
 def sample_value(seq: int) -> int:
     """Deterministic ground-truth sample (pure function of seq)."""
     return (seq * 41 + 3) % 211
-
-
-def _build_world(scenario, seed, switch_config, fault_plan, replay, universe, ckpt):
-    config = library_platform_config(scenario)
-    hosts = (SENSOR_ECU, TELEMETRY_ECU, CONTROL_ECU, LOGGER_ECU)
-    return build_world(
-        seed,
-        [(host, config) for host in hosts],
-        library_switch_config(scenario, switch_config, mixedcrit_topology(scenario)),
-        fault_plan,
-        replay,
-        universe,
-        ckpt,
-    )
 
 
 def _start_bulk_traffic(world: World, scenario: MixedCriticalityScenario) -> None:
@@ -150,8 +138,8 @@ def run_nondet_mixedcrit(
 ) -> BrakeRunResult:
     """Run the stock mixed-criticality pipeline once; returns measurements."""
     scenario = scenario or MixedCriticalityScenario()
-    world = _build_world(
-        scenario, seed, switch_config, fault_plan,
+    world = registry.get("mixedcrit").build_world(
+        seed, scenario, switch_config, fault_plan,
         fault_replay, fault_universe, fault_checkpointer,
     )
     errors = PipelineErrors()
@@ -182,10 +170,7 @@ def run_nondet_mixedcrit(
 
     def consume_body():
         nonlocal deadline_misses
-        late = spike(
-            world, "consume",
-            scenario.callback_spike_probability, scenario.callback_spike_max_ns,
-        )
+        late = spike(world, "consume", scenario)
         if late:
             yield Compute(late)
         sample = buffer.read()
@@ -220,9 +205,7 @@ def run_nondet_mixedcrit(
         commands=commands,
         latencies_ns=latencies,
         deadline_misses=deadline_misses,
-        fault_summary=(
-            None if world.fault_injector is None else world.fault_injector.summary()
-        ),
+        fault_summary=world.fault_summary,
     )
 
 
@@ -278,8 +261,8 @@ def run_det_mixedcrit(
 ) -> BrakeRunResult:
     """Run the DEAR mixed-criticality pipeline once; returns measurements."""
     scenario = scenario or MixedCriticalityScenario()
-    world = _build_world(
-        scenario, seed, switch_config, fault_plan,
+    world = registry.get("mixedcrit").build_world(
+        seed, scenario, switch_config, fault_plan,
         fault_replay, fault_universe, fault_checkpointer,
     )
     errors = PipelineErrors()
@@ -351,7 +334,5 @@ def run_det_mixedcrit(
         },
         deadline_misses=sum(t.deadline_misses for t in transactors),
         stp_violations=sum(t.stp_violations for t in transactors),
-        fault_summary=(
-            None if world.fault_injector is None else world.fault_injector.summary()
-        ),
+        fault_summary=world.fault_summary,
     )

@@ -1,18 +1,28 @@
 """Pluggable application/scenario registry.
 
-Historically every driver and CLI subcommand hardcoded
-``variant in ("det", "nondet")`` and imported the brake runners by
-name.  The registry replaces that branching with data: an
-:class:`AppDefinition` names an application, maps each variant to its
-runner (as a lazily-imported ``"module:function"`` string, so listing
-apps never pays for importing their worlds), and carries the
-scenario-type plumbing ``ScenarioSpec`` needs to serialize specs for
-any app.  Registering an app makes it appear in every subcommand —
-``explore``, ``faults``, ``flows``, ``submit`` — for free.
+An :class:`AppDefinition` names an application, maps each variant to
+its runner, names the app's world recipe, and carries the scenario-type
+plumbing ``ScenarioSpec`` needs to serialize specs for any app.
+Runners and recipe are ``"module:function"`` strings, resolved lazily,
+so listing apps never pays for importing their worlds.  Registering an
+app makes it appear in every subcommand — ``explore``, ``faults``,
+``flows``, ``submit`` — for free.
+
+Recipe contract: ``recipe(scenario)`` returns the app's deployment as
+``(hosts, topology, faults)`` — its ECUs as ordered ``(name,
+PlatformConfig)`` pairs, its native
+:class:`~repro.network.topology.TopologySpec` (``None``: one plain
+switch) and the :class:`~repro.faults.FaultPlan` the scenario is *about*
+(``None`` for most apps).  :meth:`AppDefinition.build_world` is the one
+place that turns it into a world: it adds the app's default network
+(:meth:`AppDefinition.network_for`) and default faults, then calls
+:func:`repro.ara.build_world`.
 
 Runner contract: ``runner(seed, scenario, switch_config=None,
 fault_plan=None, fault_replay=None, fault_universe=None,
-fault_checkpointer=None)`` returning a
+fault_checkpointer=None)`` builds its world with
+:meth:`AppDefinition.build_world` (passing those arguments through) and
+returns a
 :class:`~repro.apps.brake.instrumentation.BrakeRunResult`-shaped value
 (``errors``/``commands``/``trace_fingerprints``/``outcome_digest()``).
 Runners must be picklable module-level callables — the sweep engine
@@ -22,7 +32,7 @@ fans them out to worker processes.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Callable, Mapping
 
 __all__ = ["AppDefinition", "register", "get", "names", "apps"]
@@ -70,17 +80,15 @@ class AppDefinition:
     #: variant -> ``"module:function"``, resolved lazily and cached.
     runners: Mapping[str, str]
     scenario_type: type
+    #: ``"module:function"`` of the world recipe: scenario ->
+    #: ``(hosts, topology, faults)``, resolved lazily and cached.
+    recipe: str = ""
     description: str = ""
-    #: Library scenarios ship ready-made topology/faults and show up in
-    #: the ``repro library`` listing; the brake app predates the library.
+    #: Library scenarios show up as such in the ``repro library``
+    #: listing and qualified names; the brake app predates the library.
     library: bool = True
     scenario_to_dict: Callable[[Any], dict] | None = None
     scenario_from_dict: Callable[[dict], Any] | None = None
-    #: scenario -> TopologySpec | None (the app's native fabric).
-    default_topology: Callable[[Any], Any] | None = None
-    #: scenario -> FaultPlan | None (faults the scenario is *about*,
-    #: e.g. the failover app's node crash window).
-    default_faults: Callable[[Any], Any] | None = None
     #: Environment/sensor thread names: explore's determinism verifier
     #: suppresses preemptions landing on these (delaying an input driver
     #: changes the input timeline, not the SUT's scheduling).
@@ -92,25 +100,30 @@ class AppDefinition:
     def __post_init__(self) -> None:
         if not self.runners:
             raise ValueError(f"app {self.name!r} needs at least one runner")
+        if not self.recipe:
+            raise ValueError(f"app {self.name!r} needs a world recipe")
 
     def variants(self) -> tuple[str, ...]:
         return tuple(sorted(self.runners))
 
+    def _resolve(self, target: str) -> Callable:
+        """The (lazily imported, cached) function named by *target*."""
+        func = self._resolved.get(target)
+        if func is None:
+            module_name, _, func_name = target.partition(":")
+            func = getattr(importlib.import_module(module_name), func_name)
+            self._resolved[target] = func
+        return func
+
     def runner(self, variant: str) -> Callable:
         """The (lazily imported) runner for *variant*."""
-        cached = self._resolved.get(variant)
-        if cached is not None:
-            return cached
         target = self.runners.get(variant)
         if target is None:
             raise ValueError(
                 f"app {self.name!r} has no variant {variant!r}; "
                 f"known: {list(self.variants())}"
             )
-        module_name, _, func_name = target.partition(":")
-        func = getattr(importlib.import_module(module_name), func_name)
-        self._resolved[variant] = func
-        return func
+        return self._resolve(target)
 
     def default_scenario(self) -> Any:
         return self.scenario_type()
@@ -126,12 +139,56 @@ class AppDefinition:
         return convert(data)
 
     def topology_for(self, scenario: Any):
-        return None if self.default_topology is None else self.default_topology(
-            scenario
-        )
+        """The app's native fabric for *scenario* (``None``: one switch)."""
+        return self._resolve(self.recipe)(scenario)[1]
 
     def faults_for(self, scenario: Any):
-        return None if self.default_faults is None else self.default_faults(scenario)
+        """The fault plan *scenario* is about, e.g. failover's node crash."""
+        return self._resolve(self.recipe)(scenario)[2]
+
+    def network_for(self, scenario: Any):
+        """The app's default network: :data:`~repro.network.CALM_LAN`'s
+        constant latencies while the :attr:`fixed_inputs_knob` is set
+        (physical arrival times then match across world seeds), else
+        the stock :class:`~repro.network.SwitchConfig`."""
+        from repro.network import CALM_LAN, SwitchConfig
+
+        if getattr(scenario, self.fixed_inputs_knob, False):
+            return CALM_LAN
+        return SwitchConfig()
+
+    def build_world(
+        self,
+        seed: int,
+        scenario: Any,
+        switch_config=None,
+        fault_plan=None,
+        fault_replay=None,
+        fault_universe=None,
+        fault_checkpointer=None,
+    ):
+        """The app's world for one run of *scenario*.
+
+        *switch_config* and *fault_plan* override the app defaults; a
+        config without a topology gets the native fabric embedded, so
+        caller-supplied network knobs compose with it.
+        """
+        from repro.ara import build_world
+
+        hosts, topology, faults = self._resolve(self.recipe)(scenario)
+        if switch_config is None:
+            switch_config = self.network_for(scenario)
+        if switch_config.topology is None:
+            switch_config = replace(switch_config, topology=topology)
+        return build_world(
+            seed,
+            hosts,
+            switch_config,
+            faults if fault_plan is None else fault_plan,
+            fault_replay,
+            fault_universe,
+            fault_checkpointer,
+        )
 
     def qualified(self, prefix: str, variant: str, sep: str = "-") -> str:
         """``<prefix>-<app>-<variant>``, or ``<prefix>-<variant>`` for brake.

@@ -1538,7 +1538,7 @@ def _run_library(args: argparse.Namespace) -> int:
             "variants": list(definition.variants()),
             "nodes": list(topology.nodes) if topology is not None else [],
             "switches": list(topology.switches) if topology is not None else [],
-            "default_faults": definition.default_faults is not None,
+            "default_faults": definition.faults_for(scenario) is not None,
             "description": definition.description,
         })
     if args.json:

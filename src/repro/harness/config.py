@@ -37,7 +37,7 @@ from repro.network.latency import (
     latency_model_from_dict,
     latency_model_to_dict,
 )
-from repro.network.switch import CALM_LAN, SwitchConfig
+from repro.network.switch import SwitchConfig
 from repro.network.topology import TopologySpec
 
 __all__ = [
@@ -54,8 +54,8 @@ class NetworkSpec:
     """The network half of a spec, nested (``scenario-spec/v2``).
 
     Carries exactly the :class:`SwitchConfig` knobs a spec may
-    override; ``None`` latency models mean "scenario-derived default"
-    (constant under ``deterministic_camera``, stock otherwise).
+    override; ``None`` latency models mean the app's default network
+    (constant under its fixed-inputs knob, stock otherwise).
     """
 
     latency: LatencyModel | None = None
@@ -204,18 +204,17 @@ class ScenarioSpec:
         return self.definition().faults_for(self.effective_scenario())
 
     def switch_config(self) -> SwitchConfig | None:
-        """The network configuration, or ``None`` for the stock default.
+        """The network configuration, or ``None`` for the app default.
 
-        Any :class:`LatencyModel` plugs in here — this replaces the old
-        pattern of drivers hand-building :class:`SwitchConfig` objects.
-        The "is everything default" test compares against
-        :class:`NetworkSpec`'s own defaults instead of repeating them.
+        Any :class:`LatencyModel` plugs in here; latency models the spec
+        leaves unset come from the app's default network
+        (:meth:`~repro.apps.AppDefinition.network_for`).  The "is
+        everything default" test compares against :class:`NetworkSpec`'s
+        own defaults instead of repeating them.
         """
         if self.network == NetworkSpec() and self.topology is None:
             return None
-        knob = self.definition().fixed_inputs_knob
-        calm = getattr(self.effective_scenario(), knob, False)
-        default = CALM_LAN if calm else SwitchConfig()
+        default = self.definition().network_for(self.effective_scenario())
         return SwitchConfig(
             latency=self.network.latency or default.latency,
             loopback_latency=self.network.loopback_latency or default.loopback_latency,
@@ -380,7 +379,7 @@ def run_scenario_spec(
             seed,
             scenario,
             switch_config=switch_config,
-            fault_plan=spec.effective_faults(),
+            fault_plan=spec.faults,
             fault_replay=fault_replay,
             fault_universe=fault_universe,
             fault_checkpointer=fault_checkpointer,

@@ -65,6 +65,13 @@ class World:
         """The network switch, if one was attached."""
         return self._network
 
+    @property
+    def fault_summary(self) -> dict | None:
+        """The fault injector's per-run digest, or ``None`` without one."""
+        if self.fault_injector is None:
+            return None
+        return self.fault_injector.summary()
+
     # -- running ---------------------------------------------------------------
 
     def run_for(self, duration: Duration) -> None:

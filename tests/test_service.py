@@ -8,10 +8,12 @@ in seed order) to ``SweepRunner.run_spec`` on one host.
 
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -362,6 +364,60 @@ class TestDistributedEqualsLocal:
         assert_byte_identical(merged_values(result), reference)
 
 
+
+def _subprocess_env() -> dict:
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    return env
+
+
+class TestCoordinatorCrash:
+    def test_fresh_coordinator_reuses_the_store_of_a_killed_one(self, tmp_path):
+        """Kill -9 ``repro serve`` mid-campaign, start a fresh coordinator
+        on the same store and resubmit: every seed finished before the
+        kill is a cache hit, and the merged campaign is still
+        byte-identical to the local run."""
+        spec = make_spec(seeds=tuple(range(8)), frames=300)
+        reference = local_reference(spec)
+        store_dir = tmp_path / "store"
+        serve_cmd = [
+            sys.executable, "-m", "repro", "serve", "--port", "0",
+            "--store-dir", str(store_dir), "--local-workers", "1",
+            "--chunk-size", "1",
+        ]
+        coordinator = subprocess.Popen(
+            serve_cmd, stdout=subprocess.PIPE, text=True, env=_subprocess_env()
+        )
+        try:
+            banner = coordinator.stdout.readline()
+            url = re.search(r"on (http://\S+)", banner).group(1)
+            client = HttpClient(url)
+            campaign = client.submit(spec)["campaign"]
+            deadline = time.monotonic() + 120.0
+            while True:
+                status = client.status(campaign)
+                if status["jobs_done"] >= 1:
+                    break
+                assert time.monotonic() < deadline, status
+                time.sleep(0.05)
+            finished = status["seeds"] - status["pending"] - status["cached"]
+            coordinator.send_signal(signal.SIGKILL)
+            coordinator.wait(timeout=10)
+        finally:
+            if coordinator.poll() is None:
+                coordinator.kill()
+                coordinator.wait(timeout=10)
+            coordinator.stdout.close()
+        assert finished >= 1
+        with LocalService(store_dir, workers=1) as svc:
+            again = svc.client.submit(spec)
+            assert again["cached"] >= finished
+            result = svc.client.wait(again["campaign"], timeout_s=120.0)
+        assert result["status"] == "done"
+        assert_byte_identical(merged_values(result), reference)
+
+
 _HANG_WORKER = """
 import sys, time
 from repro.service import HttpClient
@@ -393,14 +449,11 @@ class TestWorkerDeath:
         try:
             client = HttpClient(server.url)
             status = client.submit(spec)
-            env = dict(os.environ)
-            src = os.path.join(os.path.dirname(__file__), "..", "src")
-            env["PYTHONPATH"] = os.path.abspath(src)
             victim = subprocess.Popen(
                 [sys.executable, "-c", _HANG_WORKER, server.url],
                 stdout=subprocess.PIPE,
                 text=True,
-                env=env,
+                env=_subprocess_env(),
             )
             try:
                 assert victim.stdout.readline().strip() == "leased"
