@@ -13,7 +13,7 @@
   non-trivial :class:`~repro.network.topology.TopologySpec`.
 
 Apps register themselves via :func:`repro.apps.register`; everything
-downstream (``ScenarioSpec``, the obs drivers, every CLI subcommand)
+downstream (``ScenarioSpec``, observed runs, every CLI subcommand)
 dispatches through the registry instead of hardcoding variants.
 """
 

@@ -6,7 +6,7 @@ Every library app declares its deployment in a world recipe — its ECUs
 faults — which :meth:`repro.apps.AppDefinition.build_world` turns into
 a world.  Results come back in the same
 :class:`~repro.apps.brake.instrumentation.BrakeRunResult` shape the
-whole harness (sweeps, obs drivers, CLI reports, ``outcome_digest``)
+whole harness (sweeps, observed runs, CLI reports, ``outcome_digest``)
 already consumes.  The periodic-callback noise of both brake and the
 library (:func:`random_offset`, :func:`spike`) lives here too.
 """

@@ -1060,27 +1060,22 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
 def _run_flows(args: argparse.Namespace, sweep) -> int:
     """``repro flows``: causal flow sweep with a stock-vs-DEAR diff.
 
-    Maps :func:`repro.obs.drivers.run_brake_flows` over the seed range
-    for each requested variant, merges the per-seed ``flow-report/v1``
+    Maps :func:`repro.harness.flow_summary` over the seed range for
+    each requested variant, merges the per-seed ``flow-report/v1``
     documents, prints drop attribution and the critical path, and (with
     both variants) a stock-vs-DEAR delivery/drop diff.
     """
     from repro import apps, obs
-    from repro.obs.drivers import run_brake_flows
     from repro.analysis.report import render_table
+    from repro.harness.config import ScenarioSpec, flow_summary, observe_run
 
     spec = _load_spec(args)
     fault_plan = None
-    switch_config = None
     if spec is not None:
         app = spec.app
-        scenario = spec.effective_scenario()
         seeds = list(spec.seeds)
-        fault_plan = spec.faults
-        switch_config = spec.switch_config()
     else:
         app = args.app
-        scenario = _app_scenario(app, args.frames, args.brake_frames)
         seeds = list(range(args.seeds))
         if args.drop > 0.0:
             if apps.get(app).library:
@@ -1103,23 +1098,23 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
                 f"flows: app {app!r} has no variant {variant!r}; "
                 f"known: {list(definition.variants())}"
             )
+    base = spec or ScenarioSpec(
+        app=app,
+        variant=variants[0],
+        scenario=_app_scenario(app, args.frames, args.brake_frames),
+        faults=fault_plan,
+    )
+    frames = base.scenario.n_frames
     merged: dict[str, dict] = {}
     for variant in variants:
         runs = sweep.map(
-            partial(
-                run_brake_flows,
-                scenario=scenario,
-                variant=variant,
-                fault_plan=fault_plan,
-                switch_config=switch_config,
-                app=app,
-            ),
+            partial(flow_summary, spec=replace(base, variant=variant)),
             seeds,
             name=definition.qualified("flows", variant),
             params=definition.sweep_params(
-                frames=scenario.n_frames,
+                frames=frames,
                 spec=spec.to_dict() if spec is not None else None,
-                faults=fault_plan.to_dict() if fault_plan is not None else None,
+                faults=base.faults.to_dict() if base.faults is not None else None,
             ),
         )
         merged[variant] = obs.merge_flow_reports([run["report"] for run in runs])
@@ -1177,7 +1172,7 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
         document = {
             "format": "flow-sweep-report/v1",
             "app": app,
-            "frames": scenario.n_frames,
+            "frames": frames,
             "seeds": len(seeds),
             **{variant: merged[variant] for variant in variants},
         }
@@ -1186,24 +1181,19 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
         _write_json(args.out, document, "flow-sweep report")
 
     if args.trace_out or args.metrics_out:
-        observation, _ = obs.observe_brake_flows(
-            seeds[0] if seeds else 0,
-            replace(scenario, n_frames=min(scenario.n_frames, 200)),
-            variants[0],
-            fault_plan=fault_plan,
-            switch_config=switch_config,
-            app=app,
+        seed = seeds[0] if seeds else 0
+        observed = replace(
+            base,
+            variant=variants[0],
+            scenario=replace(base.scenario, n_frames=min(frames, 200)),
         )
-        if args.trace_out:
-            obs.write_trace(observation, args.trace_out)
-            print(
-                f"flow trace (seed {seeds[0] if seeds else 0}, "
-                f"{variants[0]}) -> {args.trace_out}",
-                file=sys.stderr,
-            )
-        if args.metrics_out:
-            obs.write_metrics(observation, args.metrics_out)
-            print(f"flow metrics -> {args.metrics_out}", file=sys.stderr)
+        observation, _ = observe_run(seed, observed, flows=True)
+        _write_observation(
+            observation,
+            trace=(args.trace_out, f"flow trace (seed {seed}, {variants[0]})"),
+            metrics=(args.metrics_out, "flow metrics"),
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -1380,7 +1370,7 @@ def _run_status(args: argparse.Namespace) -> int:
 
 def _run_report(args: argparse.Namespace) -> int:
     """``repro report [campaign]``: post-mortem + optional fleet trace."""
-    from repro.obs import fleet
+    from repro.obs import fleet, write_trace
 
     client, campaign = _campaign_client(args)
     report = client.report(campaign)
@@ -1399,8 +1389,10 @@ def _run_report(args: argparse.Namespace) -> int:
     if args.out:
         _write_json(args.out, report, "report")
     if args.trace_out:
-        path = fleet.write_fleet_trace(report, args.trace_out)
-        events = len(fleet.fleet_trace_events(report))
+        bus = fleet.fleet_trace_bus(report)
+        path = write_trace(bus, args.trace_out, **fleet.fleet_trace_labels(report))
+        # The bus's events plus one process and one thread record per track.
+        events = len(bus) + 1 + len(bus.tracks())
         print(f"fleet trace: {events} event(s) -> {path}")
     return 0
 
@@ -1431,21 +1423,23 @@ def _run_bench_diff(args: argparse.Namespace) -> int:
 
 def _run_trace(args: argparse.Namespace, _sweep) -> int:
     """``repro trace det|nondet``: one observed run -> Perfetto JSON."""
-    from repro import obs
+    from repro.harness.config import ScenarioSpec, observe_run
 
     app = args.app
     scenario = _app_scenario(app, args.frames, args.brake_frames)
-    observation, result = obs.observe_brake_run(
-        args.seed, scenario, args.experiment, app=app
+    observation, result = observe_run(
+        args.seed,
+        ScenarioSpec(app=app, variant=args.experiment, scenario=scenario),
     )
-    path = obs.write_trace(observation, args.trace_out or "trace.json")
-    print(
-        f"trace: {len(observation.bus)} events on tracks "
-        f"{observation.bus.tracks()} -> {path}"
+    bus = observation.bus
+    _write_observation(
+        observation,
+        trace=(
+            args.trace_out or "trace.json",
+            f"trace: {len(bus)} events on tracks {bus.tracks()}",
+        ),
+        metrics=(args.metrics_out, "metrics"),
     )
-    if args.metrics_out:
-        obs.write_metrics(observation, args.metrics_out)
-        print(f"metrics -> {args.metrics_out}")
     errors = {k: v for k, v in result.errors.as_dict().items() if v}
     print(
         f"run: {app} {args.experiment}, seed {args.seed}, "
@@ -1456,26 +1450,24 @@ def _run_trace(args: argparse.Namespace, _sweep) -> int:
 
 def _run_metrics(args: argparse.Namespace, sweep) -> int:
     """``repro metrics det|nondet``: cross-seed metric aggregates."""
-    from repro import apps, obs
+    from repro import apps
     from repro.analysis.report import render_table
-    from repro.harness.sweep import merge_metric_snapshots
-    from repro.obs.drivers import run_brake_with_obs
+    from repro.harness.config import ScenarioSpec, observe_run, run_scenario_spec
+    from repro.obs.metrics import aggregate_snapshots
 
     app = args.app
     definition = apps.get(app)
     scenario = _app_scenario(app, args.frames, args.brake_frames)
+    spec = ScenarioSpec(
+        app=app, variant=args.experiment, scenario=scenario, observe=True
+    )
     runs = sweep.map(
-        partial(
-            run_brake_with_obs,
-            scenario=scenario,
-            variant=args.experiment,
-            app=app,
-        ),
+        partial(run_scenario_spec, spec=spec),
         range(args.seeds),
         name=definition.qualified("obs", args.experiment),
         params=definition.sweep_params(frames=scenario.n_frames),
     )
-    aggregate = merge_metric_snapshots(runs)
+    aggregate = aggregate_snapshots([run.fault_summary["metrics"] for run in runs])
 
     tag = definition.qualified("", args.experiment, sep=" ")
     rows = [
@@ -1512,11 +1504,10 @@ def _run_metrics(args: argparse.Namespace, sweep) -> int:
         }
         _write_json(args.metrics_out, document, "metrics aggregate")
     if args.trace_out:
-        observation, _ = obs.observe_brake_run(
-            0, scenario, args.experiment, app=app
+        observation, _ = observe_run(0, spec)
+        _write_observation(
+            observation, trace=(args.trace_out, "representative trace (seed 0)")
         )
-        obs.write_trace(observation, args.trace_out)
-        print(f"representative trace (seed 0) -> {args.trace_out}")
     return 0
 
 
@@ -1575,7 +1566,7 @@ def _export_observability(args: argparse.Namespace) -> None:
     """
     if not (getattr(args, "trace_out", None) or getattr(args, "metrics_out", None)):
         return
-    from repro import obs
+    from repro.harness.config import ScenarioSpec, observe_run
 
     variant = next((f.observed for f in _FIGURES if f.name == args.command), "det")
     app = getattr(args, "app", "brake")
@@ -1583,17 +1574,35 @@ def _export_observability(args: argparse.Namespace) -> None:
     frames = min(frames, 500) if frames is not None else None
     seed = getattr(args, "seed", 0) or 0
     scenario = _app_scenario(app, frames, _OBSERVED_FRAMES)
-    observation, _ = obs.observe_brake_run(seed, scenario, variant, app=app)
-    for kind, path, write in (
-        ("trace", args.trace_out, obs.write_trace),
-        ("metrics", args.metrics_out, obs.write_metrics),
+    observation, _ = observe_run(
+        seed, ScenarioSpec(app=app, variant=variant, scenario=scenario)
+    )
+    label = f"observability: representative {variant}"
+    _write_observation(
+        observation,
+        trace=(args.trace_out, f"{label} trace"),
+        metrics=(args.metrics_out, f"{label} metrics"),
+        file=sys.stderr,
+    )
+
+
+def _write_observation(
+    observation, *, trace=(None, ""), metrics=(None, ""), file=None
+) -> None:
+    """Write one observed run's ``--trace-out``/``--metrics-out`` files.
+
+    *trace* and *metrics* are ``(path, label)`` pairs; each file written
+    is announced as ``<label> -> <path>`` on *file* (stdout by default).
+    """
+    from repro import obs
+
+    for (path, label), write in (
+        (trace, obs.write_trace),
+        (metrics, obs.write_metrics),
     ):
         if path:
             write(observation, path)
-            print(
-                f"observability: representative {variant} {kind} -> {path}",
-                file=sys.stderr,
-            )
+            print(f"{label} -> {path}", file=file)
 
 
 #: Every subcommand outside the figure table: its handler, and how

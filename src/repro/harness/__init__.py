@@ -14,7 +14,13 @@ sweep service's coordinator both read and write.
 """
 
 from repro.harness.benchdiff import compare_dirs, render_bench_diff
-from repro.harness.config import NetworkSpec, ScenarioSpec, run_scenario_spec
+from repro.harness.config import (
+    NetworkSpec,
+    ScenarioSpec,
+    flow_summary,
+    observe_run,
+    run_scenario_spec,
+)
 from repro.harness.runner import env_int
 from repro.harness.sweep import (
     ResultStore,
@@ -27,7 +33,6 @@ from repro.harness.sweep import (
     driver_fingerprint,
     default_workers,
     make_record,
-    merge_metric_snapshots,
     record_key,
 )
 from repro.harness import figures
@@ -36,6 +41,8 @@ __all__ = [
     "NetworkSpec",
     "ScenarioSpec",
     "run_scenario_spec",
+    "observe_run",
+    "flow_summary",
     "env_int",
     "figures",
     "SweepRunner",
@@ -49,7 +56,6 @@ __all__ = [
     "code_fingerprint",
     "driver_fingerprint",
     "default_workers",
-    "merge_metric_snapshots",
     "compare_dirs",
     "render_bench_diff",
 ]

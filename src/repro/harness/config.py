@@ -20,7 +20,10 @@ keep resolving to the same experiments.  Both formats load.
 
 The module-level :func:`run_scenario_spec` is the picklable worker the
 sweep engine fans out: ``SweepRunner().run_spec(spec)`` is the single
-execution path for seeded experiments.
+execution path for seeded experiments.  Beside it, :func:`observe_run`
+is the one place a seed runs under :func:`repro.obs.capture`, and
+:func:`flow_summary` the picklable flow-traced worker of ``repro
+flows``.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ __all__ = [
     "latency_model_to_dict",
     "latency_model_from_dict",
     "run_scenario_spec",
+    "observe_run",
+    "flow_summary",
 ]
 
 
@@ -124,9 +129,9 @@ class ScenarioSpec:
             ``None`` keeps the app's native fabric (the brake app's is
             the trivial single-switch world).
         stp: overrides the scenario's ``L``/``E`` bounds when set.
-        observe: run each seed under :func:`repro.obs.capture` and
-            attach the metrics snapshot to the result's
-            ``fault_summary``-style digest.
+        observe: run each seed through :func:`observe_run` and attach
+            the metrics snapshot to the result's ``fault_summary``
+            digest.
         faults: the :class:`FaultPlan` to install; ``None`` defers to
             the app's default plan (fault-free for most apps, the crash
             window for the failover scenario).
@@ -364,33 +369,63 @@ def run_scenario_spec(
     Dispatches through :mod:`repro.apps.registry` — any registered
     app/variant runs through this single path.  Returns the runner's
     :class:`BrakeRunResult`-shaped value; with ``spec.observe`` the run
-    executes under :func:`repro.obs.capture` and the metrics snapshot
-    is merged into ``result.fault_summary`` (the per-run digest channel
-    that survives pickling).  *fault_universe* and *fault_checkpointer*
-    feed the snapshot engine's fault-replay seam (see
-    :mod:`repro.snapshot`).
+    goes through :func:`observe_run` and the metrics snapshot is merged
+    into ``result.fault_summary`` (the per-run digest channel that
+    survives pickling).  *fault_universe* and *fault_checkpointer* feed
+    the snapshot engine's fault-replay seam (see :mod:`repro.snapshot`).
     """
-    scenario = spec.effective_scenario()
-    switch_config = spec.switch_config()
-    experiment = spec.definition().runner(spec.variant)
-
-    def execute():
-        return experiment(
-            seed,
-            scenario,
-            switch_config=switch_config,
-            fault_plan=spec.faults,
-            fault_replay=fault_replay,
-            fault_universe=fault_universe,
-            fault_checkpointer=fault_checkpointer,
-        )
-
+    seams = dict(
+        fault_replay=fault_replay,
+        fault_universe=fault_universe,
+        fault_checkpointer=fault_checkpointer,
+    )
     if not spec.observe:
-        return execute()
-    from repro.obs.context import capture
-
-    with capture() as observation:
-        result = execute()
+        return _run_seed(seed, spec, **seams)
+    observation, result = observe_run(seed, spec, **seams)
     digest = dict(result.fault_summary or {})
     digest["metrics"] = observation.metrics.snapshot()
     return replace(result, fault_summary=digest)
+
+
+def observe_run(seed: int, spec: ScenarioSpec, *, flows: bool = False, **seams):
+    """Run one seed of *spec* under :func:`repro.obs.capture`.
+
+    The one place a seed runs observed.  Returns ``(observation,
+    result)``: the :class:`~repro.obs.Observation` holds the event bus
+    (for the Perfetto export), the metrics registry and, with
+    ``flows=True``, the causal flow records; *result* is exactly the
+    runner's value.  *seams* are :func:`run_scenario_spec`'s
+    fault-replay arguments.
+    """
+    from repro.obs.context import capture
+
+    with capture(flows=flows) as observation:
+        result = _run_seed(seed, spec, **seams)
+    return observation, result
+
+
+def flow_summary(seed: int, spec: ScenarioSpec) -> dict:
+    """Picklable sweep worker: one flow-traced seed of *spec*.
+
+    ``report`` is the seed's ``flow-report/v1`` document (merge across
+    seeds with :func:`repro.obs.flows.merge_flow_reports`), ``metrics``
+    its metrics snapshot (:func:`repro.obs.metrics.aggregate_snapshots`).
+    """
+    from repro.obs.flows import flow_report
+
+    observation, _ = observe_run(seed, spec, flows=True)
+    return {
+        "report": flow_report(observation.flows),
+        "metrics": observation.metrics.snapshot(),
+    }
+
+
+def _run_seed(seed: int, spec: ScenarioSpec, **seams):
+    experiment = spec.definition().runner(spec.variant)
+    return experiment(
+        seed,
+        spec.effective_scenario(),
+        switch_config=spec.switch_config(),
+        fault_plan=spec.faults,
+        **seams,
+    )

@@ -70,7 +70,6 @@ __all__ = [
     "code_fingerprint",
     "driver_fingerprint",
     "default_workers",
-    "merge_metric_snapshots",
 ]
 
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -777,22 +776,3 @@ class SweepRunner:
             params=spec.content(),
         )
 
-
-def merge_metric_snapshots(snapshots: Iterable[dict]) -> dict:
-    """Merge per-seed observability metric snapshots into one aggregate.
-
-    Sweep workers that run under :func:`repro.obs.capture` (for example
-    :func:`repro.obs.drivers.run_brake_with_obs`) return a
-    ``metrics`` snapshot per seed.  This merges N of them: counters and
-    gauge peaks become cross-seed distributions (p50/p95/max), and
-    fixed-bucket histograms merge bucket-by-bucket with re-estimated
-    quantiles.  Accepts either raw snapshots or full per-seed result
-    dicts carrying a ``"metrics"`` key.
-    """
-    from repro.obs.metrics import aggregate_snapshots
-
-    unwrapped = [
-        snapshot.get("metrics", snapshot) if isinstance(snapshot, dict) else snapshot
-        for snapshot in snapshots
-    ]
-    return aggregate_snapshots(unwrapped)

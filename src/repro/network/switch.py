@@ -172,6 +172,21 @@ class Switch:
         wire = max(self.config.latency.bound(), self.config.loopback_latency.bound())
         return wire + 1500 * self.config.ns_per_byte
 
+    def _drop(self, frame: Frame, label: str, cause: str, o) -> None:
+        """Count a lost *frame*; observed, record it and attribute *cause*."""
+        self.frames_dropped += 1
+        if o.enabled:
+            o.metrics.counter("net.frames_dropped").inc()
+            o.bus.instant(
+                TRACK_NETWORK,
+                f"{label} {frame.src_host}->{frame.dst_host}",
+                self._sim.now,
+                o.wall_ns(),
+                dst_port=frame.dst_port,
+                bytes=frame.size_bytes,
+            )
+            attribute_drop(o, LAYER_SWITCH, cause, self._sim.now)
+
     def send(self, frame: Frame) -> None:
         """Route *frame* to its destination host with a sampled delay."""
         destination = self._interfaces.get(frame.dst_host)
@@ -186,18 +201,7 @@ class Switch:
             self.config.drop_probability > 0.0
             and self._rng.random() < self.config.drop_probability
         ):
-            self.frames_dropped += 1
-            if o.enabled:
-                o.metrics.counter("net.frames_dropped").inc()
-                o.bus.instant(
-                    TRACK_NETWORK,
-                    f"drop {frame.src_host}->{frame.dst_host}",
-                    self._sim.now,
-                    o.wall_ns(),
-                    dst_port=frame.dst_port,
-                    bytes=frame.size_bytes,
-                )
-                attribute_drop(o, LAYER_SWITCH, CAUSE_RANDOM_DROP, self._sim.now)
+            self._drop(frame, "drop", CAUSE_RANDOM_DROP, o)
             return
         route: Route | None = None
         if frame.src_host == frame.dst_host:
@@ -215,23 +219,8 @@ class Switch:
         )
         if verdict is not None:
             if verdict.drop is not None:
-                self.frames_dropped += 1
-                if o.enabled:
-                    o.metrics.counter("net.frames_dropped").inc()
-                    o.bus.instant(
-                        TRACK_NETWORK,
-                        f"{verdict.drop} {frame.src_host}->{frame.dst_host}",
-                        self._sim.now,
-                        o.wall_ns(),
-                        dst_port=frame.dst_port,
-                        bytes=frame.size_bytes,
-                    )
-                    attribute_drop(
-                        o,
-                        LAYER_SWITCH,
-                        FAULT_DROP_CAUSES.get(verdict.drop, verdict.drop),
-                        self._sim.now,
-                    )
+                cause = FAULT_DROP_CAUSES.get(verdict.drop, verdict.drop)
+                self._drop(frame, verdict.drop, cause, o)
                 return
             if verdict.corrupt:
                 frame = replace(frame, payload=CorruptedPayload(frame.payload))

@@ -13,8 +13,9 @@ question — "*where does physical time go?*" — with three pieces:
   safe-to-process waits, mutex hold times, queue depths and drops —
   exactly mergeable across sweep seeds;
 * **exporters** (:mod:`repro.obs.export`): Chrome/Perfetto
-  ``trace_event`` JSON for timeline viewing and a ``metrics.json``
-  snapshot for regression tooling.
+  ``trace_event`` JSON for timeline viewing — the one renderer of both
+  a run's bus and a campaign's fleet trace (:mod:`repro.obs.fleet`) —
+  and a ``metrics.json`` snapshot for regression tooling.
 
 Everything is off by default and guarded by a single flag check per
 site (:mod:`repro.obs.context`), and recording never draws randomness
@@ -24,14 +25,17 @@ logical trace fingerprint byte-identical.
 Quick use::
 
     from repro import obs
-    from repro.apps.brake.det import run_det_brake_assistant
+    from repro.harness import ScenarioSpec, observe_run
 
-    with obs.capture() as observation:
-        run_det_brake_assistant(seed=0)
+    observation, result = observe_run(0, ScenarioSpec(variant="det"))
     obs.write_trace(observation, "trace.json")      # open in Perfetto
     obs.write_metrics(observation, "metrics.json")
 
 or, from a shell: ``repro trace det --trace-out trace.json``.
+:func:`repro.harness.observe_run` is the one place a seed runs under
+:func:`capture`; sweeps reach it through ``ScenarioSpec(observe=True)``
+(metrics in ``result.fault_summary["metrics"]``) or
+:func:`repro.harness.flow_summary` (causal flow reports).
 """
 
 from repro.obs.bus import (
@@ -44,13 +48,6 @@ from repro.obs.bus import (
 )
 from repro.obs import fleet
 from repro.obs.context import Observation, NullObservation, active, capture
-from repro.obs.drivers import (
-    BRAKE_VARIANTS,
-    observe_brake_flows,
-    observe_brake_run,
-    run_brake_flows,
-    run_brake_with_obs,
-)
 from repro.obs.export import (
     metrics_document,
     trace_events,
@@ -84,10 +81,11 @@ from repro.obs.metrics import (
 from repro.obs.fleet import (
     FleetTelemetry,
     fleet_capture,
+    fleet_trace_bus,
     fleet_trace_events,
+    fleet_trace_labels,
     prometheus_text,
     validate_prometheus_text,
-    write_fleet_trace,
 )
 
 __all__ = [
@@ -96,10 +94,11 @@ __all__ = [
     "fleet",
     "FleetTelemetry",
     "fleet_capture",
+    "fleet_trace_bus",
     "fleet_trace_events",
+    "fleet_trace_labels",
     "prometheus_text",
     "validate_prometheus_text",
-    "write_fleet_trace",
     "TRACK_SCHEDULER",
     "TRACK_REACTORS",
     "TRACK_DEAR",
@@ -131,9 +130,4 @@ __all__ = [
     "flow_report",
     "merge_flow_reports",
     "validate_flow_report",
-    "BRAKE_VARIANTS",
-    "observe_brake_run",
-    "run_brake_with_obs",
-    "observe_brake_flows",
-    "run_brake_flows",
 ]

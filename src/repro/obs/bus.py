@@ -46,7 +46,9 @@ class Event:
     ``phase`` follows the Chrome ``trace_event`` vocabulary the export
     targets: ``"X"`` is a complete span (``ts`` .. ``ts + dur``),
     ``"i"`` an instant.  ``ts``/``dur`` are simulation nanoseconds;
-    ``wall_ns`` is host time relative to the observation start.
+    ``wall_ns`` is host time relative to the observation start, or
+    ``None`` on a bus whose timestamps are host time already (the fleet
+    trace of :mod:`repro.obs.fleet`).
     """
 
     track: str
@@ -54,7 +56,7 @@ class Event:
     phase: str
     ts: int
     dur: int = 0
-    wall_ns: int = 0
+    wall_ns: int | None = 0
     args: dict[str, Any] | None = None
 
 
@@ -72,7 +74,7 @@ class EventBus:
         name: str,
         start_ns: int,
         end_ns: int,
-        wall_ns: int = 0,
+        wall_ns: int | None = 0,
         **args: Any,
     ) -> None:
         """Record a complete span ``[start_ns, end_ns]`` on *track*.
@@ -97,7 +99,12 @@ class EventBus:
         )
 
     def instant(
-        self, track: str, name: str, ts_ns: int, wall_ns: int = 0, **args: Any
+        self,
+        track: str,
+        name: str,
+        ts_ns: int,
+        wall_ns: int | None = 0,
+        **args: Any,
     ) -> None:
         """Record a point event at *ts_ns* on *track*."""
         self.events.append(Event(track, name, "i", ts_ns, 0, wall_ns, args or None))

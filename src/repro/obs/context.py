@@ -19,8 +19,8 @@ observed and unobserved runs (asserted by ``tests/test_obs.py``).
 :func:`capture` installs a fresh :class:`Observation` for the duration
 of a ``with`` block (re-entrant: the previous handle is restored on
 exit).  Sweep workers run one seed per process, so a process-global
-handle is safe; the picklable drivers in :mod:`repro.obs.drivers` call
-:func:`capture` *inside* the worker.
+handle is safe; :func:`repro.harness.observe_run`, the one caller,
+enters :func:`capture` *inside* the worker.
 """
 
 from __future__ import annotations

@@ -2,11 +2,14 @@
 
 The timeline export targets the Chrome ``trace_event`` format (the JSON
 flavour both ``chrome://tracing`` and https://ui.perfetto.dev load
-directly): one pseudo-process ``repro``, one pseudo-thread per event-bus
-track, complete spans as ``"ph": "X"`` and instants as ``"ph": "i"``.
-Timestamps are simulation time converted to the format's microsecond
-unit; the wall-clock stamp and any structured arguments ride along in
-``args``.
+directly): one pseudo-process, one pseudo-thread per event-bus track,
+complete spans as ``"ph": "X"`` and instants as ``"ph": "i"``.
+Timestamps are the bus's integer nanoseconds converted to the format's
+microsecond unit; the wall-clock stamp (when the event has one) and any
+structured arguments ride along in ``args``.  It is the one renderer of
+both timelines: a simulation run's observation (process ``repro``,
+simulation time) and a campaign's fleet trace
+(:func:`repro.obs.fleet.fleet_trace_bus`, host time from submission).
 
 :func:`validate_trace_data` is the shape check CI's obs-smoke job and
 the unit tests share: phases from the supported vocabulary,
@@ -21,6 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
+    from repro.obs.bus import EventBus
     from repro.obs.context import Observation
 
 __all__ = [
@@ -91,17 +95,22 @@ def _flow_event_records(
     return records
 
 
-def trace_events(observation: "Observation") -> list[dict[str, Any]]:
-    """Render an observation's event bus as ``trace_event`` dicts.
+def trace_events(
+    source: "Observation | EventBus", *, process: str = "repro"
+) -> list[dict[str, Any]]:
+    """Render an event bus as ``trace_event`` dicts.
 
-    Events are ordered by ``(track, ts)`` so each pseudo-thread's
-    timeline is monotonic regardless of the interleaved record order
-    (different platforms' clocks may skew against global time).  Flow
-    events, when causal flow tracing was active, are merged into the
-    same per-lane order (after spans at equal timestamps, so each arrow
-    anchor binds to the slice opened at that instant).
+    *source* is an observation (its bus, plus Perfetto flow arrows when
+    causal flow tracing was active) or a bare :class:`EventBus`;
+    *process* names the pseudo-process.  Events are ordered by
+    ``(track, ts)`` so each pseudo-thread's timeline is monotonic
+    regardless of the interleaved record order (different platforms'
+    clocks may skew against global time).  Flow events are merged into
+    the same per-lane order (after spans at equal timestamps, so each
+    arrow anchor binds to the slice opened at that instant).
     """
-    tracks = observation.bus.tracks()
+    bus = getattr(source, "bus", source)
+    tracks = bus.tracks()
     tids = {track: index + 1 for index, track in enumerate(tracks)}
     events: list[dict[str, Any]] = [
         {
@@ -109,7 +118,7 @@ def trace_events(observation: "Observation") -> list[dict[str, Any]]:
             "ph": "M",
             "pid": TRACE_PID,
             "tid": 0,
-            "args": {"name": "repro"},
+            "args": {"name": process},
         }
     ]
     for track in tracks:
@@ -123,7 +132,7 @@ def trace_events(observation: "Observation") -> list[dict[str, Any]]:
             }
         )
     keyed: list[tuple[str, int, int, dict[str, Any]]] = []
-    for order, event in enumerate(observation.bus.events):
+    for order, event in enumerate(bus.events):
         record: dict[str, Any] = {
             "name": event.name,
             "cat": event.track,
@@ -137,10 +146,11 @@ def trace_events(observation: "Observation") -> list[dict[str, Any]]:
         if event.phase == "i":
             record["s"] = "t"  # thread-scoped instant
         args = dict(event.args) if event.args else {}
-        args["wall_ns"] = event.wall_ns
+        if event.wall_ns is not None:
+            args["wall_ns"] = event.wall_ns
         record["args"] = args
         keyed.append((event.track, event.ts, order, record))
-    flows = getattr(observation, "flows", None)
+    flows = getattr(source, "flows", None)
     if flows is not None:
         base = len(keyed)
         for offset, (track, ts, record) in enumerate(_flow_event_records(flows, tids)):
@@ -150,16 +160,24 @@ def trace_events(observation: "Observation") -> list[dict[str, Any]]:
     return events
 
 
-def write_trace(observation: "Observation", path: str | Path) -> Path:
-    """Write the observation's timeline as a ``trace_event`` JSON file."""
+def write_trace(
+    source: "Observation | EventBus",
+    path: str | Path,
+    *,
+    process: str = "repro",
+    **other: Any,
+) -> Path:
+    """Write *source*'s timeline as a ``trace_event`` JSON file.
+
+    ``otherData`` names the generator and the tracks; keyword *other*
+    fields are added to it (or override those two).
+    """
+    bus = getattr(source, "bus", source)
     path = Path(path)
     document = {
-        "traceEvents": trace_events(observation),
+        "traceEvents": trace_events(source, process=process),
         "displayTimeUnit": "ms",
-        "otherData": {
-            "generator": "repro.obs",
-            "tracks": observation.bus.tracks(),
-        },
+        "otherData": {"generator": "repro.obs", "tracks": bus.tracks(), **other},
     }
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     return path

@@ -24,10 +24,12 @@ running campaign can be operated like production infrastructure:
   ship theirs inside completion reports, and every campaign report
   embeds the coordinator's plus a cross-worker merge via
   :func:`~repro.obs.metrics.aggregate_snapshots`.
-* a **fleet trace** (:func:`fleet_trace_events`): the campaign report's
-  coordinator-stamped job timelines rendered as a Chrome/Perfetto
-  ``trace_event`` timeline — one queue track plus one track per worker
-  — valid under :func:`~repro.obs.export.validate_trace_data`.
+* a **fleet trace** (:func:`fleet_trace_bus`): the campaign report's
+  coordinator-stamped job timelines as an
+  :class:`~repro.obs.bus.EventBus` — one queue track plus one track per
+  worker — rendered by the simulation's own Perfetto exporter
+  (:func:`~repro.obs.export.trace_events`/``write_trace``) and valid
+  under :func:`~repro.obs.export.validate_trace_data`.
 
 The hard invariant mirrors PR 3's: recording draws no randomness and
 takes no scheduling decision, so enabling fleet telemetry leaves every
@@ -43,10 +45,10 @@ import re
 import socket
 import threading
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from repro.obs.export import TRACE_PID
+from repro.obs.bus import EventBus
+from repro.obs.export import trace_events
 from repro.obs.metrics import (
     MetricsRegistry,
     aggregate_snapshots,
@@ -69,8 +71,9 @@ __all__ = [
     "merge_fleet_documents",
     "prometheus_text",
     "validate_prometheus_text",
+    "fleet_trace_bus",
     "fleet_trace_events",
-    "write_fleet_trace",
+    "fleet_trace_labels",
 ]
 
 #: Format tag of a fleet metrics snapshot (embedded in campaign reports).
@@ -438,71 +441,24 @@ def validate_prometheus_text(text: str) -> list[str]:
 # The fleet trace: campaign job timelines as a Perfetto timeline.
 # ---------------------------------------------------------------------------
 
-#: tid of the coordinator queue track; workers get 2, 3, ... in sorted
-#: worker-id order.
-_QUEUE_TID = 1
+#: The track of the time each job spent pending; workers get one track each.
+_QUEUE_TRACK = "coordinator queue"
 
 #: Timeline events that end a lease (close the worker-track span).
 _LEASE_ENDS = ("done", "requeued", "failed")
 
 
-def _trace_tracks(jobs: Sequence[dict]) -> dict[str, int]:
-    """tid per worker id, from every worker a timeline ever mentions."""
-    workers: set[str] = set()
-    for job in jobs:
-        for event in job.get("timeline", []):
-            if event.get("worker"):
-                workers.add(event["worker"])
-    return {
-        worker: _QUEUE_TID + 1 + index
-        for index, worker in enumerate(sorted(workers))
-    }
+def fleet_trace_bus(report: dict[str, Any]) -> EventBus:
+    """A campaign report's job timelines as an :class:`EventBus`.
 
-
-def _span(
-    name: str,
-    tid: int,
-    start_us: float,
-    dur_us: float,
-    args: dict[str, Any],
-) -> dict[str, Any]:
-    return {
-        "name": name,
-        "cat": "fleet",
-        "ph": "X",
-        "pid": TRACE_PID,
-        "tid": tid,
-        "ts": start_us,
-        "dur": max(0.0, dur_us),
-        "args": args,
-    }
-
-
-def _instant(name: str, tid: int, ts_us: float, args: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "name": name,
-        "cat": "fleet",
-        "ph": "i",
-        "s": "t",
-        "pid": TRACE_PID,
-        "tid": tid,
-        "ts": ts_us,
-        "args": args,
-    }
-
-
-def fleet_trace_events(report: dict[str, Any]) -> list[dict[str, Any]]:
-    """Render a campaign report's job timelines as ``trace_event`` dicts.
-
-    One pseudo-process, one *queue* track (time each job spent pending,
-    requeue instants) and one track per worker (each lease attempt as a
-    complete span, the final attempt annotated with the worker-side
-    execution stats shipped back in the completion report).  Timestamps
-    are microseconds relative to the campaign's submission; the result
-    passes :func:`~repro.obs.export.validate_trace_data`.
+    One *coordinator queue* track (time each job spent pending, requeue
+    instants) and one ``worker <id>`` track per worker (each lease
+    attempt as a complete span, the final attempt annotated with the
+    worker-side execution stats shipped back in the completion report).
+    Timestamps are integer nanoseconds of host time since the
+    campaign's submission; the events carry no separate wall stamp.
     """
     jobs = report.get("jobs", [])
-    worker_tids = _trace_tracks(jobs)
     stamps = [
         event["t"]
         for job in jobs
@@ -513,44 +469,12 @@ def fleet_trace_events(report: dict[str, Any]) -> list[dict[str, Any]]:
     if not isinstance(anchor, (int, float)):
         anchor = min(stamps) if stamps else 0.0
 
-    def rel_us(t: float) -> float:
-        return max(0.0, (t - anchor)) * 1e6
+    def rel_ns(t: float) -> int:
+        return round(max(0.0, t - anchor) * 1e9)
 
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": TRACE_PID,
-            "tid": 0,
-            "args": {"name": f"campaign {report.get('campaign', '?')}"},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": TRACE_PID,
-            "tid": _QUEUE_TID,
-            "args": {"name": "coordinator queue"},
-        },
-    ]
-    for worker, tid in sorted(worker_tids.items(), key=lambda item: item[1]):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": TRACE_PID,
-                "tid": tid,
-                "args": {"name": f"worker {worker}"},
-            }
-        )
-
-    keyed: list[tuple[int, float, int, dict[str, Any]]] = []
-
-    def emit(record: dict[str, Any]) -> None:
-        keyed.append((record["tid"], record["ts"], len(keyed), record))
-
+    bus = EventBus()
     for job in jobs:
         name = job.get("job", "?")
-        seeds = job.get("seeds", [])
         timeline = [
             event
             for event in job.get("timeline", [])
@@ -563,33 +487,22 @@ def fleet_trace_events(report: dict[str, Any]) -> list[dict[str, Any]]:
             if kind in ("queued", "requeued"):
                 pending_since = t
                 if kind == "requeued":
-                    emit(
-                        _instant(
-                            f"requeue {name}",
-                            _QUEUE_TID,
-                            rel_us(t),
-                            {
-                                "job": name,
-                                "attempt": event.get("attempt"),
-                                "reason": event.get("reason"),
-                            },
-                        )
+                    bus.instant(
+                        _QUEUE_TRACK, f"requeue {name}", rel_ns(t), wall_ns=None,
+                        job=name, attempt=event.get("attempt"),
+                        reason=event.get("reason"),
                     )
             elif kind == "leased":
                 if pending_since is not None:
-                    emit(
-                        _span(
-                            f"{name} pending",
-                            _QUEUE_TID,
-                            rel_us(pending_since),
-                            rel_us(t) - rel_us(pending_since),
-                            {"job": name, "attempt": event.get("attempt")},
-                        )
+                    bus.span(
+                        _QUEUE_TRACK, f"{name} pending",
+                        rel_ns(pending_since), rel_ns(t), wall_ns=None,
+                        job=name, attempt=event.get("attempt"),
                     )
                     pending_since = None
-                tid = worker_tids.get(event.get("worker"))
-                if tid is None:
+                if not event.get("worker"):
                     continue
+                track = f"worker {event['worker']}"
                 end = next(
                     (
                         later
@@ -600,14 +513,12 @@ def fleet_trace_events(report: dict[str, Any]) -> list[dict[str, Any]]:
                 )
                 args: dict[str, Any] = {
                     "job": name,
-                    "seeds": list(seeds),
+                    "seeds": list(job.get("seeds", [])),
                     "attempt": event.get("attempt"),
                 }
                 if end is None:
-                    emit(
-                        _instant(
-                            f"{name} executing", tid, rel_us(t), args
-                        )
+                    bus.instant(
+                        track, f"{name} executing", rel_ns(t), wall_ns=None, **args
                     )
                     continue
                 args["outcome"] = end.get("event")
@@ -615,40 +526,35 @@ def fleet_trace_events(report: dict[str, Any]) -> list[dict[str, Any]]:
                     args["reason"] = end.get("reason")
                 if end.get("event") == "done" and job.get("exec"):
                     args["exec"] = job["exec"]
-                emit(
-                    _span(
-                        f"{name} attempt {event.get('attempt')}",
-                        tid,
-                        rel_us(t),
-                        rel_us(end["t"]) - rel_us(t),
-                        args,
-                    )
+                start = rel_ns(t)
+                bus.span(
+                    track, f"{name} attempt {event.get('attempt')}",
+                    start, max(start, rel_ns(end["t"])), wall_ns=None, **args,
                 )
         if pending_since is not None:
-            emit(
-                _instant(
-                    f"{name} pending",
-                    _QUEUE_TID,
-                    rel_us(pending_since),
-                    {"job": name, "state": job.get("state")},
-                )
+            bus.instant(
+                _QUEUE_TRACK, f"{name} pending", rel_ns(pending_since), wall_ns=None,
+                job=name, state=job.get("state"),
             )
-
-    keyed.sort(key=lambda item: (item[0], item[1], item[2]))
-    events.extend(record for _, _, _, record in keyed)
-    return events
+    return bus
 
 
-def write_fleet_trace(report: dict[str, Any], path: str | Path) -> Path:
-    """Write a campaign report's fleet trace as ``trace_event`` JSON."""
-    path = Path(path)
-    document = {
-        "traceEvents": fleet_trace_events(report),
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "generator": "repro.obs.fleet",
-            "campaign": report.get("campaign"),
-        },
+def fleet_trace_events(report: dict[str, Any]) -> list[dict[str, Any]]:
+    """Render a campaign report's fleet trace as ``trace_event`` dicts.
+
+    The one process is named after the campaign; the result passes
+    :func:`~repro.obs.export.validate_trace_data`.  Write the file with
+    ``write_trace(fleet_trace_bus(report), path, **fleet_trace_labels(report))``.
+    """
+    return trace_events(
+        fleet_trace_bus(report), process=fleet_trace_labels(report)["process"]
+    )
+
+
+def fleet_trace_labels(report: dict[str, Any]) -> dict[str, Any]:
+    """The process name and ``otherData`` fields of a campaign's trace."""
+    return {
+        "process": f"campaign {report.get('campaign', '?')}",
+        "generator": "repro.obs.fleet",
+        "campaign": report.get("campaign"),
     }
-    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    return path

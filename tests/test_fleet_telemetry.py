@@ -22,17 +22,18 @@ from repro.apps.brake.scenario import BrakeScenario
 from repro.faults import FaultPlan
 from repro.harness import ScenarioSpec, SweepRunner
 from repro.obs import fleet
-from repro.obs.export import validate_trace_data
+from repro.obs.export import validate_trace_data, write_trace
 from repro.obs.fleet import (
     FleetTelemetry,
     NullFleet,
     fleet_capture,
+    fleet_trace_bus,
     fleet_trace_events,
+    fleet_trace_labels,
     merge_fleet_documents,
     prometheus_text,
     snapshot_document,
     validate_prometheus_text,
-    write_fleet_trace,
 )
 from repro.obs.metrics import (
     Histogram,
@@ -678,7 +679,11 @@ class TestFleetTrace:
     def test_write_fleet_trace_file(self, clocked, tmp_path):
         coordinator, clock = clocked
         report = self.run_campaign(coordinator, clock)
-        path = write_fleet_trace(report, tmp_path / "fleet-trace.json")
+        path = write_trace(
+            fleet_trace_bus(report),
+            tmp_path / "fleet-trace.json",
+            **fleet_trace_labels(report),
+        )
         document = json.loads(path.read_text())
         assert validate_trace_data(document) == []
         assert document["otherData"]["campaign"] == report["campaign"]

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.harness import ScenarioSpec, flow_summary, observe_run
 from repro.obs.flows import (
     CAUSE_BUFFER_OVERWRITE,
     CAUSE_FAULT_DROP,
@@ -26,6 +27,10 @@ from repro.obs.flows import (
     validate_flow_report,
 )
 from repro.obs.metrics import MetricsRegistry, labeled, parse_labeled
+
+
+def _spec(scenario, variant, faults=None):
+    return ScenarioSpec(variant=variant, scenario=scenario, faults=faults)
 
 
 def _registry():
@@ -221,10 +226,8 @@ class TestFlowReport:
 class TestBrakeFlows:
     def test_det_all_frames_delivered_with_quantiles(self):
         from repro.explore import calibration_scenario
-        from repro.obs.drivers import run_brake_flows
-
         scenario = calibration_scenario(20, deterministic_camera=True)
-        run = run_brake_flows(0, scenario, "det")
+        run = flow_summary(0, _spec(scenario, "det"))
         report = run["report"]
         assert validate_flow_report(report) == []
         summary = report["summary"]
@@ -241,11 +244,9 @@ class TestBrakeFlows:
     def test_every_lost_frame_has_exactly_one_attribution(self):
         from repro.explore import calibration_scenario
         from repro.faults import FaultPlan
-        from repro.obs.drivers import run_brake_flows
-
         scenario = calibration_scenario(40, deterministic_camera=True)
         plan = FaultPlan.camera_faults(seed=3, drop=0.15, label="flows-test")
-        run = run_brake_flows(0, scenario, "det", fault_plan=plan)
+        run = flow_summary(0, _spec(scenario, "det", plan))
         report = run["report"]
         assert validate_flow_report(report) == []
         summary = report["summary"]
@@ -261,11 +262,9 @@ class TestBrakeFlows:
     def test_drops_total_reconciles_with_attribution(self):
         from repro.explore import calibration_scenario
         from repro.faults import FaultPlan
-        from repro.obs.drivers import run_brake_flows
-
         scenario = calibration_scenario(40, deterministic_camera=True)
         plan = FaultPlan.camera_faults(seed=3, drop=0.2, label="flows-recon")
-        run = run_brake_flows(0, scenario, "det", fault_plan=plan)
+        run = flow_summary(0, _spec(scenario, "det", plan))
         counters = run["metrics"]["counters"]
         by_cause: dict[str, int] = {}
         for name, value in counters.items():
@@ -286,9 +285,8 @@ class TestBrakeFlows:
 
     def test_nondet_attributes_its_losses(self):
         from repro.apps.brake import BrakeScenario
-        from repro.obs.drivers import run_brake_flows
 
-        run = run_brake_flows(5, BrakeScenario(n_frames=120), "nondet")
+        run = flow_summary(5, _spec(BrakeScenario(n_frames=120), "nondet"))
         report = run["report"]
         assert validate_flow_report(report) == []
         # The stock variant loses frames to app-level buffer overwrites
@@ -301,35 +299,29 @@ class TestDeterminismInvariant:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_fingerprints_identical_flows_on_off(self, variant, seed):
         from repro.explore import calibration_scenario
-        from repro.obs.drivers import observe_brake_flows, observe_brake_run
-
         scenario = calibration_scenario(15, deterministic_camera=True)
-        _, plain = observe_brake_run(seed, scenario, variant)
-        _, flowed = observe_brake_flows(seed, scenario, variant)
+        _, plain = observe_run(seed, _spec(scenario, variant))
+        _, flowed = observe_run(seed, _spec(scenario, variant), flows=True)
         assert dict(plain.trace_fingerprints) == dict(flowed.trace_fingerprints)
         assert plain.commands == flowed.commands
 
     def test_fingerprints_identical_under_faults(self):
         from repro.explore import calibration_scenario
         from repro.faults import FaultPlan
-        from repro.obs.drivers import observe_brake_flows
+        from repro.apps.brake.det import run_det_brake_assistant
 
         scenario = calibration_scenario(20, deterministic_camera=True)
         plan = FaultPlan.camera_faults(seed=1, drop=0.1, label="det-check")
-        from repro.apps.brake.det import run_det_brake_assistant
-
         baseline = run_det_brake_assistant(0, scenario, fault_plan=plan)
-        _, flowed = observe_brake_flows(0, scenario, "det", fault_plan=plan)
+        _, flowed = observe_run(0, _spec(scenario, "det", plan), flows=True)
         assert dict(baseline.trace_fingerprints) == dict(flowed.trace_fingerprints)
 
 
 class TestFlowExport:
     def _observed(self):
         from repro.explore import calibration_scenario
-        from repro.obs.drivers import observe_brake_flows
-
         scenario = calibration_scenario(10, deterministic_camera=True)
-        observation, _ = observe_brake_flows(0, scenario, "det")
+        observation, _ = observe_run(0, _spec(scenario, "det"), flows=True)
         return observation
 
     def test_flow_events_emitted_and_valid(self):
@@ -362,10 +354,8 @@ class TestFlowExport:
 
     def test_plain_observation_has_no_flow_events(self):
         from repro.explore import calibration_scenario
-        from repro.obs.drivers import observe_brake_run
-
         scenario = calibration_scenario(10, deterministic_camera=True)
-        observation, _ = observe_brake_run(0, scenario, "det")
+        observation, _ = observe_run(0, _spec(scenario, "det"))
         phases = {e["ph"] for e in obs.trace_events(observation)}
         assert phases <= {"M", "X", "i"}
 

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.harness import ScenarioSpec, flow_summary, observe_run, run_scenario_spec
 from repro.obs import context as obs_context
 from repro.obs.metrics import (
     DEPTH_BUCKETS,
@@ -365,7 +366,9 @@ class TestAcceptance:
         from repro.explore import calibration_scenario
 
         scenario = calibration_scenario(20, deterministic_camera=True)
-        observation, _ = obs.observe_brake_run(0, scenario, "det")
+        observation, _ = observe_run(
+            0, ScenarioSpec(variant="det", scenario=scenario)
+        )
         assert set(observation.bus.tracks()) >= {
             "scheduler",
             "reactors",
@@ -381,19 +384,20 @@ class TestAcceptance:
         from functools import partial
 
         from repro.explore import calibration_scenario
-        from repro.harness.sweep import SweepRunner, merge_metric_snapshots
-        from repro.obs.drivers import run_brake_with_obs
+        from repro.harness.sweep import SweepRunner
 
         scenario = calibration_scenario(10, deterministic_camera=True)
+        spec = ScenarioSpec(variant="det", scenario=scenario, observe=True)
         sweep = SweepRunner(workers=2, use_cache=False)
         runs = sweep.map(
-            partial(run_brake_with_obs, scenario=scenario, variant="det"),
+            partial(run_scenario_spec, spec=spec),
             range(10),
             name="test-obs-sweep",
         )
         assert len(runs) == 10
-        assert all(run["tracks"] for run in runs)
-        aggregate = merge_metric_snapshots(runs)
+        aggregate = obs.aggregate_snapshots(
+            [run.fault_summary["metrics"] for run in runs]
+        )
         assert aggregate["seeds"] == 10
         lag = aggregate["histograms"]["reactor.lag_ns"]
         assert lag["seeds_observed"] == 10
@@ -404,9 +408,9 @@ class TestAcceptance:
         import pickle
         from functools import partial
 
-        from repro.obs.drivers import run_brake_with_obs
-
-        pickle.dumps(partial(run_brake_with_obs, variant="det"))
+        spec = ScenarioSpec(variant="det", observe=True)
+        pickle.dumps(partial(run_scenario_spec, spec=spec))
+        pickle.dumps(partial(flow_summary, spec=spec))
 
 
 class TestCli:
