@@ -48,6 +48,7 @@ from repro.apps.brake.nondet import (
     start_camera,
 )
 from repro.apps.brake.scenario import BrakeScenario
+from repro.apps.lib.common import deliver_flow
 from repro.dear import (
     ClientEventTransactor,
     LatePolicy,
@@ -56,7 +57,6 @@ from repro.dear import (
     TransactorConfig,
 )
 from repro.network import NetworkInterface
-from repro.obs import context as obs_context
 from repro.reactors import Environment, Reactor
 from repro.time.duration import SEC
 
@@ -166,9 +166,7 @@ class _EbaLogic(Reactor):
             sent = send_times.get(command.frame_seq)
             if sent is not None:
                 latencies[command.frame_seq] = world.sim.now - sent
-            o = obs_context.ACTIVE
-            if o.enabled and o.flows is not None:
-                o.flows.deliver(command.frame_seq, world.sim.now)
+            deliver_flow(command.frame_seq, world.sim.now)
             ctx.set(self.brake_out, brake_to_wire(command))
 
         self.reaction(
@@ -185,15 +183,11 @@ def run_det_brake_assistant(
     scenario: BrakeScenario | None = None,
     switch_config=None,
     fault_plan=None,
-    fault_replay=None,
-    fault_universe=None,
-    fault_checkpointer=None,
 ) -> BrakeRunResult:
     """Run the DEAR brake assistant once; returns measurements."""
     scenario = scenario or BrakeScenario()
     world = registry.get("brake").build_world(
-        seed, scenario, switch_config, fault_plan,
-        fault_replay, fault_universe, fault_checkpointer,
+        seed, scenario, switch_config, fault_plan
     )
     fusion = world.platform(FUSION_ECU)
     # Distributed extension: the back half of the pipeline runs on a

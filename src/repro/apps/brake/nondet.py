@@ -43,9 +43,8 @@ from repro.apps.brake.instrumentation import (
 from repro.apps.brake.logic import decide_brake, detect_vehicles, preprocess
 from repro.apps.brake.scenario import BrakeScenario
 from repro.apps.brake.vision import SceneGenerator
-from repro.apps.lib.common import random_offset, spike
+from repro.apps.lib.common import begin_flow, deliver_flow, random_offset, spike
 from repro.network import NetworkInterface, SwitchConfig
-from repro.obs import context as obs_context
 from repro.sim import Compute, SleepUntil, World
 from repro.sim.platform import CALM, MINNOWBOARD, Platform, PlatformConfig
 from repro.time.clock import ClockModel
@@ -123,10 +122,7 @@ def start_camera(
             frame = generator.frame(seq)
             payload = FRAME_SPEC.to_bytes(frame_to_wire(frame))
             send_times[seq] = world.sim.now
-            o = obs_context.ACTIVE
-            flows = o.flows if o.enabled else None
-            if flows is not None:
-                flows.begin(seq, world.sim.now)
+            flows = begin_flow(seq, world.sim.now)
             socket.send(
                 FUSION_ECU,
                 ADAPTER_RAW_PORT,
@@ -145,15 +141,11 @@ def run_nondet_brake_assistant(
     scenario: BrakeScenario | None = None,
     switch_config: SwitchConfig | None = None,
     fault_plan=None,
-    fault_replay=None,
-    fault_universe=None,
-    fault_checkpointer=None,
 ) -> BrakeRunResult:
     """Run the stock brake assistant once; returns measurements."""
     scenario = scenario or BrakeScenario()
     world = registry.get("brake").build_world(
-        seed, scenario, switch_config, fault_plan,
-        fault_replay, fault_universe, fault_checkpointer,
+        seed, scenario, switch_config, fault_plan
     )
     fusion: Platform = world.platform(FUSION_ECU)
     errors = ErrorCounters()
@@ -307,9 +299,7 @@ def run_nondet_brake_assistant(
         sent = send_times.get(command.frame_seq)
         if sent is not None:
             latencies[command.frame_seq] = world.sim.now - sent
-        o = obs_context.ACTIVE
-        if o.enabled and o.flows is not None:
-            o.flows.deliver(command.frame_seq, world.sim.now)
+        deliver_flow(command.frame_seq, world.sim.now)
         eba_skeleton.send_event("brake", {
             "frame_seq": command.frame_seq,
             "brake": command.brake,

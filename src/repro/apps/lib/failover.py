@@ -190,15 +190,11 @@ def run_nondet_failover(
     scenario: FailoverScenario | None = None,
     switch_config=None,
     fault_plan=None,
-    fault_replay=None,
-    fault_universe=None,
-    fault_checkpointer=None,
 ) -> BrakeRunResult:
     """Run the stock failover pipeline once; returns measurements."""
     scenario = scenario or FailoverScenario()
     world = registry.get("failover").build_world(
-        seed, scenario, switch_config, fault_plan,
-        fault_replay, fault_universe, fault_checkpointer,
+        seed, scenario, switch_config, fault_plan
     )
     errors = PipelineErrors()
     commands: dict[int, Any] = {}
@@ -284,15 +280,11 @@ def run_det_failover(
     scenario: FailoverScenario | None = None,
     switch_config=None,
     fault_plan=None,
-    fault_replay=None,
-    fault_universe=None,
-    fault_checkpointer=None,
 ) -> BrakeRunResult:
     """Run the DEAR failover pipeline once; returns measurements."""
     scenario = scenario or FailoverScenario()
     world = registry.get("failover").build_world(
-        seed, scenario, switch_config, fault_plan,
-        fault_replay, fault_universe, fault_checkpointer,
+        seed, scenario, switch_config, fault_plan
     )
     errors = PipelineErrors()
     commands: dict[int, Any] = {}

@@ -140,15 +140,11 @@ def run_nondet_fusion(
     scenario: FusionScenario | None = None,
     switch_config=None,
     fault_plan=None,
-    fault_replay=None,
-    fault_universe=None,
-    fault_checkpointer=None,
 ) -> BrakeRunResult:
     """Run the stock fusion pipeline once; returns measurements."""
     scenario = scenario or FusionScenario()
     world = registry.get("fusion").build_world(
-        seed, scenario, switch_config, fault_plan,
-        fault_replay, fault_universe, fault_checkpointer,
+        seed, scenario, switch_config, fault_plan
     )
     fusion = world.platform(FUSION_ECU)
     errors = PipelineErrors()
@@ -327,15 +323,11 @@ def run_det_fusion(
     scenario: FusionScenario | None = None,
     switch_config=None,
     fault_plan=None,
-    fault_replay=None,
-    fault_universe=None,
-    fault_checkpointer=None,
 ) -> BrakeRunResult:
     """Run the DEAR fusion pipeline once; returns measurements."""
     scenario = scenario or FusionScenario()
     world = registry.get("fusion").build_world(
-        seed, scenario, switch_config, fault_plan,
-        fault_replay, fault_universe, fault_checkpointer,
+        seed, scenario, switch_config, fault_plan
     )
     fusion = world.platform(FUSION_ECU)
     errors = PipelineErrors()

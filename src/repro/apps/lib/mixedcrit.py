@@ -132,15 +132,11 @@ def run_nondet_mixedcrit(
     scenario: MixedCriticalityScenario | None = None,
     switch_config=None,
     fault_plan=None,
-    fault_replay=None,
-    fault_universe=None,
-    fault_checkpointer=None,
 ) -> BrakeRunResult:
     """Run the stock mixed-criticality pipeline once; returns measurements."""
     scenario = scenario or MixedCriticalityScenario()
     world = registry.get("mixedcrit").build_world(
-        seed, scenario, switch_config, fault_plan,
-        fault_replay, fault_universe, fault_checkpointer,
+        seed, scenario, switch_config, fault_plan
     )
     errors = PipelineErrors()
     commands: dict[int, Any] = {}
@@ -255,15 +251,11 @@ def run_det_mixedcrit(
     scenario: MixedCriticalityScenario | None = None,
     switch_config=None,
     fault_plan=None,
-    fault_replay=None,
-    fault_universe=None,
-    fault_checkpointer=None,
 ) -> BrakeRunResult:
     """Run the DEAR mixed-criticality pipeline once; returns measurements."""
     scenario = scenario or MixedCriticalityScenario()
     world = registry.get("mixedcrit").build_world(
-        seed, scenario, switch_config, fault_plan,
-        fault_replay, fault_universe, fault_checkpointer,
+        seed, scenario, switch_config, fault_plan
     )
     errors = PipelineErrors()
     commands: dict[int, Any] = {}

@@ -19,14 +19,16 @@ place that turns it into a world: it adds the app's default network
 :func:`repro.ara.build_world`.
 
 Runner contract: ``runner(seed, scenario, switch_config=None,
-fault_plan=None, fault_replay=None, fault_universe=None,
-fault_checkpointer=None)`` builds its world with
+fault_plan=None)`` builds its world with
 :meth:`AppDefinition.build_world` (passing those arguments through) and
 returns a
 :class:`~repro.apps.brake.instrumentation.BrakeRunResult`-shaped value
 (``errors``/``commands``/``trace_fingerprints``/``outcome_digest()``).
 Runners must be picklable module-level callables — the sweep engine
-fans them out to worker processes.
+fans them out to worker processes.  Replay is not part of the contract:
+schedule replay (:func:`repro.sim.rng.stream_hooks`), fault replay
+(:func:`repro.faults.replay`) and observation
+(:func:`repro.obs.capture`) are installed around the run.
 """
 
 from __future__ import annotations
@@ -163,9 +165,6 @@ class AppDefinition:
         scenario: Any,
         switch_config=None,
         fault_plan=None,
-        fault_replay=None,
-        fault_universe=None,
-        fault_checkpointer=None,
     ):
         """The app's world for one run of *scenario*.
 
@@ -181,13 +180,7 @@ class AppDefinition:
         if switch_config.topology is None:
             switch_config = replace(switch_config, topology=topology)
         return build_world(
-            seed,
-            hosts,
-            switch_config,
-            faults if fault_plan is None else fault_plan,
-            fault_replay,
-            fault_universe,
-            fault_checkpointer,
+            seed, hosts, switch_config, faults if fault_plan is None else fault_plan
         )
 
     def qualified(self, prefix: str, variant: str, sep: str = "-") -> str:

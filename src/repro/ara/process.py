@@ -32,18 +32,14 @@ def build_world(
     hosts: Iterable[tuple[str, PlatformConfig | None]],
     switch_config: SwitchConfig | None = None,
     fault_plan=None,
-    fault_replay=None,
-    fault_universe=None,
-    fault_checkpointer=None,
 ) -> World:
     """A networked world: one switch, one platform + NIC + SD daemon per host.
 
     The switch draws on the world's ``"net"`` RNG stream, so one seed
     gives one schedule whichever app builds the world.  A non-empty
     :class:`~repro.faults.FaultPlan` is installed before any traffic
-    flows, optionally replaying the recorded *fault_replay* trace
-    (*fault_universe* and *fault_checkpointer* feed the snapshot
-    engine; see :func:`repro.faults.install_fault_plan`).
+    flows (under an active :func:`repro.faults.replay`, its decisions
+    come from the replayed trace).
     """
     world = World(seed)
     switch = Switch(world.sim, world.rng.stream("net"), switch_config)
@@ -54,13 +50,7 @@ def build_world(
     if fault_plan is not None and not fault_plan.is_empty:
         from repro.faults import install_fault_plan
 
-        install_fault_plan(
-            world,
-            fault_plan,
-            replay=fault_replay,
-            universe=fault_universe,
-            checkpointer=fault_checkpointer,
-        )
+        install_fault_plan(world, fault_plan)
     return world
 
 

@@ -876,7 +876,7 @@ def _faults_snapshot_triage(spec, det_runs, plan):
     to triage (no faults fired, outcome unchanged, or no ``os.fork``).
     """
     from repro.explore.decisions import DecisionTrace
-    from repro.faults import shrink_fault_trace
+    from repro.faults import replay, shrink_fault_trace
     from repro.harness.config import run_scenario_spec
     from repro.snapshot import SNAPSHOTS_SUPPORTED, SnapshotEngine
 
@@ -892,21 +892,13 @@ def _faults_snapshot_triage(spec, det_runs, plan):
     def signature(result):
         return tuple(sorted(result.trace_fingerprints.items()))
 
-    clean = signature(
-        run_scenario_spec(seed, spec, fault_replay=replace(trace, records=[]))
-    )
+    with replay(replace(trace, records=[])):
+        clean = signature(run_scenario_spec(seed, spec))
     if clean == signature(run0):
         return None  # the fired faults left no observable mark
 
-    def failure(candidate, checkpointer=None):
-        result = run_scenario_spec(
-            seed,
-            spec,
-            fault_replay=candidate,
-            fault_universe=trace if checkpointer is not None else None,
-            fault_checkpointer=checkpointer,
-        )
-        return signature(result) != clean
+    def failure(_candidate):
+        return signature(run_scenario_spec(seed, spec)) != clean
 
     engine = SnapshotEngine()
     try:
@@ -1452,22 +1444,20 @@ def _run_metrics(args: argparse.Namespace, sweep) -> int:
     """``repro metrics det|nondet``: cross-seed metric aggregates."""
     from repro import apps
     from repro.analysis.report import render_table
-    from repro.harness.config import ScenarioSpec, observe_run, run_scenario_spec
+    from repro.harness.config import ScenarioSpec, flow_summary, observe_run
     from repro.obs.metrics import aggregate_snapshots
 
     app = args.app
     definition = apps.get(app)
     scenario = _app_scenario(app, args.frames, args.brake_frames)
-    spec = ScenarioSpec(
-        app=app, variant=args.experiment, scenario=scenario, observe=True
-    )
+    spec = ScenarioSpec(app=app, variant=args.experiment, scenario=scenario)
     runs = sweep.map(
-        partial(run_scenario_spec, spec=spec),
+        partial(flow_summary, spec=spec, flows=False),
         range(args.seeds),
         name=definition.qualified("obs", args.experiment),
         params=definition.sweep_params(frames=scenario.n_frames),
     )
-    aggregate = aggregate_snapshots([run.fault_summary["metrics"] for run in runs])
+    aggregate = aggregate_snapshots([run["metrics"] for run in runs])
 
     tag = definition.qualified("", args.experiment, sep=" ")
     rows = [

@@ -81,20 +81,35 @@ def _summarize(result: Any, controller: Any) -> dict:
     }
 
 
+def _run(experiment, scenario, schedule, *hooks, checkpointer=None):
+    """Run *experiment* once under *schedule*, returning ``(result,
+    controller)``.  Extra stream *hooks* (a recorder) see the same
+    run; *checkpointer* (from :meth:`repro.snapshot.SnapshotEngine.execute`)
+    lets the controller capture copy-on-write holders at planned sites.
+    """
+    controller = schedule.controller(checkpointer=checkpointer)
+    with stream_hooks(controller, *hooks):
+        result = experiment(schedule.base_seed, scenario)
+    return result, controller
+
+
 def _run_summary(
     execution: int,
+    checkpointer: Any = None,
+    *,
     experiment: Callable[..., Any],
     scenario: Any,
     strategy: Any,
     base_seed: int,
     horizon: int,
 ) -> dict:
-    """Worker body: evaluate one schedule, return a compact summary."""
+    """Worker body: evaluate one schedule, return a compact summary.
+
+    Picklable for the sweep pool; the snapshot path calls it with the
+    engine's *checkpointer*.
+    """
     schedule = strategy.schedule_for(execution, base_seed, horizon)
-    controller = schedule.controller()
-    with stream_hooks(controller):
-        result = experiment(schedule.base_seed, scenario)
-    return _summarize(result, controller)
+    return _summarize(*_run(experiment, scenario, schedule, checkpointer=checkpointer))
 
 
 class Explorer:
@@ -129,12 +144,14 @@ class Explorer:
 
     # -- running one schedule ----------------------------------------------
 
-    def run_schedule(self, schedule: InterventionSchedule):
-        """Run the experiment once under *schedule* (in-process)."""
-        controller = schedule.controller()
-        with stream_hooks(controller):
-            result = self.experiment(schedule.base_seed, self.scenario)
-        return result, controller
+    def run_schedule(self, schedule: InterventionSchedule, checkpointer=None):
+        """Run the experiment once under *schedule* (in-process).
+
+        *checkpointer* comes from the snapshot engine (see :func:`_run`).
+        """
+        return _run(
+            self.experiment, self.scenario, schedule, checkpointer=checkpointer
+        )
 
     def _snapshot_context(self, base_seed: int) -> str:
         """The engine context: everything outside the decision vector.
@@ -164,16 +181,10 @@ class Explorer:
         """
         from repro.snapshot import ScheduleDecisions
 
-        def run(checkpointer):
-            controller = schedule.controller(checkpointer=checkpointer)
-            with stream_hooks(controller):
-                result = self.experiment(schedule.base_seed, self.scenario)
-            return _summarize(result, controller)
-
         return self.snapshots.execute(
             self._snapshot_context(schedule.base_seed),
             ScheduleDecisions(schedule),
-            run,
+            lambda checkpointer: _summarize(*self.run_schedule(schedule, checkpointer)),
         )
 
     def annotate(self, schedule: InterventionSchedule) -> InterventionSchedule:
@@ -188,10 +199,8 @@ class Explorer:
         self, schedule: InterventionSchedule
     ) -> tuple[Any, DecisionTrace]:
         """Run *schedule* while recording the full decision trace."""
-        controller = schedule.controller()
         recorder = ScheduleRecorder(base_seed=schedule.base_seed)
-        with stream_hooks(controller, recorder):
-            result = self.experiment(schedule.base_seed, self.scenario)
+        result, _controller = _run(self.experiment, self.scenario, schedule, recorder)
         recorder.trace.experiment = getattr(
             self.experiment, "__name__", repr(self.experiment)
         )
@@ -237,17 +246,10 @@ class Explorer:
             from repro.snapshot import ScheduleDecisions
 
             schedule = self.strategy.schedule_for(index, self.base_seed, horizon)
-
-            def run(checkpointer):
-                controller = schedule.controller(checkpointer=checkpointer)
-                with stream_hooks(controller):
-                    result = self.experiment(schedule.base_seed, self.scenario)
-                return _summarize(result, controller)
-
             return (
                 self._snapshot_context(schedule.base_seed),
                 ScheduleDecisions(schedule),
-                run,
+                partial(runner, index),
             )
 
         outcomes: list[ExecutionOutcome] = []

@@ -33,8 +33,9 @@ too are gated by the table so they participate in shrinking.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import SimulationError
 from repro.explore.decisions import DecisionRecord, DecisionTrace
@@ -46,7 +47,7 @@ if TYPE_CHECKING:
     from repro.network.switch import Frame
     from repro.sim.world import World
 
-__all__ = ["FaultVerdict", "FaultInjector", "install_fault_plan"]
+__all__ = ["FaultVerdict", "FaultInjector", "install_fault_plan", "replay"]
 
 _PRF_DENOMINATOR = float(2**64)
 
@@ -285,29 +286,53 @@ class FaultInjector:
         }
 
 
-def install_fault_plan(
-    world: "World",
-    plan: FaultPlan,
-    replay: DecisionTrace | None = None,
+#: The :func:`replay` in effect: ``FaultInjector`` keyword arguments,
+#: or ``None`` for live PRF decisions.
+_active_replay: dict | None = None
+
+
+@contextmanager
+def replay(
+    trace: DecisionTrace,
+    *,
     universe: DecisionTrace | None = None,
     checkpointer=None,
-) -> FaultInjector:
+) -> Iterator[None]:
+    """Replay *trace* in every fault plan installed in this block.
+
+    Each :func:`install_fault_plan` inside the block answers its
+    decisions from *trace* instead of the plan's PRF stream (any subset
+    of a recorded trace is valid — see module docstring), so a runner
+    replays a fault schedule without knowing it.  *universe* (the full
+    trace *trace* was drawn from) plus *checkpointer* let the snapshot
+    engine capture copy-on-write checkpoints between replayed membership
+    decisions (see :mod:`repro.snapshot`).  The previous replay, usually
+    none, is restored on exit, even on error.
+    """
+    global _active_replay
+    previous = _active_replay
+    _active_replay = {
+        "replay": trace,
+        "universe": universe,
+        "checkpointer": checkpointer,
+    }
+    try:
+        yield
+    finally:
+        _active_replay = previous
+
+
+def install_fault_plan(world: "World", plan: FaultPlan) -> FaultInjector:
     """Attach *plan* to a built (not yet run) world.
 
     Wires the injector into the network switch, schedules node
     crash/restart windows as scheduler freeze/thaw events, and schedules
     clock faults against the target platforms' physical clocks.  Returns
     the injector; read ``injector.trace`` / ``injector.summary()`` after
-    the run.  With *replay*, probabilistic decisions are answered from
-    the recorded trace instead of the plan's PRF stream (any subset of a
-    recorded trace is valid — see module docstring).  *universe* plus
-    *checkpointer* let the snapshot engine capture copy-on-write
-    checkpoints between replayed membership decisions (see
-    :mod:`repro.snapshot`).
+    the run.  Under an active :func:`replay` the injector replays that
+    trace; otherwise it decides live.
     """
-    injector = FaultInjector(
-        plan, replay=replay, universe=universe, checkpointer=checkpointer
-    )
+    injector = FaultInjector(plan, **(_active_replay or {}))
     world.fault_injector = injector
     switch = world.network
     if switch is not None:

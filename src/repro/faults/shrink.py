@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 from repro.explore.decisions import DecisionRecord, DecisionTrace
 from repro.explore.shrink import ddmin
+from repro.faults.injector import replay
 from repro.faults.plan import FaultPlan
 
 __all__ = ["FaultShrinkResult", "shrink_fault_trace"]
@@ -52,29 +53,30 @@ class FaultShrinkResult:
 def shrink_fault_trace(
     plan: FaultPlan,
     trace: DecisionTrace,
-    failure: Callable[..., bool],
+    failure: Callable[[DecisionTrace], bool],
     *,
     snapshots=None,
     context: str = "",
 ) -> FaultShrinkResult:
     """ddmin *trace*'s fired faults under *failure*.
 
-    *failure* runs the experiment with ``install_fault_plan(world, plan,
-    replay=<candidate trace>)`` and reports whether the observed problem
-    still reproduces.  Raises :class:`ValueError` if the full trace does
-    not (nothing to shrink from).
+    *failure* is called as ``failure(candidate)`` inside
+    ``replay(candidate)`` (:func:`repro.faults.replay`): it runs the
+    experiment, whose fault plan *plan* then replays the candidate
+    subset, and reports whether the observed problem still reproduces.
+    Its verdict must depend only on the run's outcome.  Raises
+    :class:`ValueError` if the full trace does not reproduce (nothing
+    to shrink from).
 
     With *snapshots* (an active :class:`repro.snapshot.SnapshotEngine`),
     probes are keyed by their membership bits over *trace*'s records —
     a record's membership cannot affect the run before its own firing
     site, so probes agreeing on records < k share bit-identical state up
     to record k and fork from copy-on-write holders instead of
-    replaying from t=0.  In that mode *failure* is called as
-    ``failure(candidate, checkpointer)`` and must thread the
-    checkpointer plus the full *trace* (as the decision universe) into
-    ``install_fault_plan``; its verdict must depend only on the run's
-    outcome.  *context* overrides the engine cache key (everything
-    outside the membership bits).
+    replaying from t=0.  The replay then also carries *trace* as the
+    decision universe and the engine's checkpointer, so *failure* needs
+    no snapshot plumbing.  *context* overrides the engine cache key
+    (everything outside the membership bits).
     """
     history: list[tuple[int, bool]] = []
     engine = snapshots
@@ -96,20 +98,28 @@ def shrink_fault_trace(
     def as_trace(records: Sequence[DecisionRecord]) -> DecisionTrace:
         return replace(trace, records=list(records))
 
+    def probe(candidate: DecisionTrace, checkpointer=None) -> bool:
+        with replay(
+            candidate,
+            universe=None if checkpointer is None else trace,
+            checkpointer=checkpointer,
+        ):
+            return failure(candidate)
+
     def reproduces(records: Sequence[DecisionRecord]) -> bool:
+        candidate = as_trace(records)
         if engine is not None:
             from repro.snapshot import MembershipDecisions
 
             member = {id(record) for record in records}
             bits = tuple(1 if id(record) in member else 0 for record in universe)
-            candidate = as_trace(records)
             ok = engine.execute(
                 context,
                 MembershipDecisions(bits),
-                lambda checkpointer: failure(candidate, checkpointer),
+                lambda checkpointer: probe(candidate, checkpointer),
             )
         else:
-            ok = failure(as_trace(records))
+            ok = probe(candidate)
         history.append((len(records), ok))
         return ok
 

@@ -22,8 +22,8 @@ The module-level :func:`run_scenario_spec` is the picklable worker the
 sweep engine fans out: ``SweepRunner().run_spec(spec)`` is the single
 execution path for seeded experiments.  Beside it, :func:`observe_run`
 is the one place a seed runs under :func:`repro.obs.capture`, and
-:func:`flow_summary` the picklable flow-traced worker of ``repro
-flows``.
+:func:`flow_summary` the picklable observed worker of ``repro
+flows`` and ``repro metrics``.
 """
 
 from __future__ import annotations
@@ -255,9 +255,9 @@ class ScenarioSpec:
 
     # -- execution ----------------------------------------------------------
 
-    def run_one(self, seed: int, fault_replay=None):
+    def run_one(self, seed: int):
         """Run a single seed of this spec (inline, no sweep engine)."""
-        return run_scenario_spec(seed, self, fault_replay=fault_replay)
+        return run_scenario_spec(seed, self)
 
     # -- serialization ------------------------------------------------------
 
@@ -357,13 +357,7 @@ class ScenarioSpec:
         return cls.from_json(Path(path).read_text())
 
 
-def run_scenario_spec(
-    seed: int,
-    spec: ScenarioSpec,
-    fault_replay=None,
-    fault_universe=None,
-    fault_checkpointer=None,
-):
+def run_scenario_spec(seed: int, spec: ScenarioSpec):
     """Picklable sweep worker: one seed of *spec*.
 
     Dispatches through :mod:`repro.apps.registry` — any registered
@@ -371,61 +365,58 @@ def run_scenario_spec(
     :class:`BrakeRunResult`-shaped value; with ``spec.observe`` the run
     goes through :func:`observe_run` and the metrics snapshot is merged
     into ``result.fault_summary`` (the per-run digest channel that
-    survives pickling).  *fault_universe* and *fault_checkpointer* feed
-    the snapshot engine's fault-replay seam (see :mod:`repro.snapshot`).
+    survives pickling).  Fault replay reaches the run through an active
+    :func:`repro.faults.replay`, not through this worker.
     """
-    seams = dict(
-        fault_replay=fault_replay,
-        fault_universe=fault_universe,
-        fault_checkpointer=fault_checkpointer,
-    )
     if not spec.observe:
-        return _run_seed(seed, spec, **seams)
-    observation, result = observe_run(seed, spec, **seams)
+        return _run_seed(seed, spec)
+    observation, result = observe_run(seed, spec)
     digest = dict(result.fault_summary or {})
     digest["metrics"] = observation.metrics.snapshot()
     return replace(result, fault_summary=digest)
 
 
-def observe_run(seed: int, spec: ScenarioSpec, *, flows: bool = False, **seams):
+def observe_run(seed: int, spec: ScenarioSpec, *, flows: bool = False):
     """Run one seed of *spec* under :func:`repro.obs.capture`.
 
     The one place a seed runs observed.  Returns ``(observation,
     result)``: the :class:`~repro.obs.Observation` holds the event bus
     (for the Perfetto export), the metrics registry and, with
     ``flows=True``, the causal flow records; *result* is exactly the
-    runner's value.  *seams* are :func:`run_scenario_spec`'s
-    fault-replay arguments.
+    runner's value.
     """
     from repro.obs.context import capture
 
     with capture(flows=flows) as observation:
-        result = _run_seed(seed, spec, **seams)
+        result = _run_seed(seed, spec)
     return observation, result
 
 
-def flow_summary(seed: int, spec: ScenarioSpec) -> dict:
-    """Picklable sweep worker: one flow-traced seed of *spec*.
+def flow_summary(seed: int, spec: ScenarioSpec, *, flows: bool = True) -> dict:
+    """Picklable sweep worker: one observed seed of *spec*, digested.
 
-    ``report`` is the seed's ``flow-report/v1`` document (merge across
-    seeds with :func:`repro.obs.flows.merge_flow_reports`), ``metrics``
-    its metrics snapshot (:func:`repro.obs.metrics.aggregate_snapshots`).
+    ``metrics`` is the seed's metrics snapshot (merge across seeds with
+    :func:`repro.obs.metrics.aggregate_snapshots`); with *flows* (the
+    default, ``repro flows``) the seed runs flow-traced and ``report``
+    is its ``flow-report/v1`` document (merge with
+    :func:`repro.obs.flows.merge_flow_reports`).  ``flows=False`` is
+    ``repro metrics``'s worker: the store keeps the snapshot alone, not
+    the run result.
     """
     from repro.obs.flows import flow_report
 
-    observation, _ = observe_run(seed, spec, flows=True)
-    return {
-        "report": flow_report(observation.flows),
-        "metrics": observation.metrics.snapshot(),
-    }
+    observation, _ = observe_run(seed, spec, flows=flows)
+    metrics = observation.metrics.snapshot()
+    if not flows:
+        return {"metrics": metrics}
+    return {"report": flow_report(observation.flows), "metrics": metrics}
 
 
-def _run_seed(seed: int, spec: ScenarioSpec, **seams):
+def _run_seed(seed: int, spec: ScenarioSpec):
     experiment = spec.definition().runner(spec.variant)
     return experiment(
         seed,
         spec.effective_scenario(),
         switch_config=spec.switch_config(),
         fault_plan=spec.faults,
-        **seams,
     )

@@ -44,6 +44,22 @@ class TestRegistry:
         for name in LIBRARY_APPS:
             assert apps.get(name).variants() == ("det", "nondet")
 
+    def test_every_runner_follows_the_runner_contract(self):
+        # Replay and observation are installed around a run, never
+        # passed to it: the contract is these four parameters.
+        import inspect
+
+        for name in apps.names():
+            definition = apps.get(name)
+            for variant in definition.variants():
+                signature = inspect.signature(definition.runner(variant))
+                params = signature.parameters
+                assert list(params) == [
+                    "seed", "scenario", "switch_config", "fault_plan"
+                ], (name, variant)
+                assert params["switch_config"].default is None
+                assert params["fault_plan"].default is None
+
     def test_unknown_variant_raises(self):
         with pytest.raises(ValueError):
             apps.get("fusion").runner("hybrid")

@@ -1,5 +1,7 @@
 """Determinism of the fault injector: PRF decisions, replay, no perturbation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.brake import BrakeScenario
@@ -12,6 +14,7 @@ from repro.faults import (
     LinkFault,
     NodeOutage,
     install_fault_plan,
+    replay,
 )
 from repro.network.switch import Frame
 from repro.sim import World
@@ -113,6 +116,60 @@ class TestInstallValidation:
             install_fault_plan(world, DROP_PLAN)
 
 
+def _camera_world(plan=DROP_PLAN):
+    from repro.ara import build_world
+
+    return build_world(0, [("camera-ecu", None), ("fusion-ecu", None)], None, plan)
+
+
+def _fired(injector, n_frames: int = 200) -> list[int]:
+    """Frame indices *injector* drops over *n_frames* camera frames."""
+    return [
+        i
+        for i in range(n_frames)
+        if injector.on_send(_camera_frame(i), i * 1000) is not None
+    ]
+
+
+def _live_trace():
+    live = FaultInjector(DROP_PLAN)
+    fired = _fired(live)
+    assert len(fired) >= 4, "plan too weak for the test to mean anything"
+    return live.trace, fired
+
+
+class TestReplayContext:
+    def test_previous_replay_is_restored_on_exit(self):
+        trace, fired = _live_trace()
+        subset = replace(trace, records=trace.records[:1])
+        with replay(subset):
+            with replay(replace(trace, records=[])):
+                assert _fired(_camera_world().fault_injector) == []
+            assert _fired(_camera_world().fault_injector) == fired[:1]
+        assert _fired(_camera_world().fault_injector) == fired
+
+    def test_previous_replay_is_restored_on_exception(self):
+        trace, fired = _live_trace()
+        with pytest.raises(RuntimeError):
+            with replay(replace(trace, records=[])):
+                raise RuntimeError("probe failed")
+        assert _fired(_camera_world().fault_injector) == fired
+
+    def test_world_built_outside_the_context_decides_live(self):
+        trace, fired = _live_trace()
+        world = _camera_world()
+        with replay(replace(trace, records=[])):
+            assert _fired(world.fault_injector) == fired
+
+    def test_no_fault_plan_installs_no_injector(self):
+        trace, _ = _live_trace()
+        with replay(trace):
+            for plan in (None, FaultPlan()):
+                world = _camera_world(plan)
+                assert world.fault_injector is None
+                assert world.network._faults is None
+
+
 class TestBrakeRunsUnderFaults:
     def test_same_seed_and_plan_replays_bit_exactly(self):
         first = run_det_brake_assistant(0, DET_SCENARIO, fault_plan=DROP_PLAN)
@@ -162,9 +219,8 @@ class TestBrakeRunsUnderFaults:
         recorded = DecisionTrace.from_dict(first.fault_summary["trace"])
         assert recorded.records
 
-        replayed = run_det_brake_assistant(
-            0, DET_SCENARIO, fault_plan=DROP_PLAN, fault_replay=recorded
-        )
+        with replay(recorded):
+            replayed = run_det_brake_assistant(0, DET_SCENARIO, fault_plan=DROP_PLAN)
         assert replayed.fault_summary["trace_fingerprint"] == (
             first.fault_summary["trace_fingerprint"]
         )
@@ -173,9 +229,8 @@ class TestBrakeRunsUnderFaults:
 
         # Any subset of the recorded schedule is itself a valid schedule.
         subset = replace(recorded, records=recorded.records[:2])
-        partial = run_det_brake_assistant(
-            0, DET_SCENARIO, fault_plan=DROP_PLAN, fault_replay=subset
-        )
+        with replay(subset):
+            partial = run_det_brake_assistant(0, DET_SCENARIO, fault_plan=DROP_PLAN)
         assert partial.fault_summary["fired"] == 2
 
     def test_corrupt_frames_are_counted_losses(self):

@@ -86,9 +86,8 @@ class TestShrinkFaultTrace:
         assert len(first.commands) < len(baseline.commands)
 
         def failure(candidate: DecisionTrace) -> bool:
-            rerun = run_det_brake_assistant(
-                0, SCENARIO, fault_plan=PLAN, fault_replay=candidate
-            )
+            # shrink_fault_trace runs each probe under replay(candidate).
+            rerun = run_det_brake_assistant(0, SCENARIO, fault_plan=PLAN)
             return len(rerun.commands) < len(baseline.commands)
 
         result = shrink_fault_trace(PLAN, trace, failure)

@@ -453,6 +453,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "OBS" in out
 
+    def test_metrics_store_keeps_only_the_snapshot(self, tmp_path):
+        # Each cached seed of ``repro metrics`` is its metrics snapshot,
+        # not the whole run result (commands, trace fingerprints, ...).
+        from repro.apps.brake import BrakeScenario
+        from repro.cli import main
+        from repro.harness.sweep import decode_value
+
+        code = main([
+            "metrics", "det",
+            "--seeds", "3",
+            "--frames", "200",
+            "--workers", "1",
+            "--cache-dir", str(tmp_path),
+        ])
+        assert code == 0
+        store = tmp_path / "obs-det.jsonl"
+        records = [json.loads(line) for line in store.read_text().splitlines()]
+        assert sorted(record["seed"] for record in records) == [0, 1, 2]
+        spec = ScenarioSpec(variant="det", scenario=BrakeScenario(n_frames=200))
+        observation, _ = observe_run(0, spec)
+        seed0 = next(record for record in records if record["seed"] == 0)
+        value = decode_value(seed0["encoding"], seed0["payload"])
+        assert value == {"metrics": observation.metrics.snapshot()}
+        # The whole-result records took 39 252 B for these three seeds.
+        assert store.stat().st_size < 39252 / 3
+
     def test_trace_out_on_regular_subcommand(self, tmp_path):
         from repro.cli import main
 

@@ -280,7 +280,7 @@ def test_shrink_schedule_through_snapshots():
 def test_shrink_fault_trace_through_snapshots():
     """Snapshot-routed fault ddmin finds the same decisive fault subset
     as the plain path, with forked probes doing the work."""
-    from repro.faults import shrink_fault_trace
+    from repro.faults import replay, shrink_fault_trace
 
     scenario = _scenario("det")
     seed = 0
@@ -290,19 +290,15 @@ def test_shrink_fault_trace_through_snapshots():
 
     from dataclasses import replace
 
-    clean = run_det_brake_assistant(
-        seed, scenario, fault_plan=PLAN, fault_replay=replace(trace, records=[])
-    ).outcome_digest()
+    with replay(replace(trace, records=[])):
+        clean = run_det_brake_assistant(
+            seed, scenario, fault_plan=PLAN
+        ).outcome_digest()
     assert clean != live.outcome_digest()
 
-    def failure(candidate, checkpointer=None) -> bool:
+    def failure(candidate) -> bool:
         digest = run_det_brake_assistant(
-            seed,
-            scenario,
-            fault_plan=PLAN,
-            fault_replay=candidate,
-            fault_universe=trace if checkpointer is not None else None,
-            fault_checkpointer=checkpointer,
+            seed, scenario, fault_plan=PLAN
         ).outcome_digest()
         return digest != clean
 
