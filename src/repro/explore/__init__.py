@@ -13,7 +13,8 @@ package turns it into a correctness tool that *searches* it:
   preemption points, the timed analogue of priority-change points)
   alongside uniform-random seed sweeping;
 * :mod:`repro.explore.explorer` — the budgeted exploration loop, fanned
-  out over the :class:`repro.harness.sweep.SweepRunner` process pool;
+  out over the :class:`repro.harness.sweep.SweepRunner` process pool or
+  forked one execution at a time from snapshot holders;
 * :mod:`repro.explore.shrink` — delta-debugging a failing schedule down
   to a minimal set of preemption points that still reproduces the bug;
 * :mod:`repro.explore.verify` — run the DEAR variant under explored

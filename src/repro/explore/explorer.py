@@ -4,18 +4,23 @@ An :class:`Explorer` owns one target experiment (the stock brake
 assistant by default), a base seed, a scenario and a strategy.  It
 first *calibrates* — one baseline run counting the dispatch horizon —
 then evaluates schedules ``strategy.schedule_for(0..budget-1)`` until
-the failure predicate fires or the budget is exhausted.  Executions
-are independent, so they fan out over the
-:class:`repro.harness.sweep.SweepRunner` process pool in chunks (with
-early exit between chunks) and per-execution outcomes land in the
-sweep result cache like any other seeded experiment.
+the failure predicate fires or the budget is exhausted.
+
+Without a snapshot engine, executions are independent, so they fan out
+over the :class:`repro.harness.sweep.SweepRunner` process pool in
+chunks (with early exit between chunks) and per-execution outcomes
+land in the sweep result cache like any other seeded experiment.  With
+an active engine, :meth:`Explorer.evaluate` runs them one at a time,
+each forked from the deepest shared-prefix holder, and the loop stops
+at the first failure.
 """
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.apps.brake.nondet import run_nondet_brake_assistant
 from repro.explore.decisions import (
@@ -81,6 +86,25 @@ def _summarize(result: Any, controller: Any) -> dict:
     }
 
 
+def _outcome(
+    index: int, schedule: InterventionSchedule, summary: dict
+) -> ExecutionOutcome:
+    """Decode a :func:`_summarize` summary; the outcome's schedule
+    carries the thread each of its points actually hit."""
+    applied = {
+        p["site"]: PreemptionPoint(p["site"], p["delay_ns"], p["thread"])
+        for p in summary["applied"]
+    }
+    return ExecutionOutcome(
+        index,
+        schedule.with_points(
+            applied.get(point.site, point) for point in schedule.preemptions
+        ),
+        errors_total=summary["errors_total"],
+        errors=dict(summary["errors"]),
+    )
+
+
 def _run(experiment, scenario, schedule, *hooks, checkpointer=None):
     """Run *experiment* once under *schedule*, returning ``(result,
     controller)``.  Extra stream *hooks* (a recorder) see the same
@@ -95,7 +119,6 @@ def _run(experiment, scenario, schedule, *hooks, checkpointer=None):
 
 def _run_summary(
     execution: int,
-    checkpointer: Any = None,
     *,
     experiment: Callable[..., Any],
     scenario: Any,
@@ -103,13 +126,10 @@ def _run_summary(
     base_seed: int,
     horizon: int,
 ) -> dict:
-    """Worker body: evaluate one schedule, return a compact summary.
-
-    Picklable for the sweep pool; the snapshot path calls it with the
-    engine's *checkpointer*.
-    """
+    """Pooled worker body: evaluate one schedule, return a compact
+    summary (picklable for the sweep pool)."""
     schedule = strategy.schedule_for(execution, base_seed, horizon)
-    return _summarize(*_run(experiment, scenario, schedule, checkpointer=checkpointer))
+    return _summarize(*_run(experiment, scenario, schedule))
 
 
 class Explorer:
@@ -136,8 +156,10 @@ class Explorer:
         self.strategy = strategy or PctStrategy()
         self.sweep = sweep or SweepRunner()
         self.predicate = predicate
-        #: Optional :class:`repro.snapshot.SnapshotEngine`; when active,
-        #: explore/shrink executions fork from the deepest
+        if snapshots is not None and not snapshots.active:
+            snapshots = None
+        #: Active :class:`repro.snapshot.SnapshotEngine` or ``None``:
+        #: with one, explore/shrink executions fork from the deepest
         #: shared-prefix holder instead of replaying from t=0.
         self.snapshots = snapshots
         self._horizon: int | None = None
@@ -171,29 +193,33 @@ class Explorer:
             code_fingerprint(),
         )
 
-    def run_schedule_forked(self, schedule: InterventionSchedule) -> dict:
-        """Evaluate *schedule* through the snapshot engine.
+    def evaluate(
+        self, schedule: InterventionSchedule, index: int = -1
+    ) -> ExecutionOutcome:
+        """Run *schedule* once and return its outcome, its points
+        annotated with the threads they hit.
 
-        Forks from the deepest holder whose captured decision prefix
-        matches the schedule (cold-running and capturing along the way
-        on a miss) and returns the same summary dict as the pooled
-        explore path.  Requires :attr:`snapshots`.
+        With :attr:`snapshots`, the run forks from the deepest holder
+        whose captured decision prefix matches the schedule
+        (cold-running and capturing along the way on a miss); an
+        exception inside the run then re-raises as
+        :class:`repro.snapshot.RemoteRunError`.
         """
-        from repro.snapshot import ScheduleDecisions
 
-        return self.snapshots.execute(
-            self._snapshot_context(schedule.base_seed),
-            ScheduleDecisions(schedule),
-            lambda checkpointer: _summarize(*self.run_schedule(schedule, checkpointer)),
-        )
+        def run(checkpointer=None) -> dict:
+            return _summarize(*self.run_schedule(schedule, checkpointer))
 
-    def annotate(self, schedule: InterventionSchedule) -> InterventionSchedule:
-        """Resolve which thread each preemption point actually hit."""
-        _result, controller = self.run_schedule(schedule)
-        applied = {point.site: point for point in controller.applied}
-        return schedule.with_points(
-            applied.get(point.site, point) for point in schedule.preemptions
-        )
+        if self.snapshots is None:
+            summary = run()
+        else:
+            from repro.snapshot import ScheduleDecisions
+
+            summary = self.snapshots.execute(
+                self._snapshot_context(schedule.base_seed),
+                ScheduleDecisions(schedule),
+                run,
+            )
+        return _outcome(index, schedule, summary)
 
     def record(
         self, schedule: InterventionSchedule
@@ -223,6 +249,45 @@ class Explorer:
     def explore(self, budget: int = 40) -> ExplorationResult:
         """Evaluate up to *budget* schedules; stop at the first failure."""
         horizon = self.horizon
+        outcomes: list[ExecutionOutcome] = []
+        found: ExecutionOutcome | None = None
+        for outcome in self._outcomes(budget, horizon):
+            outcomes.append(outcome)
+            if outcome.error is None and self.predicate(outcome):
+                found = outcome
+                break
+        return ExplorationResult(
+            strategy=self.strategy.name,
+            budget=budget,
+            horizon=horizon,
+            executions=outcomes,
+            found=found,
+            snapshots=self.snapshots.stats if self.snapshots is not None else None,
+        )
+
+    def _outcomes(self, budget: int, horizon: int) -> Iterator[ExecutionOutcome]:
+        """Outcomes of executions ``0..budget-1`` in order, lazily.
+
+        Forked: one :meth:`evaluate` per item, so the caller's early
+        exit saves every later execution.  Pooled: chunks of
+        ``max(workers, 4)`` through the cached sweep.
+        """
+        if self.snapshots is not None:
+            from repro.snapshot import RemoteRunError
+
+            for index in range(budget):
+                schedule = self.strategy.schedule_for(index, self.base_seed, horizon)
+                try:
+                    outcome = self.evaluate(schedule, index)
+                except RemoteRunError as exc:
+                    outcome = ExecutionOutcome(index, schedule, error=str(exc))
+                except Exception:
+                    outcome = ExecutionOutcome(
+                        index, schedule, error=traceback.format_exc()
+                    )
+                yield outcome
+            return
+
         runner = partial(
             _run_summary,
             experiment=self.experiment,
@@ -238,76 +303,15 @@ class Explorer:
             "base_seed": self.base_seed,
             "horizon": horizon,
         }
-        engine = self.snapshots
-        if engine is not None and not engine.active:
-            engine = None
-
-        def forked_job(index: int):
-            from repro.snapshot import ScheduleDecisions
-
-            schedule = self.strategy.schedule_for(index, self.base_seed, horizon)
-            return (
-                self._snapshot_context(schedule.base_seed),
-                ScheduleDecisions(schedule),
-                partial(runner, index),
-            )
-
-        outcomes: list[ExecutionOutcome] = []
-        found: ExecutionOutcome | None = None
         chunk = max(self.sweep.workers, 4)
         for start in range(0, budget, chunk):
             indices = list(range(start, min(start + chunk, budget)))
-            if engine is not None:
-                batch = self.sweep.run_forked(
-                    engine,
-                    indices,
-                    forked_job,
-                    name=f"explore-{self.strategy.name}",
-                )
-            else:
-                batch = self.sweep.run(
-                    runner,
-                    indices,
-                    name=f"explore-{self.strategy.name}",
-                    params=params,
-                )
+            batch = self.sweep.run(
+                runner, indices, name=f"explore-{self.strategy.name}", params=params
+            )
             for index, seed_outcome in zip(indices, batch.outcomes):
-                schedule = self.strategy.schedule_for(
-                    index, self.base_seed, horizon
-                )
-                if not seed_outcome.ok:
-                    outcome = ExecutionOutcome(
-                        index, schedule, error=seed_outcome.error
-                    )
+                schedule = self.strategy.schedule_for(index, self.base_seed, horizon)
+                if seed_outcome.ok:
+                    yield _outcome(index, schedule, seed_outcome.value)
                 else:
-                    summary = seed_outcome.value
-                    applied = {
-                        p["site"]: PreemptionPoint(
-                            p["site"], p["delay_ns"], p.get("thread", "")
-                        )
-                        for p in summary["applied"]
-                    }
-                    schedule = schedule.with_points(
-                        applied.get(point.site, point)
-                        for point in schedule.preemptions
-                    )
-                    outcome = ExecutionOutcome(
-                        index,
-                        schedule,
-                        errors_total=summary["errors_total"],
-                        errors=dict(summary["errors"]),
-                    )
-                outcomes.append(outcome)
-                if found is None and outcome.error is None and self.predicate(outcome):
-                    found = outcome
-                    break
-            if found is not None:
-                break
-        return ExplorationResult(
-            strategy=self.strategy.name,
-            budget=budget,
-            horizon=horizon,
-            executions=outcomes,
-            found=found,
-            snapshots=engine.stats if engine is not None else None,
-        )
+                    yield ExecutionOutcome(index, schedule, error=seed_outcome.error)

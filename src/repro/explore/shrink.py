@@ -13,7 +13,7 @@ needs exactly these 2 preemptions".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.explore.decisions import InterventionSchedule, PreemptionPoint
@@ -96,55 +96,38 @@ def shrink_schedule(
     Raises :class:`ValueError` if the full schedule does not reproduce
     the failure (nothing to shrink from).
     """
-    from repro.explore.explorer import ExecutionOutcome, frame_drop
+    from repro.explore.explorer import frame_drop
 
     if predicate is None:
         predicate = frame_drop
     history: list[tuple[int, bool]] = []
-    last_errors: dict[str, dict[str, int]] = {}
-    # Probes share long prefixes by construction (ddmin removes points,
-    # it never adds them), so when the explorer carries a snapshot
-    # engine, each probe forks from the deepest holder that matches its
-    # surviving prefix instead of replaying the whole run from t=0.
-    engine = getattr(explorer, "snapshots", None)
-    if engine is not None and not engine.active:
-        engine = None
+    # The last reproducing probe.  ddmin only ever keeps a reproducing
+    # point set, so once it returns this is the run of the minimal
+    # schedule: its errors and thread names are the minimal schedule's.
+    last: ExecutionOutcome | None = None
 
     def reproduces(points: Sequence[PreemptionPoint]) -> bool:
-        candidate = schedule.with_points(points)
-        if engine is not None:
-            summary = explorer.run_schedule_forked(candidate)
-            errors_total = summary["errors_total"]
-            errors = dict(summary["errors"])
-        else:
-            result, _controller = explorer.run_schedule(candidate)
-            errors_total = result.errors.total()
-            errors = result.errors.as_dict()
-        outcome = ExecutionOutcome(
-            index=-1,
-            schedule=candidate,
-            errors_total=errors_total,
-            errors=errors,
-        )
+        nonlocal last
+        # Probes share long prefixes by construction (ddmin removes
+        # points, it never adds them), so an explorer with a snapshot
+        # engine forks each probe from the deepest matching holder.
+        outcome = explorer.evaluate(schedule.with_points(points))
         ok = predicate(outcome)
         history.append((len(points), ok))
         if ok:
-            last_errors["minimal"] = outcome.errors
+            last = outcome
         return ok
 
-    points = list(schedule.preemptions)
-    if not reproduces(points):
+    if not reproduces(schedule.preemptions):
         raise ValueError(
             f"schedule does not reproduce the failure: {schedule.describe()}"
         )
 
-    points = ddmin(points, reproduces)
-
-    minimal = explorer.annotate(schedule.with_points(points, label="shrunk"))
+    ddmin(schedule.preemptions, reproduces)
     return ShrinkResult(
         original=schedule,
-        minimal=minimal,
+        minimal=replace(last.schedule, label="shrunk"),
         trials=len(history),
         history=history,
-        errors=last_errors.get("minimal", {}),
+        errors=last.errors,
     )

@@ -705,56 +705,6 @@ class SweepRunner:
         """Shorthand: :meth:`run` then :meth:`SweepResult.values`."""
         return self.run(experiment, seeds, name=name, params=params).values()
 
-    def run_forked(
-        self,
-        engine,
-        items: Iterable[Any],
-        job: Callable[[Any], tuple[str, Any, Callable[[Any], Any]]],
-        *,
-        name: str,
-    ) -> SweepResult:
-        """Run *items* through a :class:`repro.snapshot.SnapshotEngine`.
-
-        *job(item)* returns ``(context, decisions, run)`` for
-        :meth:`~repro.snapshot.SnapshotEngine.execute`.  Unlike
-        :meth:`run`, the executions share one copy-on-write process
-        tree, so they run sequentially in item order and bypass the
-        result cache — the engine's shared-prefix forks replace both
-        parallelism and caching as the speed lever.  Outcomes land in
-        :attr:`stats` like any other sweep.
-        """
-        from repro.snapshot.engine import RemoteRunError
-
-        items = list(items)
-        started = time.perf_counter()
-        outcomes: list[SeedOutcome] = []
-        for item in items:
-            context, decisions, run = job(item)
-            item_started = time.perf_counter()
-            try:
-                value = engine.execute(context, decisions, run)
-                error = None
-            except RemoteRunError as exc:
-                value, error = None, str(exc)
-            except Exception:
-                value, error = None, traceback.format_exc()
-            outcomes.append(
-                SeedOutcome(
-                    item,
-                    value,
-                    error,
-                    elapsed_s=time.perf_counter() - item_started,
-                )
-            )
-        result = SweepResult(
-            name=name,
-            outcomes=outcomes,
-            elapsed_s=time.perf_counter() - started,
-            workers=1,
-        )
-        self.stats.record(result)
-        return result
-
     def run_spec(self, spec) -> SweepResult:
         """Sweep a :class:`repro.harness.ScenarioSpec` over its seeds.
 

@@ -200,7 +200,7 @@ def disable() -> None:
 
 def enabled_by_env(environ: dict[str, str] | None = None) -> bool:
     """Whether the environment permits fleet telemetry (default yes)."""
-    value = (environ or os.environ).get(FLEET_ENV, "1")
+    value = (os.environ if environ is None else environ).get(FLEET_ENV, "1")
     return value.strip().lower() not in ("0", "no", "off", "false")
 
 

@@ -269,9 +269,12 @@ class TestShrink:
         assert 1 <= len(minimal.preemptions) <= len(outcome.schedule.preemptions)
         assert shrunk.errors and sum(shrunk.errors.values()) > 0
 
-        # Still reproduces.
-        result, _ = explorer.run_schedule(minimal)
+        # Still reproduces, and the points carry the threads they hit.
+        result, controller = explorer.run_schedule(minimal)
         assert result.errors.total() > 0
+        assert [(p.site, p.delay_ns, p.thread) for p in minimal.preemptions] == [
+            (p.site, p.delay_ns, p.thread) for p in controller.applied
+        ]
         # 1-minimal: dropping any single remaining point loses the bug.
         for point in minimal.preemptions:
             rest = [p for p in minimal.preemptions if p != point]

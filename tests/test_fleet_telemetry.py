@@ -259,6 +259,13 @@ class TestFleetHandle:
     def test_enabled_by_env_default_is_yes(self):
         assert fleet.enabled_by_env({}) is True
 
+    def test_enabled_by_env_explicit_mapping_ignores_process_env(self, monkeypatch):
+        # An empty mapping is still the mapping to read, not a cue to
+        # fall back to os.environ.
+        monkeypatch.setenv(fleet.FLEET_ENV, "0")
+        assert fleet.enabled_by_env({}) is True
+        assert fleet.enabled_by_env() is False
+
     def test_enable_from_env_respects_optout(self, monkeypatch):
         with fleet_capture():
             fleet.disable()

@@ -17,13 +17,14 @@ import pytest
 
 from repro.apps.brake.det import run_det_brake_assistant
 from repro.apps.brake.nondet import run_nondet_brake_assistant
-from repro.explore import Explorer, calibration_scenario, shrink_schedule
+from repro.explore import Explorer, PctStrategy, calibration_scenario, shrink_schedule
 from repro.explore.decisions import (
     DecisionTrace,
     InterventionSchedule,
     PreemptionPoint,
 )
 from repro.faults import FaultPlan
+from repro.harness.sweep import SweepRunner
 from repro.sim.rng import stream_hooks
 from repro.snapshot import (
     SNAPSHOTS_SUPPORTED,
@@ -275,6 +276,45 @@ def test_shrink_schedule_through_snapshots():
     assert {p.site for p in forked.minimal.preemptions} == needed
     assert forked.history == plain.history
     assert forked.trials == plain.trials
+    # Thread names come from the last reproducing probe, which ran the
+    # minimal point set: they match a fresh run of the minimal schedule.
+    explorer = Explorer(scenario=_scenario("nondet"), base_seed=0)
+    _result, controller = explorer.run_schedule(forked.minimal)
+    assert _points(forked.minimal) == [
+        (p.site, p.delay_ns, p.thread) for p in controller.applied
+    ]
+    assert _points(forked.minimal) == _points(plain.minimal)
+
+
+def _points(schedule) -> list[tuple]:
+    """Points with their thread names (``PreemptionPoint`` equality
+    ignores ``thread``)."""
+    return [(p.site, p.delay_ns, p.thread) for p in schedule.preemptions]
+
+
+def test_explore_through_snapshots_matches_pooled():
+    """The forked explore loop finds the same schedule as the pooled
+    one and runs exactly the executions it reports as used."""
+
+    def explore(engine):
+        return Explorer(
+            scenario=calibration_scenario(50),
+            base_seed=0,
+            strategy=PctStrategy(),
+            sweep=SweepRunner(workers=1, use_cache=False),
+            snapshots=engine,
+        ).explore(budget=8)
+
+    pooled = explore(None)
+    with _engine() as engine:
+        forked = explore(engine)
+        stats = engine.stats
+        assert stats.fork_hits + stats.misses + stats.inline == forked.executions_used
+    assert pooled.found is not None and forked.found is not None
+    assert forked.found.index == pooled.found.index
+    assert forked.executions_used == pooled.executions_used
+    assert forked.found.errors == pooled.found.errors
+    assert _points(forked.found.schedule) == _points(pooled.found.schedule)
 
 
 def test_shrink_fault_trace_through_snapshots():
