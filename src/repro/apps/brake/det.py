@@ -21,8 +21,6 @@ transactors over the same SOME/IP services as the stock variant:
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.ara import AraProcess
 from repro.apps import registry
 from repro.apps.brake.data import (
@@ -48,28 +46,11 @@ from repro.apps.brake.nondet import (
     start_camera,
 )
 from repro.apps.brake.scenario import BrakeScenario
-from repro.apps.lib.common import deliver_flow
-from repro.dear import (
-    ClientEventTransactor,
-    LatePolicy,
-    ServerEventTransactor,
-    StpConfig,
-    TransactorConfig,
-)
+from repro.apps.lib.common import RunLedger
+from repro.dear import ClientEventTransactor, ServerEventTransactor
 from repro.network import NetworkInterface
-from repro.reactors import Environment, Reactor
+from repro.reactors import Reactor
 from repro.time.duration import SEC
-
-
-def _transactor_config(scenario: BrakeScenario, deadline_ns: int) -> TransactorConfig:
-    return TransactorConfig(
-        deadline_ns=deadline_ns,
-        stp=StpConfig(
-            latency_bound_ns=scenario.latency_bound_ns,
-            clock_error_ns=scenario.clock_error_ns,
-        ),
-        late_policy=LatePolicy(scenario.late_policy),
-    )
 
 
 class _AdapterLogic(Reactor):
@@ -154,7 +135,7 @@ class _ComputerVisionLogic(Reactor):
 class _EbaLogic(Reactor):
     """EBA: vehicles -> brake command."""
 
-    def __init__(self, name, owner, scenario, commands, latencies, send_times, world):
+    def __init__(self, name, owner, scenario, ledger: RunLedger):
         super().__init__(name, owner)
         self.vehicles_in = self.input("vehicles_in")
         self.brake_out = self.output("brake_out")
@@ -162,11 +143,7 @@ class _EbaLogic(Reactor):
         def work(ctx):
             vehicles = vehicles_from_wire(ctx.get(self.vehicles_in))
             command = decide_brake(vehicles)
-            commands[command.frame_seq] = command
-            sent = send_times.get(command.frame_seq)
-            if sent is not None:
-                latencies[command.frame_seq] = world.sim.now - sent
-            deliver_flow(command.frame_seq, world.sim.now)
+            ledger.sink(command.frame_seq, command)
             ctx.set(self.brake_out, brake_to_wire(command))
 
         self.reaction(
@@ -194,24 +171,19 @@ def run_det_brake_assistant(
     # second (possibly clock-skewed) processing board.
     back_end = world.platform(FUSION2_ECU) if scenario.distributed else fusion
     errors = ErrorCounters()
-    commands: dict[int, Any] = {}
-    latencies: dict[int, int] = {}
-    send_times: dict[int, int] = {}
-    horizon = scenario.total_duration_ns()
-    transactors = []
+    ledger = RunLedger(world, scenario, errors)
 
     # ---- Video Adapter -------------------------------------------------------
     adapter_process = AraProcess(fusion, "adapter", tag_aware=True)
-    adapter_env = Environment(name="adapter", timeout=horizon, trace_origin=0)
+    adapter_env = ledger.environment("adapter")
     adapter_logic = _AdapterLogic("logic", adapter_env, scenario)
     adapter_skeleton = adapter_process.create_skeleton(ADAPTER_SERVICE, 1)
-    adapter_tx = ServerEventTransactor(
-        "frame_tx", adapter_env, adapter_process, adapter_skeleton, "frame",
-        _transactor_config(scenario, scenario.adapter_deadline_ns),
+    adapter_tx = ledger.transactor(
+        ServerEventTransactor, "frame_tx", adapter_env, adapter_process,
+        adapter_skeleton, "frame", scenario.adapter_deadline_ns,
     )
     adapter_env.connect(adapter_logic.out, adapter_tx.inp)
     adapter_skeleton.offer()
-    transactors.append(adapter_tx)
 
     nic: NetworkInterface = fusion.attachments["nic"]
     raw_socket = nic.bind(ADAPTER_RAW_PORT)
@@ -222,105 +194,85 @@ def run_det_brake_assistant(
 
     # ---- Preprocessing ---------------------------------------------------------
     pre_process = AraProcess(fusion, "preprocessing", tag_aware=True)
-    pre_env = Environment(name="preprocessing", timeout=horizon, trace_origin=0)
+    pre_env = ledger.environment("preprocessing")
     pre_logic = _PreprocessingLogic("logic", pre_env, scenario)
     pre_skeleton = pre_process.create_skeleton(PREPROCESSING_SERVICE, 1)
-    pre_config = _transactor_config(scenario, scenario.preprocessing_deadline_ns)
-    pre_frame_tx = ServerEventTransactor(
-        "frame_tx", pre_env, pre_process, pre_skeleton, "frame", pre_config
+    pre_deadline = scenario.preprocessing_deadline_ns
+    pre_frame_tx = ledger.transactor(
+        ServerEventTransactor, "frame_tx", pre_env, pre_process, pre_skeleton, "frame",
+        pre_deadline,
     )
-    pre_lane_tx = ServerEventTransactor(
-        "lane_tx", pre_env, pre_process, pre_skeleton, "lane", pre_config
+    pre_lane_tx = ledger.transactor(
+        ServerEventTransactor, "lane_tx", pre_env, pre_process, pre_skeleton, "lane",
+        pre_deadline,
     )
     pre_env.connect(pre_logic.frame_out, pre_frame_tx.inp)
     pre_env.connect(pre_logic.lane_out, pre_lane_tx.inp)
     pre_skeleton.offer()
-    transactors.extend([pre_frame_tx, pre_lane_tx])
 
     def pre_setup():
         proxy = yield from pre_process.find_service(ADAPTER_SERVICE, 1)
-        frame_rx = ClientEventTransactor(
-            "frame_rx", pre_env, pre_process, proxy, "frame",
-            _transactor_config(scenario, scenario.adapter_deadline_ns),
+        frame_rx = ledger.transactor(
+            ClientEventTransactor, "frame_rx", pre_env, pre_process, proxy, "frame",
+            scenario.adapter_deadline_ns,
         )
         pre_env.connect(frame_rx.out, pre_logic.frame_in)
-        transactors.append(frame_rx)
         pre_env.start(fusion)
 
     pre_process.spawn("setup", pre_setup())
 
     # ---- Computer Vision -----------------------------------------------------------
     cv_process = AraProcess(back_end, "computer-vision", tag_aware=True)
-    cv_env = Environment(name="computer-vision", timeout=horizon, trace_origin=0)
+    cv_env = ledger.environment("computer-vision")
     cv_logic = _ComputerVisionLogic("logic", cv_env, scenario, errors)
     cv_skeleton = cv_process.create_skeleton(CV_SERVICE, 1)
-    cv_tx = ServerEventTransactor(
-        "vehicles_tx", cv_env, cv_process, cv_skeleton, "vehicles",
-        _transactor_config(scenario, scenario.computer_vision_deadline_ns),
+    cv_tx = ledger.transactor(
+        ServerEventTransactor, "vehicles_tx", cv_env, cv_process, cv_skeleton,
+        "vehicles", scenario.computer_vision_deadline_ns,
     )
     cv_env.connect(cv_logic.vehicles_out, cv_tx.inp)
     cv_skeleton.offer()
-    transactors.append(cv_tx)
 
     def cv_setup():
         proxy = yield from cv_process.find_service(PREPROCESSING_SERVICE, 1)
-        config = _transactor_config(scenario, scenario.preprocessing_deadline_ns)
-        frame_rx = ClientEventTransactor(
-            "frame_rx", cv_env, cv_process, proxy, "frame", config
+        frame_rx = ledger.transactor(
+            ClientEventTransactor, "frame_rx", cv_env, cv_process, proxy, "frame",
+            pre_deadline,
         )
-        lane_rx = ClientEventTransactor(
-            "lane_rx", cv_env, cv_process, proxy, "lane", config
+        lane_rx = ledger.transactor(
+            ClientEventTransactor, "lane_rx", cv_env, cv_process, proxy, "lane",
+            pre_deadline,
         )
         cv_env.connect(frame_rx.out, cv_logic.frame_in)
         cv_env.connect(lane_rx.out, cv_logic.lane_in)
-        transactors.extend([frame_rx, lane_rx])
         cv_env.start(back_end)
 
     cv_process.spawn("setup", cv_setup())
 
     # ---- EBA -------------------------------------------------------------------------
     eba_process = AraProcess(back_end, "eba", tag_aware=True)
-    eba_env = Environment(name="eba", timeout=horizon, trace_origin=0)
-    eba_logic = _EbaLogic(
-        "logic", eba_env, scenario, commands, latencies, send_times, world
-    )
+    eba_env = ledger.environment("eba")
+    eba_logic = _EbaLogic("logic", eba_env, scenario, ledger)
     eba_skeleton = eba_process.create_skeleton(EBA_SERVICE, 1)
-    eba_tx = ServerEventTransactor(
-        "brake_tx", eba_env, eba_process, eba_skeleton, "brake",
-        _transactor_config(scenario, scenario.eba_deadline_ns),
+    eba_tx = ledger.transactor(
+        ServerEventTransactor, "brake_tx", eba_env, eba_process, eba_skeleton, "brake",
+        scenario.eba_deadline_ns,
     )
     eba_env.connect(eba_logic.brake_out, eba_tx.inp)
     eba_skeleton.offer()
-    transactors.append(eba_tx)
 
     def eba_setup():
         proxy = yield from eba_process.find_service(CV_SERVICE, 1)
-        vehicles_rx = ClientEventTransactor(
-            "vehicles_rx", eba_env, eba_process, proxy, "vehicles",
-            _transactor_config(scenario, scenario.computer_vision_deadline_ns),
+        vehicles_rx = ledger.transactor(
+            ClientEventTransactor, "vehicles_rx", eba_env, eba_process, proxy,
+            "vehicles", scenario.computer_vision_deadline_ns,
         )
         eba_env.connect(vehicles_rx.out, eba_logic.vehicles_in)
-        transactors.append(vehicles_rx)
         eba_env.start(back_end)
 
     eba_process.spawn("setup", eba_setup())
 
     # ---- run -------------------------------------------------------------------------
-    start_camera(world, scenario, send_times)
-    world.run_for(horizon + 1 * SEC)
-
-    result = BrakeRunResult(
-        seed=seed,
-        n_frames=scenario.n_frames,
-        errors=errors,
-        commands=commands,
-        latencies_ns=latencies,
-        trace_fingerprints={
-            env.name: env.trace.fingerprint()
-            for env in (adapter_env, pre_env, cv_env, eba_env)
-        },
-        deadline_misses=sum(t.deadline_misses for t in transactors),
-        stp_violations=sum(t.stp_violations for t in transactors),
-        fault_summary=world.fault_summary,
-    )
-    return result
+    start_camera(ledger)
+    world.run_for(scenario.total_duration_ns() + 1 * SEC)
+    return ledger.result()

@@ -19,8 +19,6 @@ the mechanism behind the huge spread of Figure 5.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.ara import AraProcess, Event, ServiceInterface
 from repro.apps import registry
 from repro.apps.brake.data import (
@@ -43,9 +41,9 @@ from repro.apps.brake.instrumentation import (
 from repro.apps.brake.logic import decide_brake, detect_vehicles, preprocess
 from repro.apps.brake.scenario import BrakeScenario
 from repro.apps.brake.vision import SceneGenerator
-from repro.apps.lib.common import begin_flow, deliver_flow, random_offset, spike
+from repro.apps.lib.common import RunLedger, periodic_stage
 from repro.network import NetworkInterface, SwitchConfig
-from repro.sim import Compute, SleepUntil, World
+from repro.sim import Compute, SleepUntil
 from repro.sim.platform import CALM, MINNOWBOARD, Platform, PlatformConfig
 from repro.time.clock import ClockModel
 
@@ -99,14 +97,13 @@ def brake_recipe(scenario: BrakeScenario):
     return hosts, None, None
 
 
-def start_camera(
-    world: World, scenario: BrakeScenario, send_times: dict[int, int]
-) -> SceneGenerator:
+def start_camera(ledger: RunLedger) -> SceneGenerator:
     """The Video Provider: a thread on platform 1 streaming frames.
 
-    Records the global send time of each frame in *send_times* (used by
-    end-to-end latency measurements).
+    Each frame is a :meth:`RunLedger.source` of the run's *ledger*
+    (send stamp for end-to-end latency, flow opening).
     """
+    world, scenario = ledger.world, ledger.scenario
     platform = world.platform(VISION_ECU)
     nic: NetworkInterface = platform.attachments["nic"]
     socket = nic.bind()
@@ -121,16 +118,14 @@ def start_camera(
             yield SleepUntil(target)
             frame = generator.frame(seq)
             payload = FRAME_SPEC.to_bytes(frame_to_wire(frame))
-            send_times[seq] = world.sim.now
-            flows = begin_flow(seq, world.sim.now)
-            socket.send(
+            ledger.source(
+                seq,
+                socket.send,
                 FUSION_ECU,
                 ADAPTER_RAW_PORT,
                 payload,
                 len(payload) + scenario.frame_extra_bytes,
             )
-            if flows is not None:
-                flows.restore_current(None)
 
     platform.spawn("camera", camera_thread())
     return generator
@@ -149,9 +144,7 @@ def run_nondet_brake_assistant(
     )
     fusion: Platform = world.platform(FUSION_ECU)
     errors = ErrorCounters()
-    commands: dict[int, Any] = {}
-    latencies: dict[int, int] = {}
-    send_times: dict[int, int] = {}
+    ledger = RunLedger(world, scenario, errors)
     use_image = scenario.use_image_pipeline
 
     # ---- Video Adapter -----------------------------------------------------
@@ -170,20 +163,13 @@ def run_nondet_brake_assistant(
     adapter_rng = world.rng.stream("exec.adapter")
 
     def adapter_body():
-        late = spike(world, "adapter", scenario)
-        if late:
-            yield Compute(late)
         frame = adapter_buffer.read()
         if frame is None:
             return
         yield Compute(scenario.adapter.sample(adapter_rng))
         adapter_skeleton.send_event("frame", frame_to_wire(frame))
 
-    fusion.periodic(
-        "adapter", scenario.period_ns, adapter_body,
-        offset_ns=random_offset(world, "adapter", scenario.period_ns),
-        start_delay_ns=scenario.warmup_ns // 2,
-    )
+    periodic_stage(world, scenario, fusion, "adapter", adapter_body)
 
     # ---- Preprocessing -------------------------------------------------------
     pre_process = AraProcess(fusion, "preprocessing")
@@ -206,9 +192,6 @@ def run_nondet_brake_assistant(
     pre_process.spawn("setup", pre_setup())
 
     def pre_body():
-        late = spike(world, "preprocessing", scenario)
-        if late:
-            yield Compute(late)
         frame = pre_buffer.read()
         if frame is None:
             return
@@ -217,11 +200,7 @@ def run_nondet_brake_assistant(
         pre_skeleton.send_event("frame", frame_to_wire(frame))
         pre_skeleton.send_event("lane", lane_to_wire(lane))
 
-    fusion.periodic(
-        "preprocessing", scenario.period_ns, pre_body,
-        offset_ns=random_offset(world, "preprocessing", scenario.period_ns),
-        start_delay_ns=scenario.warmup_ns // 2,
-    )
+    periodic_stage(world, scenario, fusion, "preprocessing", pre_body)
 
     # ---- Computer Vision ---------------------------------------------------------
     cv_process = AraProcess(fusion, "computer-vision")
@@ -248,9 +227,6 @@ def run_nondet_brake_assistant(
     cv_process.spawn("setup", cv_setup())
 
     def cv_body():
-        late = spike(world, "computer-vision", scenario)
-        if late:
-            yield Compute(late)
         frame = cv_frame_buffer.read()
         lane = cv_lane_buffer.read()
         if frame is None and lane is None:
@@ -265,11 +241,7 @@ def run_nondet_brake_assistant(
         vehicles = detect_vehicles(frame, lane, use_image=use_image)
         cv_skeleton.send_event("vehicles", vehicles_to_wire(vehicles))
 
-    fusion.periodic(
-        "computer-vision", scenario.period_ns, cv_body,
-        offset_ns=random_offset(world, "computer-vision", scenario.period_ns),
-        start_delay_ns=scenario.warmup_ns // 2,
-    )
+    periodic_stage(world, scenario, fusion, "computer-vision", cv_body)
 
     # ---- EBA ------------------------------------------------------------------------
     eba_process = AraProcess(fusion, "eba")
@@ -287,44 +259,26 @@ def run_nondet_brake_assistant(
     eba_process.spawn("setup", eba_setup())
 
     def eba_body():
-        late = spike(world, "eba", scenario)
-        if late:
-            yield Compute(late)
         vehicles = eba_buffer.read()
         if vehicles is None:
             return
         yield Compute(scenario.eba.sample(eba_rng))
         command = decide_brake(vehicles)
-        commands[command.frame_seq] = command
-        sent = send_times.get(command.frame_seq)
-        if sent is not None:
-            latencies[command.frame_seq] = world.sim.now - sent
-        deliver_flow(command.frame_seq, world.sim.now)
+        ledger.sink(command.frame_seq, command)
         eba_skeleton.send_event("brake", {
             "frame_seq": command.frame_seq,
             "brake": command.brake,
             "intensity": command.intensity,
         })
 
-    fusion.periodic(
-        "eba", scenario.period_ns, eba_body,
-        offset_ns=random_offset(world, "eba", scenario.period_ns),
-        start_delay_ns=scenario.warmup_ns // 2,
-    )
+    periodic_stage(world, scenario, fusion, "eba", eba_body)
 
     # ---- run -------------------------------------------------------------------------
-    start_camera(world, scenario, send_times)
+    start_camera(ledger)
     world.run_for(scenario.total_duration_ns())
 
     errors.dropped_adapter = adapter_buffer.drops
     errors.dropped_preprocessing = pre_buffer.drops
     errors.dropped_computer_vision = cv_frame_buffer.drops
     errors.dropped_eba = eba_buffer.drops
-    return BrakeRunResult(
-        seed=seed,
-        n_frames=scenario.n_frames,
-        errors=errors,
-        commands=commands,
-        latencies_ns=latencies,
-        fault_summary=world.fault_summary,
-    )
+    return ledger.result()

@@ -4,31 +4,37 @@ Every library app declares its deployment in a world recipe — its ECUs
 (:func:`library_hosts`), its
 :class:`~repro.network.topology.TopologySpec` fabric and its default
 faults — which :meth:`repro.apps.AppDefinition.build_world` turns into
-a world.  Results come back in the same
-:class:`~repro.apps.brake.instrumentation.BrakeRunResult` shape the
-whole harness (sweeps, observed runs, CLI reports, ``outcome_digest``)
-already consumes.  The periodic-callback noise of both brake and the
-library (:func:`random_offset`, :func:`spike`) lives here too.
+a world.  Every runner, brake's included, records its outcome through a
+:class:`RunLedger`: send stamps and flows at the source, commands,
+latencies and flow deliveries at the sink, the app's own drops, and
+the reactor environments and DEAR transactors it builds.  The ledger
+returns the run's
+:class:`~repro.apps.brake.instrumentation.BrakeRunResult`, the shape
+the whole harness (sweeps, observed runs, CLI reports,
+``outcome_digest``) consumes.  The periodic callbacks of the stock
+variants, with their per-task phase and occasional late start, come
+from :func:`periodic_stage`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
+from repro.dear import LatePolicy, StpConfig, TransactorConfig
 from repro.obs import context as obs_context
-from repro.sim import World
+from repro.obs.flows import CAUSE_NO_SUBSCRIBER, LAYER_SOMEIP, attribute_drop
+from repro.reactors import Environment
+from repro.sim import Compute, World
 from repro.sim.platform import MINNOWBOARD, PlatformConfig
 from repro.time.clock import ClockModel
 
 __all__ = [
     "SinkCommand",
     "PipelineErrors",
+    "RunLedger",
     "library_hosts",
-    "begin_flow",
-    "deliver_flow",
-    "drop_flow",
-    "random_offset",
-    "spike",
+    "periodic_stage",
 ]
 
 
@@ -96,57 +102,171 @@ class PipelineErrors:
         return {name: getattr(self, name) for name in LIB_ERROR_TYPES}
 
 
-def begin_flow(seq: int, now: int):
-    """Open flow *seq* (or re-enter it if another producer opened it).
+class RunLedger:
+    """How one app run measures its outcome: the one place that does.
 
-    Returns the flow registry while tracing is active, else ``None``;
-    callers pair this with ``flows.restore_current(None)`` after the
-    send, exactly like the brake camera.
+    A runner creates a ledger beside its world and records through it:
+
+    * :meth:`source` at the input: stamps a sample's send time (the
+      first stamp of a sequence wins, so a second producer of the same
+      sequence keeps the original) and sends it inside its causal flow;
+    * :meth:`publish` for a SOME/IP publish whose loss to an empty
+      subscriber table is an error of the app;
+    * :meth:`sink` at the output: the command (a later one for the same
+      sequence replaces it), its end-to-end latency when the sequence
+      was stamped, a miss of the optional *latency_deadline_ns*, and
+      the flow's delivery;
+    * :meth:`drop` for a loss the app itself decides;
+    * :meth:`environment` and :meth:`transactor` for the reactor
+      environments and DEAR transactors whose traces and counters the
+      result carries.
+
+    :meth:`result` builds the run's
+    :class:`~repro.apps.brake.instrumentation.BrakeRunResult`.
     """
-    o = obs_context.ACTIVE
-    flows = o.flows if o.enabled else None
-    if flows is None:
-        return None
-    if flows.known(seq):
-        # A second producer of the same sequence (failover overlap):
-        # keep the original record, just make the flow current so the
-        # send's hops land on it.
-        flows.swap_current(seq)
-    else:
-        flows.begin(seq, now)
-    return flows
+
+    def __init__(self, world: World, scenario, errors, latency_deadline_ns=None):
+        self.world = world
+        self.scenario = scenario
+        self.errors = errors
+        self.latency_deadline_ns = latency_deadline_ns
+        #: seq -> command produced at the sink.
+        self.commands: dict[int, Any] = {}
+        #: seq -> end-to-end latency (first send stamp to sink), ns.
+        self.latencies: dict[int, int] = {}
+        #: Sink latencies over *latency_deadline_ns*.
+        self.deadline_misses = 0
+        self._sent: dict[int, int] = {}
+        self._environments: list[Environment] = []
+        self._transactors: list = []
+
+    def source(self, seq: int, send, *args):
+        """Stamp *seq* and call ``send(*args)`` inside its flow.
+
+        While flows are traced, opens flow *seq* (or re-enters it if
+        another producer opened it) so the send's hops land on it, and
+        leaves no flow current afterwards.  Returns what *send* returns.
+        """
+        now = self.world.sim.now
+        self._sent.setdefault(seq, now)
+        o = obs_context.ACTIVE
+        flows = o.flows if o.enabled else None
+        if flows is None:
+            return send(*args)
+        if flows.known(seq):
+            flows.swap_current(seq)
+        else:
+            flows.begin(seq, now)
+        sent = send(*args)
+        flows.restore_current(None)
+        return sent
+
+    def publish(self, skeleton, event: str, data: dict) -> int:
+        """``skeleton.send_event(event, data)``; returns the receiver count.
+
+        A publish no subscriber receives (the consumer is still
+        discovering the service) counts as a ``stale_publishes`` error
+        and is the ``(someip, no-subscriber)`` loss of ``data["seq"]``.
+        """
+        receivers = skeleton.send_event(event, data)
+        if receivers == 0:
+            self.errors.stale_publishes += 1
+            self.drop(data["seq"], LAYER_SOMEIP, CAUSE_NO_SUBSCRIBER)
+        return receivers
+
+    def sink(self, seq: int, command) -> None:
+        """Record *command* as the output for *seq* and deliver its flow."""
+        now = self.world.sim.now
+        self.commands[seq] = command
+        sent = self._sent.get(seq)
+        if sent is not None:
+            latency = now - sent
+            self.latencies[seq] = latency
+            deadline = self.latency_deadline_ns
+            if deadline is not None and latency > deadline:
+                self.deadline_misses += 1
+        o = obs_context.ACTIVE
+        if o.enabled and o.flows is not None:
+            o.flows.deliver(seq, now)
+
+    def drop(self, seq: int, layer: str, cause: str) -> None:
+        """Attribute flow *seq*'s loss to ``(layer, cause)``."""
+        o = obs_context.ACTIVE
+        if o.enabled:
+            attribute_drop(o, layer, cause, self.world.sim.now, flow_id=seq)
+
+    def environment(self, name: str) -> Environment:
+        """A reactor environment lasting the run, fingerprinted in the result."""
+        env = Environment(
+            name=name, timeout=self.scenario.total_duration_ns(), trace_origin=0
+        )
+        self._environments.append(env)
+        return env
+
+    def transactor(self, kind, name, env, process, endpoint, event, deadline_ns):
+        """A *kind* event transactor under the scenario's STP bounds and
+        late policy, whose deadline misses and STP violations the result
+        sums."""
+        scenario = self.scenario
+        config = TransactorConfig(
+            deadline_ns=deadline_ns,
+            stp=StpConfig(
+                latency_bound_ns=scenario.latency_bound_ns,
+                clock_error_ns=scenario.clock_error_ns,
+            ),
+            late_policy=LatePolicy(scenario.late_policy),
+        )
+        tx = kind(name, env, process, endpoint, event, config)
+        self._transactors.append(tx)
+        return tx
+
+    def result(self):
+        """The run's result record (call once the world has run)."""
+        # Imported here: the brake package imports this module.
+        from repro.apps.brake.instrumentation import BrakeRunResult
+
+        transactors = self._transactors
+        return BrakeRunResult(
+            seed=self.world.seed,
+            n_frames=self.scenario.n_frames,
+            errors=self.errors,
+            commands=self.commands,
+            latencies_ns=self.latencies,
+            trace_fingerprints={
+                env.name: env.trace.fingerprint() for env in self._environments
+            },
+            deadline_misses=self.deadline_misses
+            + sum(t.deadline_misses for t in transactors),
+            stp_violations=sum(t.stp_violations for t in transactors),
+            fault_summary=self.world.fault_summary,
+        )
 
 
-def deliver_flow(seq: int, now: int) -> None:
-    """Mark flow *seq* delivered at the pipeline sink."""
-    o = obs_context.ACTIVE
-    if o.enabled and o.flows is not None:
-        o.flows.deliver(seq, now)
+def periodic_stage(world: World, scenario, platform, name: str, body) -> None:
+    """Run SWC *name*'s logic *body* (a generator function) every period.
 
-
-def drop_flow(seq: int, layer: str, cause: str, now: int) -> None:
-    """Attribute flow *seq*'s loss to ``(layer, cause)``."""
-    from repro.obs.flows import attribute_drop
-
-    o = obs_context.ACTIVE
-    if o.enabled:
-        attribute_drop(o, layer, cause, now, flow_id=seq)
-
-
-def random_offset(world: World, name: str, period_ns: int) -> int:
-    """Deterministic per-task phase within the period (own RNG stream)."""
-    return world.rng.stream(f"offset.{name}").randint(0, period_ns - 1)
-
-
-def spike(world: World, name: str, scenario) -> int:
-    """Occasional extra latency of a periodic callback (OS hiccup).
-
-    The nanoseconds this activation is late, drawn from the scenario's
-    ``callback_spike_probability``/``callback_spike_max_ns`` model
-    (usually 0).
+    Like the OS timer callback of an AP process on *platform*: a
+    deterministic phase within ``scenario.period_ns`` (own RNG stream
+    ``offset.<name>``), the first activation after half the warm-up,
+    and an occasional OS hiccup that starts an activation late, drawn
+    from the scenario's ``callback_spike_probability`` /
+    ``callback_spike_max_ns`` model (own stream ``spike.<name>``).
     """
-    rng = world.rng.stream(f"spike.{name}")
+    period_ns = scenario.period_ns
     probability = scenario.callback_spike_probability
-    if probability > 0.0 and rng.random() < probability:
-        return rng.randint(0, scenario.callback_spike_max_ns)
-    return 0
+
+    def activation():
+        rng = world.rng.stream(f"spike.{name}")
+        if probability > 0.0 and rng.random() < probability:
+            late = rng.randint(0, scenario.callback_spike_max_ns)
+            if late:
+                yield Compute(late)
+        yield from body()
+
+    platform.periodic(
+        name,
+        period_ns,
+        activation,
+        offset_ns=world.rng.stream(f"offset.{name}").randint(0, period_ns - 1),
+        start_delay_ns=scenario.warmup_ns // 2,
+    )

@@ -23,27 +23,21 @@ record per sequence and a later delivery clears the earlier drop.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.ara import AraProcess, Event, ServiceInterface
 from repro.apps import registry
 from repro.apps.brake.instrumentation import BrakeRunResult, OneSlotBuffer
 from repro.apps.lib.common import (
     PipelineErrors,
+    RunLedger,
     SinkCommand,
-    begin_flow,
     library_hosts,
-    deliver_flow,
-    drop_flow,
-    random_offset,
-    spike,
+    periodic_stage,
 )
 from repro.apps.lib.scenarios import FailoverScenario
 from repro.errors import ServiceNotAvailableError
 from repro.faults import FaultPlan, NodeOutage
 from repro.network.topology import TopologySpec
-from repro.obs.flows import CAUSE_NO_SUBSCRIBER, LAYER_SOMEIP
-from repro.reactors import Environment, Reactor
+from repro.reactors import Reactor
 from repro.sim import Compute, SleepUntil
 from repro.someip.serialization import INT64, Struct, UINT32
 from repro.time.duration import SEC
@@ -80,36 +74,35 @@ def reading_value(seq: int) -> int:
     return (seq * 53 + 29) % 997
 
 
+def _consume(ledger: RunLedger, reading: dict) -> None:
+    """The consumer sink; the first reading of a sequence wins."""
+    seq = reading["seq"]
+    if seq in ledger.commands:
+        return  # hand-over overlap duplicate
+    ledger.sink(seq, SinkCommand(seq, True, float(reading["value"])))
+
+
 class _Producer:
     """One producer role (primary or standby) on its own ECU."""
 
-    def __init__(self, world, host, scenario, errors, send_times, active):
-        self.world = world
-        self.scenario = scenario
-        self.errors = errors
-        self.send_times = send_times
+    def __init__(self, ledger: RunLedger, host: str, active: bool):
+        self.ledger = ledger
+        self.world = ledger.world
+        self.scenario = ledger.scenario
         #: Whether this role currently offers (primaries start active).
         self.active = active
-        self.process = AraProcess(world.platform(host), f"producer.{host}")
+        self.process = AraProcess(self.world.platform(host), f"producer.{host}")
         self.skeleton = self.process.create_skeleton(READING_SERVICE, INSTANCE)
-        self.jitter_rng = world.rng.stream(f"{host}.jitter")
+        self.jitter_rng = self.world.rng.stream(f"{host}.jitter")
         if active:
             self.skeleton.offer()
 
     def publish(self, seq: int) -> None:
-        now = self.world.sim.now
-        self.send_times.setdefault(seq, now)
-        flows = begin_flow(seq, now)
-        receivers = self.skeleton.send_event(
-            "reading", {"seq": seq, "value": reading_value(seq)}
-        )
-        if receivers == 0:
-            # Published into the void: the subscriber table is empty
-            # while the consumer is still rediscovering the service.
-            self.errors.stale_publishes += 1
-            drop_flow(seq, LAYER_SOMEIP, CAUSE_NO_SUBSCRIBER, self.world.sim.now)
-        if flows is not None:
-            flows.restore_current(None)
+        # During the hand-over both producers may publish *seq*; the
+        # ledger keeps the first send stamp and re-enters the flow.
+        ledger = self.ledger
+        reading = {"seq": seq, "value": reading_value(seq)}
+        ledger.source(seq, ledger.publish, self.skeleton, "reading", reading)
 
     def tick_loop(self):
         scenario = self.scenario
@@ -197,12 +190,9 @@ def run_nondet_failover(
         seed, scenario, switch_config, fault_plan
     )
     errors = PipelineErrors()
-    commands: dict[int, Any] = {}
-    latencies: dict[int, int] = {}
-    send_times: dict[int, int] = {}
-
-    primary = _Producer(world, PRIMARY_ECU, scenario, errors, send_times, True)
-    standby = _Producer(world, STANDBY_ECU, scenario, errors, send_times, False)
+    ledger = RunLedger(world, scenario, errors)
+    primary = _Producer(ledger, PRIMARY_ECU, True)
+    standby = _Producer(ledger, STANDBY_ECU, False)
 
     consumer_platform = world.platform(CONSUMER_ECU)
     consumer = AraProcess(consumer_platform, "consumer")
@@ -216,27 +206,13 @@ def run_nondet_failover(
     supervisor = _ConsumerSupervisor(world, scenario, consumer, on_reading)
 
     def consume_body():
-        late = spike(world, "consume", scenario)
-        if late:
-            yield Compute(late)
         reading = buffer.read()
         if reading is None:
             return
         yield Compute(scenario.consume.sample(consume_rng))
-        seq = reading["seq"]
-        if seq in commands:
-            return  # hand-over overlap duplicate
-        commands[seq] = SinkCommand(seq, True, float(reading["value"]))
-        sent = send_times.get(seq)
-        if sent is not None:
-            latencies[seq] = world.sim.now - sent
-        deliver_flow(seq, world.sim.now)
+        _consume(ledger, reading)
 
-    consumer_platform.periodic(
-        "consume", scenario.period_ns, consume_body,
-        offset_ns=random_offset(world, "consume", scenario.period_ns),
-        start_delay_ns=scenario.warmup_ns // 2,
-    )
+    periodic_stage(world, scenario, consumer_platform, "consume", consume_body)
 
     primary.start()
     standby.start()
@@ -244,14 +220,7 @@ def run_nondet_failover(
     world.run_for(scenario.total_duration_ns())
 
     errors.dropped_input = buffer.drops
-    return BrakeRunResult(
-        seed=seed,
-        n_frames=scenario.n_frames,
-        errors=errors,
-        commands=commands,
-        latencies_ns=latencies,
-        fault_summary=world.fault_summary,
-    )
+    return ledger.result()
 
 
 class _ConsumerLogic(Reactor):
@@ -264,13 +233,13 @@ class _ConsumerLogic(Reactor):
     boundary that survives re-discovery.)
     """
 
-    def __init__(self, name, owner, scenario: FailoverScenario, sink):
+    def __init__(self, name, owner, scenario: FailoverScenario, ledger: RunLedger):
         super().__init__(name, owner)
         self.reading_arrival = self.physical_action("reading_arrival")
         self.reaction(
             "consume",
             triggers=[self.reading_arrival],
-            body=lambda ctx: sink(ctx.get(self.reading_arrival)),
+            body=lambda ctx: _consume(ledger, ctx.get(self.reading_arrival)),
             exec_time=lambda rng: scenario.consume.sample(rng),
         )
 
@@ -286,35 +255,17 @@ def run_det_failover(
     world = registry.get("failover").build_world(
         seed, scenario, switch_config, fault_plan
     )
-    errors = PipelineErrors()
-    commands: dict[int, Any] = {}
-    latencies: dict[int, int] = {}
-    send_times: dict[int, int] = {}
-    horizon = scenario.total_duration_ns()
-    deadline_misses = 0
-
-    primary = _Producer(world, PRIMARY_ECU, scenario, errors, send_times, True)
-    standby = _Producer(world, STANDBY_ECU, scenario, errors, send_times, False)
+    # No transactor on the consume path: the sink counts its deadline.
+    ledger = RunLedger(
+        world, scenario, PipelineErrors(), scenario.consume_deadline_ns
+    )
+    primary = _Producer(ledger, PRIMARY_ECU, True)
+    standby = _Producer(ledger, STANDBY_ECU, False)
 
     consumer_platform = world.platform(CONSUMER_ECU)
     consumer = AraProcess(consumer_platform, "consumer")
-    env = Environment(name="consumer", timeout=horizon, trace_origin=0)
-
-    def sink(reading) -> None:
-        nonlocal deadline_misses
-        seq = reading["seq"]
-        if seq in commands:
-            return  # hand-over overlap duplicate
-        commands[seq] = SinkCommand(seq, True, float(reading["value"]))
-        sent = send_times.get(seq)
-        if sent is not None:
-            latency = world.sim.now - sent
-            latencies[seq] = latency
-            if latency > scenario.consume_deadline_ns:
-                deadline_misses += 1
-        deliver_flow(seq, world.sim.now)
-
-    logic = _ConsumerLogic("logic", env, scenario, sink)
+    env = ledger.environment("consumer")
+    logic = _ConsumerLogic("logic", env, scenario, ledger)
 
     def on_reading(data):
         supervisor.note_rx()
@@ -326,15 +277,5 @@ def run_det_failover(
     primary.start()
     standby.start()
     consumer.spawn("supervisor", supervisor.loop())
-    world.run_for(horizon + 1 * SEC)
-
-    return BrakeRunResult(
-        seed=seed,
-        n_frames=scenario.n_frames,
-        errors=errors,
-        commands=commands,
-        latencies_ns=latencies,
-        trace_fingerprints={env.name: env.trace.fingerprint()},
-        deadline_misses=deadline_misses,
-        fault_summary=world.fault_summary,
-    )
+    world.run_for(scenario.total_duration_ns() + 1 * SEC)
+    return ledger.result()

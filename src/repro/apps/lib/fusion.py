@@ -27,26 +27,17 @@ from repro.apps import registry
 from repro.apps.brake.instrumentation import BrakeRunResult, OneSlotBuffer
 from repro.apps.lib.common import (
     PipelineErrors,
+    RunLedger,
     SinkCommand,
-    begin_flow,
     library_hosts,
-    deliver_flow,
-    drop_flow,
-    random_offset,
-    spike,
+    periodic_stage,
 )
 from repro.apps.lib.scenarios import FusionScenario
-from repro.dear import (
-    ClientEventTransactor,
-    LatePolicy,
-    ServerEventTransactor,
-    StpConfig,
-    TransactorConfig,
-)
+from repro.dear import ClientEventTransactor, ServerEventTransactor
 from repro.network.topology import TopologySpec
 from repro.obs.flows import CAUSE_FANIN_MISMATCH, LAYER_APP, LAYER_REACTOR
-from repro.reactors import Environment, Reactor
-from repro.sim import Compute, SleepUntil, World
+from repro.reactors import Reactor
+from repro.sim import Compute, SleepUntil
 from repro.someip.serialization import INT64, Struct, UINT32
 from repro.time.duration import SEC
 
@@ -100,17 +91,20 @@ def fuse_values(cam: int, rad: int, lid: int) -> float:
     return (cam + rad + lid) / 3.0
 
 
-def _start_sensors(
-    world: World,
-    scenario: FusionScenario,
-    send_times: dict[int, int],
-    emit,
-) -> None:
+def _actuate(ledger: RunLedger, seq: int, cam: int, rad: int, lid: int) -> None:
+    """The fusion sink: fuse one group and record the actuation."""
+    fused = fuse_values(cam, rad, lid)
+    ledger.sink(seq, SinkCommand(seq, fused > FUSE_THRESHOLD, fused))
+
+
+def _start_sensors(ledger: RunLedger, emit) -> None:
     """One producer thread per sensor ECU; *emit(name, seq, wire)* sends.
 
-    The camera opens each flow (the other sensors' samples are hops on
-    it — all three share the sequence number).
+    Only the camera is a :meth:`RunLedger.source`: it opens each flow
+    (the other sensors' samples are hops on it — all three share the
+    sequence number).
     """
+    world, scenario = ledger.world, ledger.scenario
     for name, host, _service, salt in SENSORS:
         platform = world.platform(host)
         jitter_rng = world.rng.stream(f"{name}.jitter")
@@ -124,13 +118,10 @@ def _start_sensors(
                     target += jitter_rng.randint(0, scenario.sensor_jitter_ns)
                 yield SleepUntil(target)
                 wire = {"seq": seq, "value": sensor_value(seq, salt)}
-                flows = None
                 if is_anchor:
-                    send_times[seq] = world.sim.now
-                    flows = begin_flow(seq, world.sim.now)
-                emit(name, seq, wire)
-                if flows is not None:
-                    flows.restore_current(None)
+                    ledger.source(seq, emit, name, seq, wire)
+                else:
+                    emit(name, seq, wire)
 
         platform.spawn(name, sensor_thread())
 
@@ -148,9 +139,7 @@ def run_nondet_fusion(
     )
     fusion = world.platform(FUSION_ECU)
     errors = PipelineErrors()
-    commands: dict[int, Any] = {}
-    latencies: dict[int, int] = {}
-    send_times: dict[int, int] = {}
+    ledger = RunLedger(world, scenario, errors)
 
     # ---- sensor-side skeletons --------------------------------------------
     skeletons: dict[str, Any] = {}
@@ -185,9 +174,6 @@ def run_nondet_fusion(
     fusion_process.spawn("setup", fusion_setup())
 
     def fuse_body():
-        late = spike(world, "fusion", scenario)
-        if late:
-            yield Compute(late)
         cam = buffers["camera"].read()
         rad = buffers["radar"].read()
         lid = buffers["lidar"].read()
@@ -201,52 +187,22 @@ def run_nondet_fusion(
             # The anchor sample is consumed without a complete group —
             # that sequence can never be fused again.
             errors.mismatched_inputs += 1
-            drop_flow(
-                cam["seq"], LAYER_APP, CAUSE_FANIN_MISMATCH, world.sim.now
-            )
+            ledger.drop(cam["seq"], LAYER_APP, CAUSE_FANIN_MISMATCH)
             return
         if not (cam["seq"] == rad["seq"] == lid["seq"]):
             # Stale companions: the stock pipeline fuses them anyway.
             errors.mismatched_inputs += 1
         yield Compute(scenario.fuse.sample(fuse_rng))
-        fused = fuse_values(cam["value"], rad["value"], lid["value"])
-        seq = cam["seq"]
-        commands[seq] = SinkCommand(seq, fused > FUSE_THRESHOLD, fused)
-        sent = send_times.get(seq)
-        if sent is not None:
-            latencies[seq] = world.sim.now - sent
-        deliver_flow(seq, world.sim.now)
+        _actuate(ledger, cam["seq"], cam["value"], rad["value"], lid["value"])
 
-    fusion.periodic(
-        "fusion", scenario.period_ns, fuse_body,
-        offset_ns=random_offset(world, "fusion", scenario.period_ns),
-        start_delay_ns=scenario.warmup_ns // 2,
-    )
+    periodic_stage(world, scenario, fusion, "fusion", fuse_body)
 
     # ---- run --------------------------------------------------------------
-    _start_sensors(world, scenario, send_times, emit)
+    _start_sensors(ledger, emit)
     world.run_for(scenario.total_duration_ns())
 
     errors.dropped_input = sum(buffer.drops for buffer in buffers.values())
-    return BrakeRunResult(
-        seed=seed,
-        n_frames=scenario.n_frames,
-        errors=errors,
-        commands=commands,
-        latencies_ns=latencies,
-        fault_summary=world.fault_summary,
-    )
-
-
-def _transactor_config(scenario: FusionScenario, deadline_ns: int) -> TransactorConfig:
-    return TransactorConfig(
-        deadline_ns=deadline_ns,
-        stp=StpConfig(
-            latency_bound_ns=scenario.latency_bound_ns,
-            clock_error_ns=scenario.clock_error_ns,
-        ),
-        late_policy=LatePolicy(scenario.late_policy),
-    )
+    return ledger.result()
 
 
 class _SensorLogic(Reactor):
@@ -274,7 +230,7 @@ class _FusionLogic(Reactor):
     fan-in mismatches — under intact assumptions none are.
     """
 
-    def __init__(self, name, owner, scenario, errors, sink, world):
+    def __init__(self, name, owner, scenario, ledger: RunLedger):
         super().__init__(name, owner)
         self.cam_in = self.input("cam_in")
         self.rad_in = self.input("rad_in")
@@ -298,17 +254,17 @@ class _FusionLogic(Reactor):
             ]
             for seq in sorted(done):
                 group = self.pending.pop(seq)
-                sink(seq, group)
+                _actuate(
+                    ledger, seq, group["camera"], group["radar"], group["lidar"]
+                )
                 self.completed_horizon = max(self.completed_horizon, seq)
             floor = self.completed_horizon - scenario.eviction_horizon
             for seq in sorted(self.pending):
                 if seq >= floor:
                     break
                 del self.pending[seq]
-                errors.mismatched_inputs += 1
-                drop_flow(
-                    seq, LAYER_REACTOR, CAUSE_FANIN_MISMATCH, world.sim.now
-                )
+                ledger.errors.mismatched_inputs += 1
+                ledger.drop(seq, LAYER_REACTOR, CAUSE_FANIN_MISMATCH)
 
         self.reaction(
             "align",
@@ -330,31 +286,23 @@ def run_det_fusion(
         seed, scenario, switch_config, fault_plan
     )
     fusion = world.platform(FUSION_ECU)
-    errors = PipelineErrors()
-    commands: dict[int, Any] = {}
-    latencies: dict[int, int] = {}
-    send_times: dict[int, int] = {}
-    horizon = scenario.total_duration_ns()
-    transactors = []
+    ledger = RunLedger(world, scenario, PipelineErrors())
 
     # ---- sensors: reactor + server transactor per ECU ---------------------
-    sensor_envs: dict[str, Environment] = {}
     sensor_logics: dict[str, _SensorLogic] = {}
     for name, host, service, _salt in SENSORS:
         platform = world.platform(host)
         process = AraProcess(platform, name, tag_aware=True)
-        env = Environment(name=name, timeout=horizon, trace_origin=0)
+        env = ledger.environment(name)
         logic = _SensorLogic("logic", env, scenario)
         skeleton = process.create_skeleton(service, 1)
-        tx = ServerEventTransactor(
-            "sample_tx", env, process, skeleton, "sample",
-            _transactor_config(scenario, scenario.sensor_deadline_ns),
+        tx = ledger.transactor(
+            ServerEventTransactor, "sample_tx", env, process, skeleton, "sample",
+            scenario.sensor_deadline_ns,
         )
         env.connect(logic.out, tx.inp)
         skeleton.offer()
-        transactors.append(tx)
         env.start(platform)
-        sensor_envs[name] = env
         sensor_logics[name] = logic
 
     def emit(name: str, seq: int, wire: dict) -> None:
@@ -362,56 +310,32 @@ def run_det_fusion(
 
     # ---- fusion: three tagged client streams into one aligner -------------
     fusion_process = AraProcess(fusion, "fusion", tag_aware=True)
-    fusion_env = Environment(name="fusion", timeout=horizon, trace_origin=0)
-
-    def sink(seq: int, group: dict[str, int]) -> None:
-        fused = fuse_values(group["camera"], group["radar"], group["lidar"])
-        commands[seq] = SinkCommand(seq, fused > FUSE_THRESHOLD, fused)
-        sent = send_times.get(seq)
-        if sent is not None:
-            latencies[seq] = world.sim.now - sent
-        deliver_flow(seq, world.sim.now)
-
-    fusion_logic = _FusionLogic("logic", fusion_env, scenario, errors, sink, world)
+    fusion_env = ledger.environment("fusion")
+    fusion_logic = _FusionLogic("logic", fusion_env, scenario, ledger)
 
     def fusion_setup():
-        config = _transactor_config(scenario, scenario.fuse_deadline_ns)
         for service, port in (
             (CAMERA_SERVICE, fusion_logic.cam_in),
             (RADAR_SERVICE, fusion_logic.rad_in),
             (LIDAR_SERVICE, fusion_logic.lid_in),
         ):
             proxy = yield from fusion_process.find_service(service, 1)
-            rx = ClientEventTransactor(
-                f"{service.name}_rx", fusion_env, fusion_process, proxy,
-                "sample", config,
+            rx = ledger.transactor(
+                ClientEventTransactor, f"{service.name}_rx", fusion_env, fusion_process,
+                proxy, "sample", scenario.fuse_deadline_ns,
             )
             fusion_env.connect(rx.out, port)
-            transactors.append(rx)
         fusion_env.start(fusion)
 
     fusion_process.spawn("setup", fusion_setup())
 
     # ---- run --------------------------------------------------------------
-    _start_sensors(world, scenario, send_times, emit)
-    world.run_for(horizon + 1 * SEC)
+    _start_sensors(ledger, emit)
+    world.run_for(scenario.total_duration_ns() + 1 * SEC)
 
     # Groups still incomplete at the end of the run never fused.
     for seq in sorted(fusion_logic.pending):
-        errors.mismatched_inputs += 1
-        drop_flow(seq, LAYER_REACTOR, CAUSE_FANIN_MISMATCH, world.sim.now)
+        ledger.errors.mismatched_inputs += 1
+        ledger.drop(seq, LAYER_REACTOR, CAUSE_FANIN_MISMATCH)
 
-    return BrakeRunResult(
-        seed=seed,
-        n_frames=scenario.n_frames,
-        errors=errors,
-        commands=commands,
-        latencies_ns=latencies,
-        trace_fingerprints={
-            env.name: env.trace.fingerprint()
-            for env in (*sensor_envs.values(), fusion_env)
-        },
-        deadline_misses=sum(t.deadline_misses for t in transactors),
-        stp_violations=sum(t.stp_violations for t in transactors),
-        fault_summary=world.fault_summary,
-    )
+    return ledger.result()

@@ -17,31 +17,21 @@ within the declared latency bound ``L`` by construction.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.ara import AraProcess, Event, ServiceInterface
 from repro.apps import registry
 from repro.apps.brake.instrumentation import BrakeRunResult, OneSlotBuffer
 from repro.apps.lib.common import (
     PipelineErrors,
+    RunLedger,
     SinkCommand,
-    begin_flow,
     library_hosts,
-    deliver_flow,
-    random_offset,
-    spike,
+    periodic_stage,
 )
 from repro.apps.lib.scenarios import MixedCriticalityScenario
-from repro.dear import (
-    ClientEventTransactor,
-    LatePolicy,
-    ServerEventTransactor,
-    StpConfig,
-    TransactorConfig,
-)
+from repro.dear import ClientEventTransactor, ServerEventTransactor
 from repro.network import NetworkInterface
 from repro.network.topology import TopologySpec
-from repro.reactors import Environment, Reactor
+from repro.reactors import Reactor
 from repro.sim import Compute, SleepUntil, World
 from repro.someip.serialization import INT64, Struct, UINT32
 from repro.time.duration import SEC
@@ -81,6 +71,12 @@ def sample_value(seq: int) -> int:
     return (seq * 41 + 3) % 211
 
 
+def _control(ledger: RunLedger, sample: dict) -> None:
+    """The control sink of the critical flow."""
+    seq = sample["seq"]
+    ledger.sink(seq, SinkCommand(seq, True, float(sample["value"])))
+
+
 def _start_bulk_traffic(world: World, scenario: MixedCriticalityScenario) -> None:
     """Telemetry bursts + a logger sink; not flow-traced (best effort)."""
     telemetry = world.platform(TELEMETRY_ECU)
@@ -102,12 +98,10 @@ def _start_bulk_traffic(world: World, scenario: MixedCriticalityScenario) -> Non
     telemetry.spawn("telemetry", bulk_thread())
 
 
-def _start_sensor(
-    world: World,
-    scenario: MixedCriticalityScenario,
-    send_times: dict[int, int],
-    emit,
-) -> None:
+def _start_sensor(ledger: RunLedger, emit) -> None:
+    """The critical source: every sample is a :meth:`RunLedger.source`
+    sent by *emit(seq, wire)*."""
+    world, scenario = ledger.world, ledger.scenario
     platform = world.platform(SENSOR_ECU)
     jitter_rng = world.rng.stream("sensor.jitter")
 
@@ -118,11 +112,7 @@ def _start_sensor(
                 target += jitter_rng.randint(0, scenario.jitter_ns)
             yield SleepUntil(target)
             wire = {"seq": seq, "value": sample_value(seq)}
-            send_times[seq] = world.sim.now
-            flows = begin_flow(seq, world.sim.now)
-            emit(seq, wire)
-            if flows is not None:
-                flows.restore_current(None)
+            ledger.source(seq, emit, seq, wire)
 
     platform.spawn("sensor", sensor_thread())
 
@@ -139,19 +129,15 @@ def run_nondet_mixedcrit(
         seed, scenario, switch_config, fault_plan
     )
     errors = PipelineErrors()
-    commands: dict[int, Any] = {}
-    latencies: dict[int, int] = {}
-    send_times: dict[int, int] = {}
-    deadline_misses = 0
+    # No transactor on the critical path: the sink counts its deadline.
+    ledger = RunLedger(world, scenario, errors, scenario.consume_deadline_ns)
 
     sensor_process = AraProcess(world.platform(SENSOR_ECU), "sensor")
     skeleton = sensor_process.create_skeleton(CONTROL_SERVICE, INSTANCE)
     skeleton.offer()
 
     def emit(seq: int, wire: dict) -> None:
-        receivers = skeleton.send_event("sample", wire)
-        if receivers == 0:
-            errors.stale_publishes += 1
+        ledger.publish(skeleton, "sample", wire)
 
     control_platform = world.platform(CONTROL_ECU)
     control = AraProcess(control_platform, "control")
@@ -165,55 +151,20 @@ def run_nondet_mixedcrit(
     control.spawn("setup", control_setup())
 
     def consume_body():
-        nonlocal deadline_misses
-        late = spike(world, "consume", scenario)
-        if late:
-            yield Compute(late)
         sample = buffer.read()
         if sample is None:
             return
         yield Compute(scenario.consume.sample(consume_rng))
-        seq = sample["seq"]
-        commands[seq] = SinkCommand(seq, True, float(sample["value"]))
-        sent = send_times.get(seq)
-        if sent is not None:
-            latency = world.sim.now - sent
-            latencies[seq] = latency
-            if latency > scenario.consume_deadline_ns:
-                deadline_misses += 1
-        deliver_flow(seq, world.sim.now)
+        _control(ledger, sample)
 
-    control_platform.periodic(
-        "consume", scenario.period_ns, consume_body,
-        offset_ns=random_offset(world, "consume", scenario.period_ns),
-        start_delay_ns=scenario.warmup_ns // 2,
-    )
+    periodic_stage(world, scenario, control_platform, "consume", consume_body)
 
     _start_bulk_traffic(world, scenario)
-    _start_sensor(world, scenario, send_times, emit)
+    _start_sensor(ledger, emit)
     world.run_for(scenario.total_duration_ns())
 
     errors.dropped_input = buffer.drops
-    return BrakeRunResult(
-        seed=seed,
-        n_frames=scenario.n_frames,
-        errors=errors,
-        commands=commands,
-        latencies_ns=latencies,
-        deadline_misses=deadline_misses,
-        fault_summary=world.fault_summary,
-    )
-
-
-def _transactor_config(scenario: MixedCriticalityScenario) -> TransactorConfig:
-    return TransactorConfig(
-        deadline_ns=scenario.consume_deadline_ns,
-        stp=StpConfig(
-            latency_bound_ns=scenario.latency_bound_ns,
-            clock_error_ns=scenario.clock_error_ns,
-        ),
-        late_policy=LatePolicy(scenario.late_policy),
-    )
+    return ledger.result()
 
 
 class _SensorLogic(Reactor):
@@ -235,13 +186,13 @@ class _SensorLogic(Reactor):
 class _ControlLogic(Reactor):
     """Tagged sink of the critical flow."""
 
-    def __init__(self, name, owner, scenario: MixedCriticalityScenario, sink):
+    def __init__(self, name, owner, scenario: MixedCriticalityScenario, ledger):
         super().__init__(name, owner)
         self.sample_in = self.input("sample_in")
         self.reaction(
             "consume",
             triggers=[self.sample_in],
-            body=lambda ctx: sink(ctx.get(self.sample_in)),
+            body=lambda ctx: _control(ledger, ctx.get(self.sample_in)),
             exec_time=lambda rng: scenario.consume.sample(rng),
         )
 
@@ -257,26 +208,21 @@ def run_det_mixedcrit(
     world = registry.get("mixedcrit").build_world(
         seed, scenario, switch_config, fault_plan
     )
-    errors = PipelineErrors()
-    commands: dict[int, Any] = {}
-    latencies: dict[int, int] = {}
-    send_times: dict[int, int] = {}
-    horizon = scenario.total_duration_ns()
-    transactors = []
+    ledger = RunLedger(world, scenario, PipelineErrors())
+    deadline_ns = scenario.consume_deadline_ns
 
     # ---- sensor: reactor + server transactor ------------------------------
     sensor_platform = world.platform(SENSOR_ECU)
     sensor_process = AraProcess(sensor_platform, "sensor", tag_aware=True)
-    sensor_env = Environment(name="sensor", timeout=horizon, trace_origin=0)
+    sensor_env = ledger.environment("sensor")
     sensor_logic = _SensorLogic("logic", sensor_env, scenario)
     skeleton = sensor_process.create_skeleton(CONTROL_SERVICE, INSTANCE)
-    tx = ServerEventTransactor(
-        "sample_tx", sensor_env, sensor_process, skeleton, "sample",
-        _transactor_config(scenario),
+    tx = ledger.transactor(
+        ServerEventTransactor, "sample_tx", sensor_env, sensor_process, skeleton,
+        "sample", deadline_ns,
     )
     sensor_env.connect(sensor_logic.out, tx.inp)
     skeleton.offer()
-    transactors.append(tx)
     sensor_env.start(sensor_platform)
 
     def emit(seq: int, wire: dict) -> None:
@@ -285,46 +231,22 @@ def run_det_mixedcrit(
     # ---- control: client transactor into the tagged sink ------------------
     control_platform = world.platform(CONTROL_ECU)
     control_process = AraProcess(control_platform, "control", tag_aware=True)
-    control_env = Environment(name="control", timeout=horizon, trace_origin=0)
-
-    def sink(sample) -> None:
-        seq = sample["seq"]
-        commands[seq] = SinkCommand(seq, True, float(sample["value"]))
-        sent = send_times.get(seq)
-        if sent is not None:
-            latencies[seq] = world.sim.now - sent
-        deliver_flow(seq, world.sim.now)
-
-    control_logic = _ControlLogic("logic", control_env, scenario, sink)
+    control_env = ledger.environment("control")
+    control_logic = _ControlLogic("logic", control_env, scenario, ledger)
 
     def control_setup():
         proxy = yield from control_process.find_service(CONTROL_SERVICE, INSTANCE)
-        rx = ClientEventTransactor(
-            "sample_rx", control_env, control_process, proxy, "sample",
-            _transactor_config(scenario),
+        rx = ledger.transactor(
+            ClientEventTransactor, "sample_rx", control_env, control_process,
+            proxy, "sample", deadline_ns,
         )
         control_env.connect(rx.out, control_logic.sample_in)
-        transactors.append(rx)
         control_env.start(control_platform)
 
     control_process.spawn("setup", control_setup())
 
     # ---- run --------------------------------------------------------------
     _start_bulk_traffic(world, scenario)
-    _start_sensor(world, scenario, send_times, emit)
-    world.run_for(horizon + 1 * SEC)
-
-    return BrakeRunResult(
-        seed=seed,
-        n_frames=scenario.n_frames,
-        errors=errors,
-        commands=commands,
-        latencies_ns=latencies,
-        trace_fingerprints={
-            env.name: env.trace.fingerprint()
-            for env in (sensor_env, control_env)
-        },
-        deadline_misses=sum(t.deadline_misses for t in transactors),
-        stp_violations=sum(t.stp_violations for t in transactors),
-        fault_summary=world.fault_summary,
-    )
+    _start_sensor(ledger, emit)
+    world.run_for(scenario.total_duration_ns() + 1 * SEC)
+    return ledger.result()

@@ -20,9 +20,11 @@ place that turns it into a world: it adds the app's default network
 
 Runner contract: ``runner(seed, scenario, switch_config=None,
 fault_plan=None)`` builds its world with
-:meth:`AppDefinition.build_world` (passing those arguments through) and
-returns a
-:class:`~repro.apps.brake.instrumentation.BrakeRunResult`-shaped value
+:meth:`AppDefinition.build_world` (passing those arguments through),
+records its outcome through a :class:`~repro.apps.lib.common.RunLedger`
+(send stamps at the source, commands and latencies at the sink, flow
+drops, its reactor environments and DEAR transactors) and returns the
+ledger's :class:`~repro.apps.brake.instrumentation.BrakeRunResult`
 (``errors``/``commands``/``trace_fingerprints``/``outcome_digest()``).
 Runners must be picklable module-level callables — the sweep engine
 fans them out to worker processes.  Replay is not part of the contract:

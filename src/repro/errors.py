@@ -35,10 +35,6 @@ class MalformedMessageError(SomeIpError):
     """A SOME/IP message could not be parsed."""
 
 
-class UnknownServiceError(SomeIpError):
-    """A message referenced a service that is not offered."""
-
-
 class SerializationError(SomeIpError):
     """A payload could not be serialized or deserialized."""
 

@@ -339,13 +339,6 @@ class ReactorScheduler:
             return self._platform.sim.now
         return self._physical_fast
 
-    def _next_ready_reaction(self) -> Reaction | None:
-        if not self._ready:
-            return None
-        _level, _order, reaction = heapq.heappop(self._ready)
-        reaction._queued = False
-        return reaction
-
     def _invoke(self, reaction: Reaction, tag: Tag, record_trace: bool = True) -> bool:
         """Run one reaction body (or its deadline handler).
 

@@ -75,14 +75,6 @@ class EventHandle:
         """Whether :meth:`cancel` was called."""
         return self._cancelled
 
-    def _fire(self) -> None:
-        if self._cancelled:
-            return
-        callback = self._callback
-        self._callback = None
-        if callback is not None:
-            callback()
-
 
 class Simulator:
     """Deterministic event-queue simulator over integer-nanosecond time."""

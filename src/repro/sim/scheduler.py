@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Any, Callable, Generator
+from typing import Any, Generator
 
 from repro.errors import SimulationError
 from repro.obs import context as obs_context
@@ -516,21 +516,3 @@ class CpuScheduler:
             if o.enabled:
                 o.scratch[("mutex_wait", id(waiter))] = self._sim.now
 
-
-def run_generator(generator_or_none: Generator | None) -> Generator:
-    """Normalize callbacks: accept a generator or ``None`` (no-op).
-
-    Helper for APIs that accept "a body to run on a simulated thread";
-    returning an empty generator keeps call sites branch-free.
-    """
-    if generator_or_none is not None:
-        return generator_or_none
-
-    def _empty() -> Generator:
-        return
-        yield  # pragma: no cover - makes this a generator function
-
-    return _empty()
-
-
-Callback = Callable[[], Generator[Any, Any, Any]]

@@ -121,6 +121,19 @@ class TestEndToEnd:
 
         assert delivered("det") >= delivered("nondet")
 
+    def test_stock_mixedcrit_stale_publish_is_attributed(self):
+        """With no warm-up the sensor publishes before the control ECU
+        subscribed: that sample is a ``(someip, no-subscriber)`` drop,
+        as in failover, not an unattributed in-flight flow."""
+        scenario = MixedCriticalityScenario(warmup_ns=0, n_frames=50)
+        with obs.capture(flows=True) as observation:
+            result = apps.get("mixedcrit").runner("nondet")(0, scenario)
+        summary = flow_report(observation.flows)["summary"]
+        assert result.errors.stale_publishes == 1
+        assert summary["unattributed"] == 0
+        assert summary["drops_by_cause"].get("no-subscriber") == 1
+        assert summary["drops_by_layer"].get("someip") == 1
+
     @pytest.mark.parametrize("app", LIBRARY_APPS)
     def test_deterministic_inputs_fix_trace_across_seeds(self, app):
         """The library analogue of ``deterministic_camera``: with inputs

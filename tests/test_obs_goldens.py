@@ -6,8 +6,9 @@ document:
 
 * ``cli/<case>``: the exit code, stdout and every ``--out``,
   ``--metrics-out`` and ``--trace-out`` file of ``repro trace``,
-  ``repro metrics``, ``repro flows`` (with and without ``--drop``) and
-  a figure command's representative observed run.  The CLI runs
+  ``repro metrics``, ``repro flows`` (brake with and without
+  ``--drop``, and each library app) and a figure command's
+  representative observed run.  The CLI runs
   in-process, single-worker and without the result store; output paths
   are normalized and stderr is dropped.  A simulation trace is pinned
   as the digest of its events with each ``args.wall_ns`` (host time)
@@ -72,6 +73,39 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ["flows", "--variant", "det", "--seeds", "1", "--frames", "30",
          "--drop", "0.2", "--out", "{R}"],
         {"R": "json"},
+    ),
+    # The library apps: both variants' reports plus the det trace, and
+    # the stock trace on its own.  Failover needs 200 frames to reach
+    # its outage (and its no-subscriber drops).
+    "flows-fusion": (
+        ["flows", "--app", "fusion", "--seeds", "1", "--frames", "40",
+         "--out", "{R}", "--trace-out", "{T}"],
+        {"R": "json", "T": "trace"},
+    ),
+    "flows-fusion-nondet": (
+        ["flows", "--app", "fusion", "--variant", "nondet", "--seeds", "1",
+         "--frames", "40", "--trace-out", "{T}"],
+        {"T": "trace"},
+    ),
+    "flows-failover": (
+        ["flows", "--app", "failover", "--seeds", "1", "--frames", "200",
+         "--out", "{R}", "--trace-out", "{T}"],
+        {"R": "json", "T": "trace"},
+    ),
+    "flows-failover-nondet": (
+        ["flows", "--app", "failover", "--variant", "nondet", "--seeds", "1",
+         "--frames", "200", "--trace-out", "{T}"],
+        {"T": "trace"},
+    ),
+    "flows-mixedcrit": (
+        ["flows", "--app", "mixedcrit", "--seeds", "2", "--frames", "40",
+         "--out", "{R}", "--trace-out", "{T}"],
+        {"R": "json", "T": "trace"},
+    ),
+    "flows-mixedcrit-nondet": (
+        ["flows", "--app", "mixedcrit", "--variant", "nondet", "--seeds", "1",
+         "--frames", "40", "--trace-out", "{T}"],
+        {"T": "trace"},
     ),
     "fig5-observed": (
         ["fig5", "--runs", "1", "--frames", "20",
