@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Summary:
@@ -42,6 +40,8 @@ def summarize(values: Sequence[float]) -> Summary:
     """Compute a :class:`Summary` of *values*."""
     if not values:
         raise ValueError("cannot summarize an empty sample")
+    import numpy as np
+
     array = np.asarray(list(values), dtype=float)
     return Summary(
         count=int(array.size),

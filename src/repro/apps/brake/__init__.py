@@ -17,8 +17,13 @@ platforms (Figure 4):
 * :mod:`repro.apps.brake.nondet` — the stock AP implementation with
   periodic callbacks and one-slot input buffers (Section IV.A);
 * :mod:`repro.apps.brake.det` — the DEAR implementation (Section IV.B).
+
+The two runners load on first access (:mod:`repro._lazy`), so a stock
+run does not load the DEAR variant, its transactors or the reactor
+runtime.
 """
 
+from repro._lazy import lazy_exports
 from repro.apps.brake.data import (
     BrakeCommand,
     DetectedVehicle,
@@ -28,8 +33,11 @@ from repro.apps.brake.data import (
 )
 from repro.apps.brake.scenario import BrakeScenario
 from repro.apps.brake.instrumentation import BrakeRunResult, ErrorCounters
-from repro.apps.brake.nondet import run_nondet_brake_assistant
-from repro.apps.brake.det import run_det_brake_assistant
+
+_EXPORTS = {
+    "run_nondet_brake_assistant": "nondet",
+    "run_det_brake_assistant": "det",
+}
 
 __all__ = [
     "Frame",
@@ -40,6 +48,7 @@ __all__ = [
     "BrakeScenario",
     "ErrorCounters",
     "BrakeRunResult",
-    "run_nondet_brake_assistant",
-    "run_det_brake_assistant",
+    *_EXPORTS,
 ]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

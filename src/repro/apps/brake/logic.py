@@ -21,8 +21,6 @@ pipeline's input mismatches turn into wrong braking decisions.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.apps.brake.data import (
     BrakeCommand,
     DetectedVehicle,
@@ -55,6 +53,8 @@ def preprocess(frame: Frame, use_image: bool = False) -> LaneBox:
 
 
 def _preprocess_image(frame: Frame) -> LaneBox:
+    import numpy as np
+
     image = render_frame(frame)
     # Lane markings are the only medium-brightness full-height features:
     # score columns by the count of pixels in the marking band.
@@ -93,6 +93,8 @@ def detect_vehicles(
 
 
 def _detect_image(frame: Frame, lane: LaneBox) -> VehicleList:
+    import numpy as np
+
     image = render_frame(frame)
     blobs = image >= 250
     detected = []

@@ -23,10 +23,12 @@ operating on it, for when a "real" vision workload is wanted.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.apps.brake.data import Frame, GroundTruthVehicle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Image dimensions of the rendered frame.
 IMAGE_WIDTH = 64
@@ -116,11 +118,11 @@ class SceneGenerator:
 
 def _column_for_lateral(lateral_m: float) -> int:
     normalized = (lateral_m + VIEW_WIDTH_M / 2) / VIEW_WIDTH_M
-    return int(np.clip(normalized * (IMAGE_WIDTH - 1), 0, IMAGE_WIDTH - 1))
+    return int(min(max(normalized * (IMAGE_WIDTH - 1), 0), IMAGE_WIDTH - 1))
 
 
 def _row_for_distance(distance_m: float) -> int:
-    normalized = np.clip(distance_m / VIEW_DEPTH_M, 0.0, 1.0)
+    normalized = min(max(distance_m / VIEW_DEPTH_M, 0.0), 1.0)
     return int((1.0 - normalized) * (IMAGE_HEIGHT - 1))
 
 
@@ -130,6 +132,8 @@ def render_frame(frame: Frame) -> np.ndarray:
     Lane markings are bright vertical curves at the lane boundaries;
     vehicles are bright rectangles whose size shrinks with distance.
     """
+    import numpy as np
+
     image = np.zeros((IMAGE_HEIGHT, IMAGE_WIDTH), dtype=np.uint8)
     half = frame.lane_width_m / 2
     for boundary in (frame.lane_center_m - half, frame.lane_center_m + half):

@@ -19,15 +19,17 @@ from :func:`periodic_stage`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.dear import LatePolicy, StpConfig, TransactorConfig
 from repro.obs import context as obs_context
 from repro.obs.flows import CAUSE_NO_SUBSCRIBER, LAYER_SOMEIP, attribute_drop
-from repro.reactors import Environment
 from repro.sim import Compute, World
 from repro.sim.platform import MINNOWBOARD, PlatformConfig
 from repro.time.clock import ClockModel
+
+if TYPE_CHECKING:
+    from repro.reactors import Environment
 
 __all__ = [
     "SinkCommand",
@@ -117,6 +119,7 @@ class RunLedger:
       was stamped, a miss of the optional *latency_deadline_ns*, and
       the flow's delivery;
     * :meth:`drop` for a loss the app itself decides;
+    * :meth:`unsent` after the run, for the readings no source sent;
     * :meth:`environment` and :meth:`transactor` for the reactor
       environments and DEAR transactors whose traces and counters the
       result carries.
@@ -195,8 +198,34 @@ class RunLedger:
         if o.enabled:
             attribute_drop(o, layer, cause, self.world.sim.now, flow_id=seq)
 
+    def unsent(self, born_ns, layer: str, cause: str) -> None:
+        """Attribute every reading no source sent to ``(layer, cause)``.
+
+        Call once the world has run.  While observability is on, each
+        seq of the scenario's ``n_frames`` that :meth:`source` never saw
+        is lost at ``born_ns(seq)``; with flows traced it becomes a flow
+        born then, so the flow report covers every reading.  Nothing is
+        stamped or counted in the result.
+        """
+        o = obs_context.ACTIVE
+        if not o.enabled:
+            return
+        flows = o.flows
+        for seq in range(self.scenario.n_frames):
+            if seq in self._sent:
+                continue
+            ts = born_ns(seq)
+            if flows is not None:
+                flows.begin(seq, ts)
+            attribute_drop(o, layer, cause, ts, flow_id=seq)
+        if flows is not None:
+            flows.restore_current(None)
+
     def environment(self, name: str) -> Environment:
         """A reactor environment lasting the run, fingerprinted in the result."""
+        # Imported here: stock runners build no reactors.
+        from repro.reactors import Environment
+
         env = Environment(
             name=name, timeout=self.scenario.total_duration_ns(), trace_origin=0
         )

@@ -10,9 +10,12 @@ exactly the machinery under test.
 
 Loss accounting: a reading published while no subscriber is live is a
 ``no-subscriber`` drop at the SOME/IP layer (the skeleton's
-``send_event`` reports its receiver count).  During the hand-over both
-producers may publish the same sequence; the flow registry keeps one
-record per sequence and a later delivery clears the earlier drop.
+``send_event`` reports its receiver count), and a reading neither
+producer published (the primary down, the standby not yet offering) is
+an ``(app, no-producer)`` loss at its activation time.  During the
+hand-over both producers may publish the same sequence; the flow
+registry keeps one record per sequence and a later delivery clears the
+earlier drop.
 
 * **stock** (:func:`run_nondet_failover`): one-slot consumer buffer and
   a periodic consume callback;
@@ -37,6 +40,7 @@ from repro.apps.lib.scenarios import FailoverScenario
 from repro.errors import ServiceNotAvailableError
 from repro.faults import FaultPlan, NodeOutage
 from repro.network.topology import TopologySpec
+from repro.obs.flows import CAUSE_NO_PRODUCER, LAYER_APP
 from repro.reactors import Reactor
 from repro.sim import Compute, SleepUntil
 from repro.someip.serialization import INT64, Struct, UINT32
@@ -67,6 +71,19 @@ def failover_recipe(scenario: FailoverScenario):
         TopologySpec.chain((producers, (CONSUMER_ECU,))),
         FaultPlan(outages=(outage,)),
     )
+
+
+def _activation_ns(scenario: FailoverScenario, seq: int) -> int:
+    """Nominal time both producers' sensors take reading *seq*."""
+    return scenario.warmup_ns + seq * scenario.period_ns
+
+
+def _finish(ledger: RunLedger) -> BrakeRunResult:
+    """The run's result, once readings nobody published are attributed."""
+    ledger.unsent(
+        lambda seq: _activation_ns(ledger.scenario, seq), LAYER_APP, CAUSE_NO_PRODUCER
+    )
+    return ledger.result()
 
 
 def reading_value(seq: int) -> int:
@@ -107,7 +124,7 @@ class _Producer:
     def tick_loop(self):
         scenario = self.scenario
         for seq in range(scenario.n_frames):
-            target = scenario.warmup_ns + seq * scenario.period_ns
+            target = _activation_ns(scenario, seq)
             if self.world.sim.now > target + scenario.period_ns:
                 # Missed while crashed (or frozen): a real periodic task
                 # skips overrun activations instead of bursting.
@@ -220,7 +237,7 @@ def run_nondet_failover(
     world.run_for(scenario.total_duration_ns())
 
     errors.dropped_input = buffer.drops
-    return ledger.result()
+    return _finish(ledger)
 
 
 class _ConsumerLogic(Reactor):
@@ -278,4 +295,4 @@ def run_det_failover(
     standby.start()
     consumer.spawn("supervisor", supervisor.loop())
     world.run_for(scenario.total_duration_ns() + 1 * SEC)
-    return ledger.result()
+    return _finish(ledger)

@@ -21,6 +21,7 @@ full transactor set for a service interface — the paper's "can be
 automatically generated" claim.
 """
 
+from repro._lazy import lazy_exports
 from repro.dear.stp import (
     DeadlineFault,
     LatePolicy,
@@ -28,13 +29,23 @@ from repro.dear.stp import (
     TransactorConfig,
     UntaggedPolicy,
 )
-from repro.dear.transactor import Transactor
-from repro.dear.method_client import ClientMethodTransactor, MethodReply
-from repro.dear.method_server import MethodCall, MethodReturn, ServerMethodTransactor
-from repro.dear.event_client import ClientEventTransactor
-from repro.dear.event_server import ServerEventTransactor
-from repro.dear.fields import ClientFieldTransactors, ServerFieldTransactors
-from repro.dear.codegen import generate_client_transactors, generate_server_transactors
+
+#: The transactors load on first access (:mod:`repro._lazy`): a stock
+#: run needs only the STP configuration types above.
+_EXPORTS = {
+    "Transactor": "transactor",
+    "ClientMethodTransactor": "method_client",
+    "MethodReply": "method_client",
+    "ServerMethodTransactor": "method_server",
+    "MethodCall": "method_server",
+    "MethodReturn": "method_server",
+    "ClientEventTransactor": "event_client",
+    "ServerEventTransactor": "event_server",
+    "ClientFieldTransactors": "fields",
+    "ServerFieldTransactors": "fields",
+    "generate_client_transactors": "codegen",
+    "generate_server_transactors": "codegen",
+}
 
 __all__ = [
     "DeadlineFault",
@@ -42,16 +53,7 @@ __all__ = [
     "StpConfig",
     "TransactorConfig",
     "UntaggedPolicy",
-    "Transactor",
-    "ClientMethodTransactor",
-    "ServerMethodTransactor",
-    "MethodCall",
-    "MethodReturn",
-    "MethodReply",
-    "ClientEventTransactor",
-    "ServerEventTransactor",
-    "ClientFieldTransactors",
-    "ServerFieldTransactors",
-    "generate_client_transactors",
-    "generate_server_transactors",
+    *_EXPORTS,
 ]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -20,46 +20,38 @@ package turns it into a correctness tool that *searches* it:
 * :mod:`repro.explore.verify` — run the DEAR variant under explored
   schedules and assert byte-identical trace fingerprints (or a flagged,
   observable assumption violation — never silent divergence).
+
+Public names load on first access (:mod:`repro._lazy`), so importing
+:mod:`repro.explore.decisions` alone, as the fault injector does, does
+not load the explorer, the strategies, shrinking or verification.
 """
 
-from repro.explore.decisions import (
-    DecisionRecord,
-    DecisionTrace,
-    InterventionSchedule,
-    PreemptionPoint,
-    ReplayDivergence,
-    ScheduleRecorder,
-    ScheduleReplayer,
-    is_scheduler_stream,
-)
-from repro.explore.explorer import ExplorationResult, Explorer, frame_drop
-from repro.explore.scenarios import (
-    IN_BUDGET_PREEMPT_NS,
-    calibration_scenario,
-)
-from repro.explore.shrink import ShrinkResult, ddmin, shrink_schedule
-from repro.explore.strategies import PctStrategy, RandomSweepStrategy
-from repro.explore.verify import VerificationResult, verify_determinism
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DecisionRecord",
-    "DecisionTrace",
-    "InterventionSchedule",
-    "PreemptionPoint",
-    "ReplayDivergence",
-    "ScheduleRecorder",
-    "ScheduleReplayer",
-    "is_scheduler_stream",
-    "Explorer",
-    "ExplorationResult",
-    "frame_drop",
-    "PctStrategy",
-    "RandomSweepStrategy",
-    "ShrinkResult",
-    "ddmin",
-    "shrink_schedule",
-    "VerificationResult",
-    "verify_determinism",
-    "calibration_scenario",
-    "IN_BUDGET_PREEMPT_NS",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "DecisionRecord": "decisions",
+    "DecisionTrace": "decisions",
+    "InterventionSchedule": "decisions",
+    "PreemptionPoint": "decisions",
+    "ReplayDivergence": "decisions",
+    "ScheduleRecorder": "decisions",
+    "ScheduleReplayer": "decisions",
+    "is_scheduler_stream": "decisions",
+    "Explorer": "explorer",
+    "ExplorationResult": "explorer",
+    "frame_drop": "explorer",
+    "PctStrategy": "strategies",
+    "RandomSweepStrategy": "strategies",
+    "ShrinkResult": "shrink",
+    "ddmin": "shrink",
+    "shrink_schedule": "shrink",
+    "VerificationResult": "verify",
+    "verify_determinism": "verify",
+    "calibration_scenario": "scenarios",
+    "IN_BUDGET_PREEMPT_NS": "scenarios",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -6,14 +6,12 @@ at the network/scheduler/clock seams without perturbing any existing
 RNG draw order; fired faults record as ``decision-trace/v1`` so fault
 schedules replay bit-exactly (under :func:`replay`) and ddmin-shrink
 through :mod:`repro.explore`.  See ``docs/API.md`` → "Fault injection".
+Every run loads the plan types; the injector (installed only for a
+non-empty plan) and the shrinker load on first access
+(:mod:`repro._lazy`).
 """
 
-from repro.faults.injector import (
-    FaultInjector,
-    FaultVerdict,
-    install_fault_plan,
-    replay,
-)
+from repro._lazy import lazy_exports
 from repro.faults.plan import (
     ClockFault,
     FaultPlan,
@@ -21,18 +19,24 @@ from repro.faults.plan import (
     NodeOutage,
     Partition,
 )
-from repro.faults.shrink import FaultShrinkResult, shrink_fault_trace
+
+#: The injector (installed only for a non-empty plan) and the shrinker.
+_EXPORTS = {
+    "FaultInjector": "injector",
+    "FaultVerdict": "injector",
+    "install_fault_plan": "injector",
+    "replay": "injector",
+    "FaultShrinkResult": "shrink",
+    "shrink_fault_trace": "shrink",
+}
 
 __all__ = [
     "ClockFault",
-    "FaultInjector",
     "FaultPlan",
-    "FaultShrinkResult",
-    "FaultVerdict",
     "LinkFault",
     "NodeOutage",
     "Partition",
-    "install_fault_plan",
-    "replay",
-    "shrink_fault_trace",
+    *_EXPORTS,
 ]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -6,6 +6,12 @@ LET); each returns a result object with a ``render()`` method producing
 the text form of the corresponding figure.  The benchmark suite under
 ``benchmarks/`` is a thin wrapper around these drivers.
 
+``figures`` is a plain submodule (``from repro.harness import
+figures``), not imported here, so a run that only needs
+:class:`ScenarioSpec` or :class:`SweepRunner` loads neither the figure
+code, its statistics nor numpy; nor does it load the bench-diff gate
+(import that from :mod:`repro.harness.benchdiff`).
+
 :mod:`repro.harness.sweep` provides :class:`SweepRunner`, the parallel
 seeded-sweep engine (process-pool fan-out, deterministic seed-order
 merge) that the drivers, the CLI and the benchmarks all share, and
@@ -13,7 +19,6 @@ merge) that the drivers, the CLI and the benchmarks all share, and
 sweep service's coordinator both read and write.
 """
 
-from repro.harness.benchdiff import compare_dirs, render_bench_diff
 from repro.harness.config import (
     NetworkSpec,
     ScenarioSpec,
@@ -35,7 +40,6 @@ from repro.harness.sweep import (
     make_record,
     record_key,
 )
-from repro.harness import figures
 
 __all__ = [
     "NetworkSpec",
@@ -44,7 +48,6 @@ __all__ = [
     "observe_run",
     "flow_summary",
     "env_int",
-    "figures",
     "SweepRunner",
     "SweepResult",
     "SeedOutcome",
@@ -56,6 +59,4 @@ __all__ = [
     "code_fingerprint",
     "driver_fingerprint",
     "default_workers",
-    "compare_dirs",
-    "render_bench_diff",
 ]

@@ -42,7 +42,6 @@ import tempfile
 import time
 import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
@@ -641,6 +640,9 @@ class SweepRunner:
                         seeds[index], value, error, elapsed_s=elapsed
                     )
             else:
+                # Imported here: an inline sweep never starts a pool.
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = {
                         index: pool.submit(

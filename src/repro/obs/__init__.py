@@ -38,6 +38,7 @@ or, from a shell: ``repro trace det --trace-out trace.json``.
 :func:`repro.harness.flow_summary` (causal flow reports).
 """
 
+from repro._lazy import lazy_exports
 from repro.obs.bus import (
     Event,
     EventBus,
@@ -48,13 +49,6 @@ from repro.obs.bus import (
 )
 from repro.obs import fleet
 from repro.obs.context import Observation, NullObservation, active, capture
-from repro.obs.export import (
-    metrics_document,
-    trace_events,
-    validate_trace_data,
-    write_metrics,
-    write_trace,
-)
 from repro.obs.flows import (
     FlowRecord,
     FlowRegistry,
@@ -88,6 +82,16 @@ from repro.obs.fleet import (
     validate_prometheus_text,
 )
 
+# The exporters load on first access (:mod:`repro._lazy`): a run only
+# records; writing the files is the caller's step.
+_EXPORTS = {
+    "metrics_document": "export",
+    "trace_events": "export",
+    "validate_trace_data": "export",
+    "write_metrics": "export",
+    "write_trace": "export",
+}
+
 __all__ = [
     "Event",
     "EventBus",
@@ -117,11 +121,7 @@ __all__ = [
     "labeled",
     "parse_labeled",
     "percentile",
-    "trace_events",
-    "write_trace",
-    "metrics_document",
-    "write_metrics",
-    "validate_trace_data",
+    *_EXPORTS,
     "FlowRegistry",
     "FlowRecord",
     "Hop",
@@ -131,3 +131,5 @@ __all__ = [
     "merge_flow_reports",
     "validate_flow_report",
 ]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -39,16 +39,13 @@ takes no scheduling decision, so enabling fleet telemetry leaves every
 
 from __future__ import annotations
 
-import json
 import os
 import re
-import socket
 import threading
 from contextlib import contextmanager
 from typing import Any, Iterator, Sequence
 
 from repro.obs.bus import EventBus
-from repro.obs.export import trace_events
 from repro.obs.metrics import (
     MetricsRegistry,
     aggregate_snapshots,
@@ -236,6 +233,8 @@ def snapshot_document(
     telemetry: FleetTelemetry | NullFleet | None = None,
 ) -> dict[str, Any]:
     """One process's fleet metrics as a ``fleet-metrics/v1`` document."""
+    import socket
+
     handle = telemetry if telemetry is not None else ACTIVE
     return {
         "format": FLEET_FORMAT,
@@ -546,6 +545,8 @@ def fleet_trace_events(report: dict[str, Any]) -> list[dict[str, Any]]:
     :func:`~repro.obs.export.validate_trace_data`.  Write the file with
     ``write_trace(fleet_trace_bus(report), path, **fleet_trace_labels(report))``.
     """
+    from repro.obs.export import trace_events
+
     return trace_events(
         fleet_trace_bus(report), process=fleet_trace_labels(report)["process"]
     )

@@ -86,6 +86,7 @@ __all__ = [
     "CAUSE_BUFFER_OVERWRITE",
     "CAUSE_FANIN_MISMATCH",
     "CAUSE_NO_SUBSCRIBER",
+    "CAUSE_NO_PRODUCER",
     "CAUSE_IN_FLIGHT",
 ]
 
@@ -117,6 +118,7 @@ CAUSE_DEADLINE = "deadline-drop"  # drop_on_deadline_miss output drop
 CAUSE_BUFFER_OVERWRITE = "buffer-overwrite"  # one-slot buffer overwrote unread
 CAUSE_FANIN_MISMATCH = "fanin-mismatch"  # fan-in stage discarded a misaligned group
 CAUSE_NO_SUBSCRIBER = "no-subscriber"  # published with no live subscriber
+CAUSE_NO_PRODUCER = "no-producer"  # no producer active to publish it
 CAUSE_IN_FLIGHT = "in-flight-at-end"  # report-time fallback, never recorded live
 
 #: Map :class:`repro.faults.injector.FaultVerdict` drop kinds to causes.

@@ -134,6 +134,32 @@ class TestEndToEnd:
         assert summary["drops_by_cause"].get("no-subscriber") == 1
         assert summary["drops_by_layer"].get("someip") == 1
 
+    @pytest.mark.parametrize("variant", ["det", "nondet"])
+    def test_failover_readings_nobody_publishes_are_attributed(self, variant):
+        """While the primary is down and the standby not yet offering,
+        neither producer publishes: those readings are ``(app,
+        no-producer)`` losses in the flow report, not absent from it,
+        and attributing them changes nothing in the result."""
+        scenario = FailoverScenario(n_frames=200)
+        runner = apps.get("failover").runner(variant)
+        plain = runner(0, scenario)
+        with obs.capture(flows=True) as observation:
+            flowed = runner(0, scenario)
+        report = flow_report(observation.flows)
+        summary = report["summary"]
+        assert summary["total"] == scenario.n_frames
+        assert summary["unattributed"] == 0
+        unpublished = sorted(
+            int(seq)
+            for seq, entry in report["flows"].items()
+            if entry["drop"] is not None and entry["drop"][1] == "no-producer"
+        )
+        # One contiguous hand-over gap inside the outage window.
+        assert unpublished == list(range(unpublished[0], unpublished[-1] + 1))
+        assert summary["drops_by_cause"]["no-producer"] == len(unpublished) > 0
+        assert flowed.outcome_digest() == plain.outcome_digest()
+        assert flowed.errors.as_dict() == plain.errors.as_dict()
+
     @pytest.mark.parametrize("app", LIBRARY_APPS)
     def test_deterministic_inputs_fix_trace_across_seeds(self, app):
         """The library analogue of ``deterministic_camera``: with inputs

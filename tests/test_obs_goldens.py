@@ -16,8 +16,8 @@ document:
   counts.
 * ``fleet/<case>``: the fleet trace of the fixed-clock campaigns of
   ``tests/test_fleet_telemetry.py``: per event its phase, name, thread
-  and args exactly, its ``ts``/``dur`` to within 1e-3 us.  The
-  category is not pinned.
+  and args exactly, its ``ts``/``dur`` rounded to and compared within
+  1e-3 us.  The category is not pinned.
 
 To refresh after an *intentional* change, run
 ``PYTHONPATH=src python tests/test_obs_goldens.py --capture`` and
@@ -157,6 +157,13 @@ def _cli_case(name: str) -> dict[str, Any]:
         }
 
 
+def _on_grid(us: float | None) -> float | None:
+    """*us* rounded to the 1e-3 us grid of :data:`_FLEET_US_TOLERANCE`, so
+    float noise in the fleet clock arithmetic never reaches the golden
+    file and ``--capture`` is idempotent."""
+    return None if us is None else round(us, 3)
+
+
 def _fleet_events(report: dict) -> list[dict[str, Any]]:
     return [
         {
@@ -164,8 +171,8 @@ def _fleet_events(report: dict) -> list[dict[str, Any]]:
             "name": event["name"],
             "tid": event["tid"],
             "args": event.get("args"),
-            "ts": event.get("ts"),
-            "dur": event.get("dur"),
+            "ts": _on_grid(event.get("ts")),
+            "dur": _on_grid(event.get("dur")),
         }
         for event in fleet_trace_events(report)
     ]

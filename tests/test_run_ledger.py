@@ -89,6 +89,42 @@ class TestSourceAndSink:
         assert summary["unattributed"] == 0
 
 
+class TestUnsent:
+    def _sourced(self, *seqs) -> RunLedger:
+        ledger = _ledger()
+        for seq in seqs:
+            ledger.source(seq, lambda: None)
+        return ledger
+
+    def test_unsent_readings_become_lost_flows_at_their_birth(self):
+        with obs.capture(flows=True) as observation:
+            ledger = self._sourced(0, 2)
+            ledger.unsent(lambda seq: 10 * seq, "app", "no-producer")
+        assert observation.flows.current is None
+        report = flow_report(observation.flows)
+        assert sorted(report["flows"], key=int) == ["0", "1", "2", "3"]
+        for seq in ("1", "3"):
+            entry = report["flows"][seq]
+            assert entry["born_ns"] == 10 * int(seq)
+            assert entry["drop"] == ["app", "no-producer", 10 * int(seq)]
+        assert report["summary"]["drops_by_cause"]["no-producer"] == 2
+
+    def test_unsent_counts_drops_without_flows(self):
+        with obs.capture() as observation:
+            self._sourced(1).unsent(lambda seq: seq, "app", "no-producer")
+        counters = observation.metrics.snapshot()["counters"]
+        assert counters['drops_total{cause="no-producer",layer="app"}'] == 3
+
+    def test_unsent_leaves_the_result_alone(self):
+        ledger = self._sourced(0)
+        before = ledger.result().outcome_digest()
+        with obs.capture(flows=True):
+            ledger.unsent(lambda seq: seq, "app", "no-producer")
+        ledger.unsent(lambda seq: seq, "app", "no-producer")  # disabled: no-op
+        assert ledger.result().outcome_digest() == before
+        assert ledger.errors.total() == 0
+
+
 class TestResult:
     def test_result_sums_transactor_counters_and_own_misses(self):
         ledger = _ledger(latency_deadline_ns=0)
