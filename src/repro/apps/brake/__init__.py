@@ -18,37 +18,27 @@ platforms (Figure 4):
   periodic callbacks and one-slot input buffers (Section IV.A);
 * :mod:`repro.apps.brake.det` — the DEAR implementation (Section IV.B).
 
-The two runners load on first access (:mod:`repro._lazy`), so a stock
-run does not load the DEAR variant, its transactors or the reactor
-runtime.
+Every public name loads on first access (:mod:`repro._lazy`): listing
+the registered apps imports :mod:`~repro.apps.brake.scenario` and no
+wire type, and a stock run does not load the DEAR variant, its
+transactors or the reactor runtime.
 """
 
 from repro._lazy import lazy_exports
-from repro.apps.brake.data import (
-    BrakeCommand,
-    DetectedVehicle,
-    Frame,
-    LaneBox,
-    VehicleList,
-)
-from repro.apps.brake.scenario import BrakeScenario
-from repro.apps.brake.instrumentation import BrakeRunResult, ErrorCounters
 
 _EXPORTS = {
+    "Frame": "data",
+    "LaneBox": "data",
+    "DetectedVehicle": "data",
+    "VehicleList": "data",
+    "BrakeCommand": "data",
+    "BrakeScenario": "scenario",
+    "ErrorCounters": "instrumentation",
+    "BrakeRunResult": "instrumentation",
     "run_nondet_brake_assistant": "nondet",
     "run_det_brake_assistant": "det",
 }
 
-__all__ = [
-    "Frame",
-    "LaneBox",
-    "DetectedVehicle",
-    "VehicleList",
-    "BrakeCommand",
-    "BrakeScenario",
-    "ErrorCounters",
-    "BrakeRunResult",
-    *_EXPORTS,
-]
+__all__ = list(_EXPORTS)
 
 __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.rng import randbelow
+from repro._draws import randbelow
 from repro.time.duration import MS, US
 
 

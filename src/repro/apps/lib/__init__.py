@@ -16,7 +16,7 @@ Importing this package registers the apps; everything downstream
 through :mod:`repro.apps.registry`.
 """
 
-from repro.apps.lib.common import LIB_ERROR_TYPES, PipelineErrors, SinkCommand
+from repro._lazy import lazy_exports
 from repro.apps.lib.scenarios import (
     FailoverScenario,
     FusionScenario,
@@ -24,14 +24,22 @@ from repro.apps.lib.scenarios import (
 )
 from repro.apps.registry import AppDefinition, register
 
+#: The run plumbing loads on first access: registering the apps needs
+#: only their scenario types.
+_EXPORTS = {
+    "LIB_ERROR_TYPES": "common",
+    "PipelineErrors": "common",
+    "SinkCommand": "common",
+}
+
 __all__ = [
-    "LIB_ERROR_TYPES",
-    "PipelineErrors",
-    "SinkCommand",
+    *_EXPORTS,
     "FusionScenario",
     "FailoverScenario",
     "MixedCriticalityScenario",
 ]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 
 def _register_library() -> None:

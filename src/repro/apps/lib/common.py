@@ -125,7 +125,8 @@ class RunLedger:
       result carries.
 
     :meth:`result` builds the run's
-    :class:`~repro.apps.brake.instrumentation.BrakeRunResult`.
+    :class:`~repro.apps.brake.instrumentation.BrakeRunResult` and ends
+    the run: it closes the environments and the world.
     """
 
     def __init__(self, world: World, scenario, errors, latency_deadline_ns=None):
@@ -142,6 +143,7 @@ class RunLedger:
         self._sent: dict[int, int] = {}
         self._environments: list[Environment] = []
         self._transactors: list = []
+        self._result = None
 
     def source(self, seq: int, send, *args):
         """Stamp *seq* and call ``send(*args)`` inside its flow.
@@ -250,25 +252,36 @@ class RunLedger:
         return tx
 
     def result(self):
-        """The run's result record (call once the world has run)."""
+        """The run's result record (call once the world has run).
+
+        Building it ends the run: each environment hands its trace off
+        (:meth:`~repro.reactors.Environment.close`) once fingerprinted
+        and the world is closed (:meth:`~repro.sim.World.close`), so the
+        traces are freed as soon as the runner returns.  Later calls
+        return the same record.
+        """
+        if self._result is not None:
+            return self._result
         # Imported here: the brake package imports this module.
         from repro.apps.brake.instrumentation import BrakeRunResult
 
         transactors = self._transactors
-        return BrakeRunResult(
+        self._result = BrakeRunResult(
             seed=self.world.seed,
             n_frames=self.scenario.n_frames,
             errors=self.errors,
             commands=self.commands,
             latencies_ns=self.latencies,
             trace_fingerprints={
-                env.name: env.trace.fingerprint() for env in self._environments
+                env.name: env.close().fingerprint() for env in self._environments
             },
             deadline_misses=self.deadline_misses
             + sum(t.deadline_misses for t in transactors),
             stp_violations=sum(t.stp_violations for t in transactors),
             fault_summary=self.world.fault_summary,
         )
+        self.world.close()
+        return self._result
 
 
 def periodic_stage(world: World, scenario, platform, name: str, body) -> None:

@@ -187,6 +187,19 @@ class Environment:
             self.scheduler.sim_thread_body(platform, workers),
         )
 
+    def close(self) -> Trace:
+        """Hand the trace off and drop the scheduler's pending work.
+
+        Returns the trace, which the environment no longer holds
+        (:attr:`trace` becomes ``None``): a caller keeping the returned
+        :class:`Trace` keeps every record, and otherwise the rows are
+        freed as soon as it is dropped, without waiting for a cyclic
+        collection of the program's reactors.
+        """
+        trace, self.trace = self.trace, None
+        self.scheduler.close()
+        return trace
+
     def request_stop(self) -> None:
         """Shut the program down at the next opportunity."""
         self.scheduler.request_stop()

@@ -114,6 +114,12 @@ class ReactorScheduler:
             return self._platform.local_now()
         return self._physical_fast
 
+    def close(self) -> None:
+        """Drop the pending events, the ready queue and the event freelist."""
+        self._queue.clear()
+        self._ready.clear()
+        self._event_pool.clear()
+
     # -- event insertion -----------------------------------------------------------
 
     def _push(self, tag: Tag, target: Any, value: Any) -> None:

@@ -116,12 +116,30 @@ class Trace:
         self._rows.append((time, microstep, kind, name, text))
 
     def fingerprint(self) -> str:
-        """SHA-256 over the canonical rendering of all records."""
+        """SHA-256 over the canonical rendering of all records.
+
+        Hashes the same text as joining :meth:`lines`, but renders each
+        tag's ``time.microstep`` once per run of rows sharing it and
+        each ``kind name`` head once per distinct pair (a run has a few
+        dozen), since rows arrive in tag order.
+        """
         digest = hashlib.sha256()
         rows = self._rows
+        heads: dict[tuple[str, str], str] = {}
+        last_time = last_microstep = None
+        prefix = ""
         for start in range(0, len(rows), _HASH_BATCH):
-            batch = rows[start : start + _HASH_BATCH]
-            digest.update("".join([_line(*row) + "\n" for row in batch]).encode())
+            parts: list[str] = []
+            append = parts.append
+            for time, microstep, kind, name, text in rows[start : start + _HASH_BATCH]:
+                if time != last_time or microstep != last_microstep:
+                    last_time, last_microstep = time, microstep
+                    prefix = f"{time}.{microstep} "
+                head = heads.get((kind, name))
+                if head is None:
+                    head = heads[kind, name] = f"{kind} {name} "
+                append(f"{prefix}{head}{text}\n")
+            digest.update("".join(parts).encode())
         return digest.hexdigest()
 
     def lines(self) -> list[str]:

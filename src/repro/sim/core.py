@@ -88,6 +88,7 @@ class Simulator:
         "_running",
         "_events_processed",
         "_pool",
+        "_closed",
     )
 
     def __init__(self) -> None:
@@ -105,6 +106,7 @@ class Simulator:
         self._events_processed = 0
         #: Freelist of recycled :meth:`timer_at` handles.
         self._pool: list[EventHandle] = []
+        self._closed = False
 
     @property
     def now(self) -> int:
@@ -327,6 +329,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
+        if self._closed:
+            raise SimulationError("simulator is closed")
         self._running = True
         fired = 0
         bounded = until is not None
@@ -370,6 +374,20 @@ class Simulator:
         finally:
             self._events_processed += fired
             self._running = False
+
+    def close(self) -> None:
+        """Drop every pending event and the handle freelist.
+
+        The queued callbacks are what keep a finished world's objects
+        reachable from the kernel; after closing, :meth:`run` raises
+        :class:`SimulationError`.  :attr:`now` and
+        :attr:`events_processed` keep their values.
+        """
+        self._closed = True
+        self._times.clear()
+        self._buckets.clear()
+        self._late.clear()
+        self._pool.clear()
 
     def pending_count(self) -> int:
         """Number of live (non-cancelled) events in the queue."""

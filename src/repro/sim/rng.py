@@ -32,6 +32,8 @@ import random
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
+from repro._draws import randbelow
+
 #: A hook maps (full stream path, seeded stream) to a replacement
 #: stream-like object, or ``None`` to leave the stream untouched.
 StreamHook = Callable[[str, random.Random], Any]
@@ -98,27 +100,6 @@ class RngTree:
 
     def __repr__(self) -> str:
         return f"RngTree(seed={self._seed})"
-
-
-def randbelow(rng: random.Random, n: int) -> int:
-    """``rng.randrange(n)``, draw for draw, in one Python frame.
-
-    Runs CPython's ``Random._randbelow_with_getrandbits`` loop inline:
-    ``k = n.bit_length()`` bits per draw, rejecting draws ``>= n``.  So
-    ``n == 1`` still makes the one-bit draw ``randrange(1)`` makes, and
-    the stream's state afterwards equals ``randrange``'s on every
-    supported CPython.  ``rng.randint(a, b)`` is
-    ``a + randbelow(rng, b - a + 1)``.  An empty range (``n <= 0``)
-    raises :class:`ValueError`, like ``randrange``, and never spins.
-    """
-    if n <= 0:
-        raise ValueError(f"empty range for randbelow({n})")
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
 
 
 class RandomDecisionSource:

@@ -189,6 +189,18 @@ class CpuScheduler:
         """Threads that have not terminated."""
         return [t for t in self._threads if not t.done]
 
+    def close(self) -> None:
+        """Close every thread's generator and drop its continuations.
+
+        Part of :meth:`repro.sim.world.World.close`: suspended frames
+        and the per-thread callback partials are what tie a finished
+        run's objects into reference cycles.  Thread states are left as
+        they were.
+        """
+        for thread in self._threads:
+            thread.generator.close()
+            thread.resume_cb = thread.wake_cb = thread.timeout_handle = None
+
     # -- dispatching --------------------------------------------------------
 
     def _request_dispatch(self) -> None:

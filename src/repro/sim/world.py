@@ -101,6 +101,20 @@ class World:
             names = ", ".join(thread.name for thread in stuck)
             raise DeadlockError(f"threads blocked with no pending events: {names}")
 
+    def close(self) -> None:
+        """Release a finished run.
+
+        Closes every simulated thread's generator, clears its scheduler
+        continuations and drops the kernel's pending events and handle
+        freelist, so the run's objects stop reaching each other through
+        suspended frames and queued callbacks.  Platforms, the network,
+        the fault injector and every counter stay readable; running a
+        closed world raises :class:`~repro.errors.SimulationError`.
+        """
+        for platform in self.platforms.values():
+            platform.scheduler.close()
+        self.sim.close()
+
     def __repr__(self) -> str:
         return (
             f"World(seed={self.seed}, platforms={sorted(self.platforms)}, "

@@ -142,6 +142,24 @@ def test_stock_run_loads_no_dear_reactors_or_injector(stock_run):
     assert "repro.dear.stp" in stock_run  # its configuration types are
 
 
+_APP_NAMES = """
+import json, sys
+from repro import apps
+
+print(json.dumps({"names": list(apps.names()), "modules": sorted(sys.modules)}))
+"""
+
+
+def test_listing_apps_loads_no_simulation_stack():
+    """``apps.names()`` (every ``repro`` command's ``--app`` choices)
+    loads the scenario types, not the simulator, network or SOME/IP."""
+    listed = _fresh(_APP_NAMES)
+    assert listed["names"] == ["brake", "failover", "fusion", "mixedcrit"]
+    loaded = set(listed["modules"])
+    assert "repro.apps.lib.scenarios" in loaded
+    assert _offenders(loaded, ("repro.sim", "repro.someip", "repro.network")) == []
+
+
 _NAMES = """
 import importlib, json
 from repro.harness import figures
@@ -151,8 +169,8 @@ from repro.harness.benchdiff import compare_dirs, render_bench_diff
 
 missing = []
 for package in (
-    "repro.apps.brake", "repro.dear", "repro.explore", "repro.faults",
-    "repro.harness", "repro.obs",
+    "repro.apps.brake", "repro.apps.lib", "repro.dear", "repro.explore",
+    "repro.faults", "repro.harness", "repro.obs",
 ):
     module = importlib.import_module(package)
     missing += [f"{package}.{name}" for name in module.__all__

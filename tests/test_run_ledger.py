@@ -156,9 +156,11 @@ class TestResult:
     def test_fingerprints_come_from_environments_in_registration_order(self):
         ledger = _ledger()
         envs = [ledger.environment(name) for name in ("zeta", "alpha", "mid")]
+        # The result hands each trace off: hold the traces, not the envs.
+        traces = {env.name: env.trace for env in envs}
         fingerprints = ledger.result().trace_fingerprints
         assert list(fingerprints) == ["zeta", "alpha", "mid"]
-        assert fingerprints == {env.name: env.trace.fingerprint() for env in envs}
+        assert fingerprints == {name: t.fingerprint() for name, t in traces.items()}
         assert envs[0].timeout_ns == SCENARIO.total_duration_ns()
 
     def test_no_environments_no_fingerprints(self):

@@ -7,6 +7,8 @@ the API the rest of the package (persistence, trace diffing, fault
 shrinking's callers) relies on.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,16 @@ class TestApiCompatibility:
         assert [record.line() for record in trace.records] == trace.lines()
         assert len(trace) == len(trace.records)
         assert trace.records[-1].tag == Tag(2 * MS, 1)
+
+    def test_fingerprint_hashes_the_lines(self):
+        """Cached tag prefixes and heads hash exactly the joined lines,
+        across hash batches, tag changes and repeated heads."""
+        trace = self._trace()
+        for index in range(2 * telemetry._HASH_BATCH + 7):
+            tag = Tag(3 * MS + index // 3, index % 2)
+            trace.record(tag, "set" if index % 5 else "reaction", f"r{index % 4}", index)
+        text = "".join(line + "\n" for line in trace.lines())
+        assert trace.fingerprint() == hashlib.sha256(text.encode()).hexdigest()
 
     def test_records_view_is_read_only(self):
         trace = self._trace()
