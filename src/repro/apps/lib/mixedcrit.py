@@ -82,7 +82,8 @@ def _start_bulk_traffic(world: World, scenario: MixedCriticalityScenario) -> Non
     telemetry = world.platform(TELEMETRY_ECU)
     logger = world.platform(LOGGER_ECU)
     logger_nic: NetworkInterface = logger.attachments["nic"]
-    logger_nic.bind(BULK_PORT)  # sink: frames are dropped on the floor
+    sink = logger_nic.bind(BULK_PORT)
+    sink.on_receive = lambda frame: None  # frames are dropped on the floor
     socket = telemetry.attachments["nic"].bind()
     payload = b"\x00" * 64  # simulated size dominates, content is moot
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from collections.abc import Iterator
+from itertools import islice
 from typing import Any
 
 from repro.time.tag import Tag
@@ -35,13 +37,25 @@ class TraceRecord:
         return _line(tag.time, tag.microstep, self.kind, self.name, self.value)
 
 
-#: Rows hashed per ``update`` call: large enough to amortize the call,
-#: small enough that fingerprinting a long trace does not hold a second
-#: whole-trace copy of its text.
+#: Entries hashed per ``update`` call: large enough to amortize the
+#: call, small enough that fingerprinting a long trace does not hold a
+#: second whole-trace copy of its text.
 _HASH_BATCH = 512
 
 #: Canonical one-line rendering of a row (the fingerprint's input).
 _line = "{}.{} {} {} {}".format
+
+#: The ``(kind, name)`` of each row of one trace entry.
+_Heads = tuple[tuple[str, str], ...]
+
+#: Renderings handed out by :func:`_render`, each keyed by itself, so
+#: that equal texts share one ``str`` across rows and traces (a
+#: brake-dear frame's text lands in three environments' traces).  The
+#: table is bounded: it is cleared once it holds :data:`_TEXTS_MAX`
+#: texts, which only loses sharing.  ``clear`` and ``setdefault`` are
+#: single dict operations, so threads recording at once stay safe.
+_TEXTS: dict[str, str] = {}
+_TEXTS_MAX = 64
 
 
 def _render(value: Any) -> str:
@@ -49,11 +63,15 @@ def _render(value: Any) -> str:
 
     "No value" is decided from the type, never through the value's own
     ``__ne__``, so array-like values (whose comparison returns an array)
-    render like any other.
+    render like any other.  An equal earlier rendering still in
+    :data:`_TEXTS` is returned instead of the new one.
     """
     if isinstance(value, str) and not value:
         return ""
-    return repr(value)
+    text = repr(value)
+    if len(_TEXTS) >= _TEXTS_MAX:
+        _TEXTS.clear()
+    return _TEXTS.setdefault(text, text)
 
 
 class Trace:
@@ -63,47 +81,82 @@ class Trace:
     start time), so traces of the same program are comparable between
     runs even when OS jitter shifted the moment the runtime started.
 
-    Each record is kept as one flat row ``(time - origin, microstep,
-    kind, name, text)`` with the value already rendered; the
+    Rows are kept compactly in a flat list, four slots per entry:
+    relative time, microstep, *heads* and the already rendered text.
+    *heads* is a tuple of ``(kind, name)`` pairs, one per row, so a
+    reaction adds a one-row entry and a propagated closure adds one
+    entry naming each of its ports, all sharing the one rendering.  Each
+    distinct heads tuple is built once and shared, the relative time is
+    computed once per tag, and equal renderings share one ``str``.  The
     :class:`TraceRecord` objects of :attr:`records` are built on read.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.origin = 0
-        self._rows: list[tuple[int, int, str, str, str]] = []
+        self._origin = 0
+        self._entries: list[Any] = []
+        #: Shared heads tuples, keyed by a reaction's name, a closure's
+        #: ports or a row's ``(kind, name)``.
+        self._heads: dict[Any, _Heads] = {}
+        #: The tag of the last entry and its time relative to the origin.
+        self._tag: Tag | None = None
+        self._time = 0
+
+    @property
+    def origin(self) -> int:
+        """Logical start time the stored tag times are relative to."""
+        return self._origin
+
+    @origin.setter
+    def origin(self, origin: int) -> None:
+        self._origin = origin
+        self._tag = None
+
+    def _iter_entries(self) -> Iterator[tuple[int, int, _Heads, str]]:
+        """``(time, microstep, heads, text)`` per entry."""
+        entries = iter(self._entries)
+        return zip(entries, entries, entries, entries)
 
     @property
     def records(self) -> tuple[TraceRecord, ...]:
-        """Read-only view of the records, built from the rows on each read."""
-        return tuple(
-            TraceRecord(Tag(time, microstep), kind, name, text)
-            for time, microstep, kind, name, text in self._rows
-        )
+        """Read-only view of the records, built from the entries on each read."""
+        records = []
+        for time, microstep, heads, text in self._iter_entries():
+            tag = Tag(time, microstep)
+            records.extend(TraceRecord(tag, kind, name, text) for kind, name in heads)
+        return tuple(records)
 
     def record(self, tag: Tag, kind: str, name: str, value: Any = "") -> None:
         """Append a record (no-op when disabled)."""
         if self.enabled:
-            self._rows.append(
-                (tag.time - self.origin, tag.microstep, kind, name, _render(value))
-            )
+            if tag is not self._tag:
+                self._tag = tag
+                self._time = tag.time - self._origin
+            self.add_row(self._time, tag.microstep, kind, name, _render(value))
 
     def reaction(self, tag: Tag, name: str) -> None:
         """Record a reaction execution."""
         if self.enabled:
-            self._rows.append(
-                (tag.time - self.origin, tag.microstep, "reaction", name, "")
-            )
+            if tag is not self._tag:
+                self._tag = tag
+                self._time = tag.time - self._origin
+            heads = self._heads.get(name)
+            if heads is None:
+                heads = self._heads[name] = (("reaction", name),)
+            self._entries += (self._time, tag.microstep, heads, "")
 
     def port_sets(self, tag: Tag, ports: list, value: Any) -> None:
         """Record *value* being set on each of *ports*, rendering it once."""
         if self.enabled:
             text = _render(value)
-            time = tag.time - self.origin
-            microstep = tag.microstep
-            rows = self._rows
-            for port in ports:
-                rows.append((time, microstep, "set", port.fqn, text))
+            key = tuple(ports)
+            heads = self._heads.get(key)
+            if heads is None:
+                heads = self._heads[key] = tuple(("set", port.fqn) for port in ports)
+            if tag is not self._tag:
+                self._tag = tag
+                self._time = tag.time - self._origin
+            self._entries += (self._time, tag.microstep, heads, text)
 
     def deadline_miss(self, tag: Tag, name: str, lag_ns: int) -> None:
         """Record a deadline violation (an observable error)."""
@@ -113,41 +166,55 @@ class Trace:
         self, time: int, microstep: int, kind: str, name: str, text: str
     ) -> None:
         """Append an already normalized and rendered row (trace loading)."""
-        self._rows.append((time, microstep, kind, name, text))
+        key = (kind, name)
+        heads = self._heads.get(key)
+        if heads is None:
+            heads = self._heads[key] = (key,)
+        self._entries += (time, microstep, heads, text)
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical rendering of all records.
 
         Hashes the same text as joining :meth:`lines`, but renders each
-        tag's ``time.microstep`` once per run of rows sharing it and
-        each ``kind name`` head once per distinct pair (a run has a few
-        dozen), since rows arrive in tag order.
+        tag's ``time.microstep`` once per run of entries sharing it and
+        the ``kind name`` heads once per distinct heads tuple (a run has
+        a few dozen), since entries arrive in tag order.
         """
         digest = hashlib.sha256()
-        rows = self._rows
-        heads: dict[tuple[str, str], str] = {}
+        entries = self._entries
+        step = 4 * _HASH_BATCH
+        head_texts: dict[_Heads, tuple[str, ...]] = {}
         last_time = last_microstep = None
         prefix = ""
-        for start in range(0, len(rows), _HASH_BATCH):
+        for start in range(0, len(entries), step):
             parts: list[str] = []
             append = parts.append
-            for time, microstep, kind, name, text in rows[start : start + _HASH_BATCH]:
+            batch = iter(entries[start : start + step])
+            for time, microstep, heads, text in zip(batch, batch, batch, batch):
                 if time != last_time or microstep != last_microstep:
                     last_time, last_microstep = time, microstep
                     prefix = f"{time}.{microstep} "
-                head = heads.get((kind, name))
-                if head is None:
-                    head = heads[kind, name] = f"{kind} {name} "
-                append(f"{prefix}{head}{text}\n")
+                texts = head_texts.get(heads)
+                if texts is None:
+                    texts = head_texts[heads] = tuple(
+                        f"{kind} {name} " for kind, name in heads
+                    )
+                for head in texts:
+                    append(f"{prefix}{head}{text}\n")
             digest.update("".join(parts).encode())
         return digest.hexdigest()
 
     def lines(self) -> list[str]:
         """Human-readable rendering."""
-        return [_line(*row) for row in self._rows]
+        return [
+            _line(time, microstep, kind, name, text)
+            for time, microstep, heads, text in self._iter_entries()
+            for kind, name in heads
+        ]
 
     def __len__(self) -> int:
-        return len(self._rows)
+        """The number of rows (records), not of stored entries."""
+        return sum(map(len, islice(self._entries, 2, None, 4)))
 
     def __repr__(self) -> str:
-        return f"Trace(records={len(self._rows)}, enabled={self.enabled})"
+        return f"Trace(records={len(self)}, enabled={self.enabled})"

@@ -10,8 +10,10 @@ from repro.apps.lib import (
     FusionScenario,
     MixedCriticalityScenario,
 )
+from repro.apps.lib.mixedcrit import BULK_PORT, LOGGER_ECU
 from repro.apps.registry import AppDefinition
 from repro.harness import ScenarioSpec
+from repro.network import NetworkInterface
 from repro.obs.flows import flow_report, validate_flow_report
 
 LIBRARY_APPS = ("fusion", "failover", "mixedcrit")
@@ -133,6 +135,28 @@ class TestEndToEnd:
         assert summary["unattributed"] == 0
         assert summary["drops_by_cause"].get("no-subscriber") == 1
         assert summary["drops_by_layer"].get("someip") == 1
+
+    @pytest.mark.parametrize("variant", ["det", "nondet"])
+    def test_mixedcrit_logger_drains_its_bulk_sink(self, monkeypatch, variant):
+        """The logger ECU discards bulk telemetry as it arrives instead
+        of queueing every frame, unread, for the rest of the run."""
+        sockets = []
+        bind = NetworkInterface.bind
+
+        def recording_bind(nic, port=None, rx_capacity=None):
+            socket = bind(nic, port, rx_capacity)
+            sockets.append(socket)
+            return socket
+
+        monkeypatch.setattr(NetworkInterface, "bind", recording_bind)
+        apps.get("mixedcrit").runner(variant)(3, SMALL_SCENARIOS["mixedcrit"])
+        (sink,) = [
+            socket
+            for socket in sockets
+            if (socket.host, socket.port) == (LOGGER_ECU, BULK_PORT)
+        ]
+        assert sink.received > 0
+        assert len(sink.rx) == 0
 
     @pytest.mark.parametrize("variant", ["det", "nondet"])
     def test_failover_readings_nobody_publishes_are_attributed(self, variant):

@@ -1,17 +1,20 @@
 """The logical trace's row storage: render once, read-only records view.
 
-``Trace`` keeps each record as a flat row with the value already
-rendered, and the scheduler renders a propagated value once for the
-whole zero-delay closure it reaches.  These tests pin that contract and
+``Trace`` keeps one compact entry per reaction row and per propagated
+closure, with the value already rendered: the scheduler renders a
+propagated value once for the whole zero-delay closure it reaches, and
+equal renderings share one string.  These tests pin that contract and
 the API the rest of the package (persistence, trace diffing, fault
 shrinking's callers) relies on.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.apps import registry
 from repro.reactors import Environment, Reactor, telemetry
 from repro.reactors.telemetry import Trace
 from repro.time import MS, Tag
@@ -142,3 +145,82 @@ class TestApiCompatibility:
             trace.records.append(trace.records[0])
         with pytest.raises(AttributeError):
             trace.records = []
+
+
+class TestCompactStore:
+    def _closure_trace(self):
+        """Reactions, two multi-port closures at one tag, a record."""
+        trace, _ = _fan_out(lambda: [1, "a b"])
+        trace.deadline_miss(Tag(2 * MS, 1), "source.emit", 17)
+        return trace
+
+    def test_a_closure_is_one_entry_of_many_rows(self):
+        trace = self._closure_trace()
+        assert len(trace._entries) // 4 == 4 + 2 + 1  # reactions, closures, miss
+        assert len(trace) == 4 + 2 * 4 + 1
+        sets = _set_rows(trace)
+        assert [row.name for row in sets[:4]] == [
+            "source.out", "sink2.inp", "sink1.inp", "sink0.inp"
+        ]
+        assert [row.value for row in sets] == ["1"] * 4 + ["'a b'"] * 4
+
+    def test_rows_round_trip_through_add_row(self):
+        trace = self._closure_trace()
+        loaded = Trace()
+        for record in trace.records:
+            time, microstep = record.tag.time, record.tag.microstep
+            loaded.add_row(time, microstep, record.kind, record.name, record.value)
+        assert loaded.records == trace.records
+        assert loaded.lines() == trace.lines()
+        assert len(loaded) == len(trace)
+        assert loaded.fingerprint() == trace.fingerprint()
+
+    def test_add_row_keeps_any_integer_time(self):
+        trace = Trace()
+        rows = [
+            (-(2**70), 0, "reaction", "r", ""),
+            (2**63, 2**40, "set", "p", "1"),
+            (2**63, 2**40, "set", "q", "1"),
+        ]
+        for row in rows:
+            trace.add_row(*row)
+        assert trace.lines() == [telemetry._line(*row) for row in rows]
+        assert [(r.tag.time, r.tag.microstep) for r in trace.records] == [
+            row[:2] for row in rows
+        ]
+        text = "".join(line + "\n" for line in trace.lines())
+        assert trace.fingerprint() == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_a_new_origin_applies_to_the_next_row(self):
+        trace = Trace()
+        tag = Tag(10 * MS, 0)
+        trace.reaction(tag, "r")
+        trace.origin = 4 * MS
+        trace.reaction(tag, "r")
+        assert [record.tag.time for record in trace.records] == [10 * MS, 6 * MS]
+
+    def test_a_dear_run_keeps_one_object_per_distinct_text(self, monkeypatch):
+        """Equal renderings in the four traces of one DEAR brake run are
+        one ``str`` object (the table starts empty and, at this length,
+        is never cleared)."""
+        monkeypatch.setattr(telemetry, "_TEXTS", {})
+        traces = []
+        trace_init = Trace.__init__
+
+        def init_trace(trace, *args, **kwargs):
+            trace_init(trace, *args, **kwargs)
+            traces.append(trace)
+
+        monkeypatch.setattr(Trace, "__init__", init_trace)
+        definition = registry.get("brake")
+        definition.runner("det")(3, replace(definition.default_scenario(), n_frames=8))
+        assert len(traces) == 4
+        texts = [record.value for trace in traces for record in trace.records]
+        assert len(set(texts)) > 8
+        assert len(telemetry._TEXTS) == len(set(texts) - {""})  # never cleared
+        assert len({id(text) for text in texts}) == len(set(texts))
+
+    def test_the_text_table_is_bounded(self):
+        for index in range(3 * telemetry._TEXTS_MAX):
+            telemetry._render(index)
+        assert 0 < len(telemetry._TEXTS) <= telemetry._TEXTS_MAX
