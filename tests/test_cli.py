@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +235,33 @@ class TestServiceCLI:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["format"] == "sweep-service/v1"
         assert report["jobs"]
+
+
+class TestInputErrors:
+    """Bad outside input exits 1 with one line naming the problem."""
+
+    @staticmethod
+    def _repro(*argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv, "--workers", "1", "--no-cache"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_malformed_partition(self):
+        proc = self._repro("faults", "--partition", "5")
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == (
+            "--partition expects START_MS:END_MS, got '5'"
+        )
+        assert proc.stdout == ""
+
+    def test_camera_drop_on_a_library_app(self):
+        proc = self._repro("flows", "--app", "fusion", "--drop", "0.1")
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == (
+            "flows: --drop targets the brake camera flow; use --spec with "
+            "a fault plan for library apps"
+        )
+        assert proc.stdout == ""
