@@ -7,7 +7,29 @@ Everything renders with plain ASCII so it reads the same in any log.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+
+@dataclass
+class Report:
+    """What a report subcommand prints and writes.
+
+    ``render()`` is its stdout, ``to_dict()`` the JSON document its
+    ``--out`` flag writes, *exit_code* its status and *notes* any
+    diagnostics for stderr.
+    """
+
+    text: str
+    document: dict | None = None
+    exit_code: int = 0
+    notes: str = ""
+
+    def render(self) -> str:
+        return self.text
+
+    def to_dict(self) -> dict | None:
+        return self.document
 
 
 def render_table(
@@ -181,3 +203,42 @@ def ascii_bar_chart(
                 bar += letters[category] * segment
         lines.append(f"  {label:>12} {total:8.3f}{unit} |{bar}")
     return "\n".join(lines)
+
+
+def app_library() -> Report:
+    """The registered applications (``repro library``): a table of
+    variants, topology and default faults; ``app-library/v1`` document."""
+    from repro import apps
+
+    entries = []
+    for definition in apps.apps():
+        scenario = definition.default_scenario()
+        topology = definition.topology_for(scenario)
+        entries.append({
+            "name": definition.name,
+            "title": definition.title,
+            "library": definition.library,
+            "variants": list(definition.variants()),
+            "nodes": list(topology.nodes) if topology is not None else [],
+            "switches": list(topology.switches) if topology is not None else [],
+            "default_faults": definition.faults_for(scenario) is not None,
+            "description": definition.description,
+        })
+    rows = [
+        [
+            entry["name"],
+            ",".join(entry["variants"]),
+            (f"{len(entry['nodes'])} nodes / {len(entry['switches'])} "
+             "switches") if entry["nodes"] else "(app default)",
+            "yes" if entry["default_faults"] else "-",
+            entry["title"],
+        ]
+        for entry in entries
+    ]
+    lines = [render_table(
+        ["app", "variants", "topology", "faults", "title"],
+        rows,
+        title="Registered applications (run with --app NAME or a v2 spec):",
+    )]
+    lines += [f"  {entry['name']}: {entry['description']}" for entry in entries]
+    return Report("\n".join(lines), {"format": "app-library/v1", "apps": entries})

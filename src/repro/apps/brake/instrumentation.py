@@ -108,13 +108,6 @@ class BrakeRunResult:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def prevalence_by_type(self) -> dict[str, float]:
-        """Per-type prevalence."""
-        return {
-            name: count / self.n_frames
-            for name, count in self.errors.as_dict().items()
-        }
-
     def compare_with_oracle(
         self, oracle: dict[int, BrakeCommand]
     ) -> "OracleComparison":

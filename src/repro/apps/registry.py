@@ -97,6 +97,15 @@ class AppDefinition:
     #: suppresses preemptions landing on these (delaying an input driver
     #: changes the input timeline, not the SUT's scheduling).
     input_threads: tuple[str, ...] = ("camera",)
+    #: ``"module:function"`` of the hazard-prone scenario ``explore``
+    #: searches, called with the frame count; empty: the default
+    #: scenario (library scenarios are hazard-prone by construction).
+    explore_recipe: str = ""
+    #: Drop probability of the camera-flow fault plan ``repro faults``
+    #: runs by default.  ``None``: the app has no camera flow, keeps its
+    #: scenario's own fault plan unless a fault flag is given, and
+    #: ``repro flows --drop`` is refused.
+    camera_drop: float | None = None
     _resolved: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -131,6 +140,31 @@ class AppDefinition:
 
     def default_scenario(self) -> Any:
         return self.scenario_type()
+
+    def scenario(self, frames: int | None = None, default_frames: int | None = None):
+        """The default scenario at *frames* frames.
+
+        With *frames* ``None`` a library scenario keeps its own size;
+        brake, which predates the library, runs *default_frames* (each
+        subcommand keeps its historical default).
+        """
+        if frames is None and not self.library:
+            frames = default_frames
+        scenario = self.default_scenario()
+        return scenario if frames is None else replace(scenario, n_frames=frames)
+
+    def explore_scenario(self, frames: int, fixed_inputs: bool = False):
+        """The small, hazard-prone scenario ``explore`` runs, with the
+        :attr:`fixed_inputs_knob` set to *fixed_inputs*."""
+        if self.explore_recipe:
+            scenario = self._resolve(self.explore_recipe)(frames)
+        else:
+            scenario = self.scenario(frames)
+        return self.with_fixed_inputs(scenario, fixed_inputs)
+
+    def with_fixed_inputs(self, scenario: Any, on: bool = True):
+        """*scenario* with its :attr:`fixed_inputs_knob` set to *on*."""
+        return replace(scenario, **{self.fixed_inputs_knob: on})
 
     def dump_scenario(self, scenario: Any) -> dict:
         convert = self.scenario_to_dict or _generic_scenario_to_dict

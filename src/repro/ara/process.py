@@ -102,15 +102,6 @@ class AraProcess:
             )
         return ServiceProxy(self, interface, entry)
 
-    def try_find_service(
-        self, interface: ServiceInterface, instance_id: int
-    ) -> ServiceProxy | None:
-        """Non-blocking variant: proxy if already discovered, else ``None``."""
-        entry = self.sd.find(interface.service_id, instance_id)
-        if entry is None:
-            return None
-        return ServiceProxy(self, interface, entry)
-
     # -- server side -------------------------------------------------------------
 
     def create_skeleton(

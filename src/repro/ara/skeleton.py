@@ -267,11 +267,6 @@ class ServiceSkeleton:
         yield from job()
         return True
 
-    @property
-    def pending_calls(self) -> int:
-        """POLL mode: invocations waiting to be processed."""
-        return len(self._poll_queue)
-
     def __repr__(self) -> str:
         return (
             f"ServiceSkeleton({self.interface.name!r}, instance={self.instance_id}, "

@@ -170,8 +170,3 @@ class ServerMethodTransactor(Transactor):
         # Steps (13)-(17): tag via the bypass path (reply carries it
         # explicitly through the binding), response over the network.
         request.reply(payload, tag=tag_out)
-
-    @property
-    def outstanding_calls(self) -> int:
-        """Invocations forwarded to the logic but not yet replied to."""
-        return len(self._pending)

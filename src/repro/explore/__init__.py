@@ -40,7 +40,9 @@ _EXPORTS = {
     "is_scheduler_stream": "decisions",
     "Explorer": "explorer",
     "ExplorationResult": "explorer",
+    "explore_app": "explorer",
     "frame_drop": "explorer",
+    "replay_recorded": "explorer",
     "PctStrategy": "strategies",
     "RandomSweepStrategy": "strategies",
     "ShrinkResult": "shrink",

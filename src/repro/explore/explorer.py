@@ -13,13 +13,20 @@ land in the sweep result cache like any other seeded experiment.  With
 an active engine, :meth:`Explorer.evaluate` runs them one at a time,
 each forked from the deepest shared-prefix holder, and the loop stops
 at the first failure.
+
+:func:`explore_app` is ``repro explore`` for any registered app: one
+search, then the shrink, record, schedule artifact and determinism
+verification asked for; :func:`replay_recorded` re-executes a recorded
+decision trace.
 """
 
 from __future__ import annotations
 
+import json
 import traceback
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.apps.brake.nondet import run_nondet_brake_assistant
@@ -28,8 +35,9 @@ from repro.explore.decisions import (
     InterventionSchedule,
     PreemptionPoint,
     ScheduleRecorder,
+    ScheduleReplayer,
 )
-from repro.explore.strategies import PctStrategy
+from repro.explore.strategies import PctStrategy, RandomSweepStrategy
 from repro.harness.sweep import SweepRunner
 from repro.sim.rng import stream_hooks
 
@@ -315,3 +323,171 @@ class Explorer:
                     yield _outcome(index, schedule, seed_outcome.value)
                 else:
                     yield ExecutionOutcome(index, schedule, error=seed_outcome.error)
+
+
+def explore_app(
+    app: str = "brake", *, strategy: str = "pct", budget: int = 40, frames: int = 50,
+    seed: int = 0, depth: int = 6, preempt_ns: int = 25_000_000, shrink: bool = False,
+    record: str | None = None, schedule_out: str | None = None, verify: int = 0,
+    sweep: SweepRunner | None = None, snapshots: bool = True,
+):
+    """``repro explore``: search *app*'s stock variant for a failure.
+
+    Up to *budget* schedules of the app's hazard-prone scenario, ``"pct"``
+    (*depth* preemptions of *preempt_ns*) or ``"random"``.  A failure
+    found is then ddmin-shrunk (*shrink*), its decision trace saved to
+    *record* and the schedule artifact (the report's document) to
+    *schedule_out*; *verify* > 0 runs DEAR under that many in-budget
+    schedules on seed-fixed inputs.  *snapshots* forks executions from
+    copy-on-write holders where ``os.fork`` is available.  The
+    :class:`~repro.analysis.report.Report` exits 0 iff a failure was
+    found and DEAR verified.
+    """
+    from repro.analysis.report import (
+        Report,
+        exploration_report,
+        shrink_report,
+        verification_report,
+    )
+    from repro.apps import registry
+    from repro.explore.scenarios import IN_BUDGET_PREEMPT_NS
+    from repro.explore.shrink import shrink_schedule
+    from repro.explore.verify import verify_determinism
+
+    definition = registry.get(app)
+    if strategy == "pct":
+        search = PctStrategy(depth=depth, preempt_ns=preempt_ns, seed=seed)
+    else:
+        search = RandomSweepStrategy()
+    engine = None
+    if snapshots:
+        from repro.snapshot import SNAPSHOTS_SUPPORTED, SnapshotEngine
+
+        if SNAPSHOTS_SUPPORTED:
+            engine = SnapshotEngine()
+    try:
+        explorer = Explorer(
+            experiment=definition.runner("nondet"),
+            scenario=definition.explore_scenario(frames),
+            base_seed=seed,
+            strategy=search,
+            sweep=sweep,
+            snapshots=engine,
+        )
+        result = explorer.explore(budget=budget)
+        lines = [exploration_report(result)]
+
+        schedule = result.found.schedule if result.found else None
+        errors = dict(result.found.errors) if result.found else {}
+        shrunk = None
+        if result.found is not None and shrink:
+            if schedule.preemptions:
+                shrunk = shrink_schedule(explorer, schedule)
+                schedule, errors = shrunk.minimal, dict(shrunk.errors)
+                lines.append(shrink_report(shrunk))
+            else:
+                lines.append(
+                    "shrink: schedule has no preemption points, nothing to remove"
+                )
+
+        if result.found is not None and record:
+            run_result, trace = explorer.record(schedule)
+            trace.params["app"] = app
+            trace.params["frames"] = frames
+            trace.params["errors"] = run_result.errors.as_dict()
+            trace.save(record)
+            lines.append(
+                f"record: {len(trace.records)} decisions "
+                f"({trace.fingerprint()[:12]}) -> {record}"
+            )
+
+        artifact = {
+            "app": app,
+            "experiment": getattr(
+                explorer.experiment, "__name__", repr(explorer.experiment)
+            ),
+            "strategy": result.strategy,
+            "budget": result.budget,
+            "executions_used": result.executions_used,
+            "horizon": result.horizon,
+            "found": result.found is not None,
+            "schedule": schedule.to_dict() if schedule else None,
+            "errors": errors,
+            "shrink": (
+                {"trials": shrunk.trials, "removed": shrunk.removed} if shrunk else None
+            ),
+            "snapshots": engine.stats.as_dict() if engine is not None else None,
+        }
+        if schedule_out:
+            Path(schedule_out).write_text(
+                json.dumps(artifact, indent=2, sort_keys=True), encoding="utf-8"
+            )
+            lines.append(f"schedule artifact -> {schedule_out}")
+
+        code = 0 if result.found is not None else 1
+        if verify > 0:
+            det_scenario = definition.explore_scenario(frames, fixed_inputs=True)
+            det_horizon = Explorer(
+                experiment=definition.runner("det"),
+                scenario=det_scenario,
+                base_seed=seed,
+            ).horizon
+            in_budget = PctStrategy(
+                depth=depth, preempt_ns=IN_BUDGET_PREEMPT_NS, seed=seed + 9
+            )
+            schedules = [
+                in_budget.schedule_for(index + 1, seed, det_horizon)
+                for index in range(verify)
+            ]
+            verification = verify_determinism(
+                schedules,
+                det_scenario,
+                base_seed=seed,
+                experiment=definition.runner("det"),
+                input_threads=definition.input_threads,
+                sweep=sweep,
+            )
+            lines.append(verification_report(verification))
+            if not verification.ok:
+                code = 1
+    finally:
+        if engine is not None:
+            engine.close()
+    notes = engine.stats.describe() if engine is not None else ""
+    return Report("\n".join(lines), artifact, code, notes)
+
+
+def replay_recorded(path: str, app: str = "brake", frames: int = 50):
+    """``repro explore --replay``: re-execute the trace recorded at *path*.
+
+    The trace's own ``app`` and ``frames`` (written by
+    :func:`explore_app`) take precedence over *app* and *frames*.
+    Returns a :class:`~repro.analysis.report.Report` whose exit code is
+    0 iff the recorded error counters reproduce.
+    """
+    from repro.analysis.report import Report
+    from repro.apps import registry
+
+    trace = DecisionTrace.load(path)
+    definition = registry.get(trace.params.get("app", app))
+    frames = trace.params.get("frames", frames)
+    replayer = ScheduleReplayer(trace)
+    with stream_hooks(replayer):
+        result = definition.runner("nondet")(
+            trace.base_seed, definition.explore_scenario(frames)
+        )
+    errors = result.errors.as_dict()
+    lines = [
+        f"replay: {replayer.consumed}/{len(trace.records)} recorded "
+        f"decisions consumed (seed {trace.base_seed}, {frames} frames)"
+    ]
+    expected = trace.params.get("errors")
+    if expected is not None and errors != expected:
+        lines.append(
+            "replay: error counters DIVERGED\n"
+            f"  expected: {expected}\n  got:      {errors}"
+        )
+        return Report("\n".join(lines), exit_code=1)
+    nonzero = {name: count for name, count in errors.items() if count}
+    lines.append(f"replay: errors reproduced: {nonzero or 'none'}")
+    return Report("\n".join(lines))

@@ -20,13 +20,15 @@ from repro.faults.plan import (
     Partition,
 )
 
-#: The injector (installed only for a non-empty plan) and the shrinker.
+#: The injector (installed only for a non-empty plan), the shrinker and
+#: the fault sweep.
 _EXPORTS = {
     "FaultInjector": "injector",
     "FaultVerdict": "injector",
     "install_fault_plan": "injector",
     "replay": "injector",
     "FaultShrinkResult": "shrink",
+    "fault_sweep": "shrink",
     "shrink_fault_trace": "shrink",
 }
 

@@ -10,6 +10,10 @@ subset-closure classic ddmin requires, so the same
 :func:`repro.explore.shrink.ddmin` that minimizes preemption schedules
 minimizes fault traces: the result reads "the divergence needs exactly
 these 2 dropped frames".
+
+:func:`fault_sweep` is ``repro faults``: both variants of one spec
+under its fault plan, DEAR's cross-seed trace identity, and seed 0's
+fired faults triaged to the decisive subset by this ddmin.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from repro.explore.shrink import ddmin
 from repro.faults.injector import replay
 from repro.faults.plan import FaultPlan
 
-__all__ = ["FaultShrinkResult", "shrink_fault_trace"]
+__all__ = ["FaultShrinkResult", "fault_sweep", "shrink_fault_trace"]
 
 
 @dataclass
@@ -56,7 +60,6 @@ def shrink_fault_trace(
     failure: Callable[[DecisionTrace], bool],
     *,
     snapshots=None,
-    context: str = "",
 ) -> FaultShrinkResult:
     """ddmin *trace*'s fired faults under *failure*.
 
@@ -75,15 +78,14 @@ def shrink_fault_trace(
     to record k and fork from copy-on-write holders instead of
     replaying from t=0.  The replay then also carries *trace* as the
     decision universe and the engine's checkpointer, so *failure* needs
-    no snapshot plumbing.  *context* overrides the engine cache key
-    (everything outside the membership bits).
+    no snapshot plumbing.
     """
     history: list[tuple[int, bool]] = []
     engine = snapshots
     if engine is not None and not engine.active:
         engine = None
     universe = list(trace.records)
-    if engine is not None and not context:
+    if engine is not None:
         from repro.harness.sweep import code_fingerprint
         from repro.snapshot import context_key
 
@@ -134,3 +136,144 @@ def shrink_fault_trace(
         trials=len(history),
         history=history,
     )
+
+
+def _signature(run) -> tuple:
+    """A run's logical-trace fingerprints, comparable across runs."""
+    return tuple(sorted(run.trace_fingerprints.items()))
+
+
+def _triage(spec, det_runs: list, plan: FaultPlan):
+    """Minimize seed 0's fired faults to the decisive subset.
+
+    ddmin over the fired-fault trace, with every probe forked from the
+    deepest copy-on-write snapshot whose membership prefix matches —
+    answering "which of the faults that fired actually changed the
+    outcome?" without paying a full re-run per probe.  Returns a
+    :class:`~repro.analysis.report.Report` (its document is the
+    fault-sweep report's ``snapshots`` block), or ``None`` when there is
+    nothing to triage (no faults fired, outcome unchanged, or no
+    ``os.fork``).
+    """
+    from repro.analysis.report import Report
+    from repro.harness.config import run_scenario_spec
+    from repro.snapshot import SNAPSHOTS_SUPPORTED, SnapshotEngine
+
+    if not SNAPSHOTS_SUPPORTED or not det_runs:
+        return None
+    run0 = det_runs[0]
+    trace_dict = (run0.fault_summary or {}).get("trace")
+    if not trace_dict or not trace_dict.get("records"):
+        return None
+    trace = DecisionTrace.from_dict(trace_dict)
+    seed = run0.seed
+    with replay(replace(trace, records=[])):
+        clean = _signature(run_scenario_spec(seed, spec))
+    if clean == _signature(run0):
+        return None  # the fired faults left no observable mark
+
+    def failure(_candidate):
+        return _signature(run_scenario_spec(seed, spec)) != clean
+
+    engine = SnapshotEngine()
+    try:
+        shrunk = shrink_fault_trace(plan, trace, failure, snapshots=engine)
+    except ValueError:
+        return None  # full-trace replay did not reproduce; don't guess
+    finally:
+        engine.close()
+    return Report(
+        f"snapshot triage (seed {seed}): {shrunk.describe()}\n"
+        f"  {engine.stats.describe()}",
+        {
+            "seed": seed,
+            "fired": len(trace.records),
+            "trials": shrunk.trials,
+            "minimal": shrunk.minimal.to_dict(),
+            "summary": shrunk.describe(),
+            "stats": engine.stats.as_dict(),
+        },
+    )
+
+
+def fault_sweep(spec, sweep=None, *, triage: bool = True):
+    """``repro faults``: *spec*'s seeds in both variants under its faults.
+
+    Runs the DEAR and stock variants under the same fault plan.
+    In-bound faults must leave DEAR's logical traces identical across
+    world seeds (given seed-fixed inputs); divergence is acceptable only
+    when the runtime flags it (STP violations, deadline misses).  With
+    *triage*, seed 0's fired faults are shrunk to the decisive subset.
+    Returns a :class:`~repro.analysis.report.Report` whose document is
+    the ``fault-sweep-report/v1`` and whose exit code is 1 on silent
+    DEAR divergence.
+    """
+    from repro.analysis.report import Report, render_table
+    from repro.harness.sweep import SweepRunner
+
+    sweep = sweep or SweepRunner()
+    spec = replace(spec, variant="det")
+    # Library apps may carry their fault plan in the scenario itself
+    # (e.g. failover's primary outage); report whatever actually runs.
+    plan = spec.effective_faults() or FaultPlan(label="none")
+    det_runs = sweep.run_spec(spec).values()
+    nondet_spec = replace(
+        spec, variant="nondet", label=spec.definition().qualified("faults", "nondet")
+    )
+    nondet_runs = sweep.run_spec(nondet_spec).values()
+
+    rows = []
+    for run in det_runs:
+        summary = run.fault_summary or {}
+        counters = summary.get("counters", {})
+        rows.append([
+            str(run.seed),
+            str(summary.get("fired", 0)),
+            str(counters.get("drop", 0) + counters.get("partition", 0)),
+            str(run.errors.total()),
+            str(run.stp_violations),
+            str(run.deadline_misses),
+        ])
+    fingerprints = {_signature(run) for run in det_runs}
+    det_deterministic = len(fingerprints) == 1
+    flagged = sum(run.stp_violations + run.deadline_misses for run in det_runs)
+    stock_outcomes = {tuple(sorted(run.commands.items())) for run in nondet_runs}
+    lines = [
+        plan.describe(),
+        render_table(
+            ["seed", "faults fired", "drops", "errors", "STP violations",
+             "deadline misses"],
+            rows,
+            title="FAULTS - DEAR under the fault plan:",
+        ),
+        f"DEAR logical traces identical across {len(det_runs)} seeds: "
+        f"{det_deterministic} (flagged violations: {flagged})",
+        f"stock outcomes across {len(nondet_runs)} seeds: "
+        f"{len(stock_outcomes)} distinct",
+    ]
+    triaged = _triage(spec, det_runs, plan) if triage else None
+    if triaged is not None:
+        lines.append(triaged.render())
+
+    silent_divergence = not det_deterministic and flagged == 0
+    document = {
+        "format": "fault-sweep-report/v1",
+        "plan": plan.to_dict(),
+        "spec": spec.to_dict(),
+        "det": {
+            "deterministic": det_deterministic,
+            "distinct_fingerprints": len(fingerprints),
+            "flagged_violations": flagged,
+            "fingerprints": {
+                str(run.seed): dict(run.trace_fingerprints) for run in det_runs
+            },
+            "fault_summaries": {str(run.seed): run.fault_summary for run in det_runs},
+        },
+        "stock": {
+            "distinct_outcomes": len(stock_outcomes),
+            "errors": {str(run.seed): run.errors.as_dict() for run in nondet_runs},
+        },
+        "silent_divergence": silent_divergence,
+        "snapshots": None if triaged is None else triaged.to_dict(),
+    }
+    return Report("\n".join(lines), document, 1 if silent_divergence else 0)

@@ -82,10 +82,13 @@ from repro.obs.fleet import (
     validate_prometheus_text,
 )
 
-# The exporters load on first access (:mod:`repro._lazy`): a run only
-# records; writing the files is the caller's step.
+# The exporters and the cross-seed reports load on first access
+# (:mod:`repro._lazy`): a run only records; writing the files is the
+# caller's step.
 _EXPORTS = {
+    "flow_sweep": "export",
     "metrics_document": "export",
+    "metrics_sweep": "export",
     "trace_events": "export",
     "validate_trace_data": "export",
     "write_metrics": "export",

@@ -15,11 +15,19 @@ simulation time) and a campaign's fleet trace
 the unit tests share: phases from the supported vocabulary,
 non-negative durations, and per-track monotonically non-decreasing
 timestamps.
+
+The cross-seed reports of ``repro flows`` (:func:`flow_sweep`, the
+``flow-sweep-report/v1`` document) and ``repro metrics``
+(:func:`metrics_sweep`, ``repro-metrics-aggregate/v1``) sweep observed
+seeds and merge what they recorded; like the exporters, no run loads
+them.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -33,6 +41,8 @@ __all__ = [
     "metrics_document",
     "write_metrics",
     "validate_trace_data",
+    "flow_sweep",
+    "metrics_sweep",
 ]
 
 #: The pid every exported event carries (one simulated system = one process).
@@ -253,3 +263,151 @@ def validate_trace_data(data: Any) -> list[str]:
             )
         last_ts[lane] = ts
     return problems
+
+
+
+def flow_sweep(
+    spec, seeds, variants=("det", "nondet"), sweep=None, *, keyed_by_spec=False
+):
+    """``repro flows``: flow-trace *seeds* of *spec* per variant, merged.
+
+    Maps :func:`repro.harness.flow_summary` over the seeds for each of
+    *variants* and merges the per-seed ``flow-report/v1`` documents;
+    the text shows drop attribution and the critical path, and with
+    both variants a stock-vs-DEAR delivery/drop diff.  Sweep keys name
+    the frame count and fault plan, or with *keyed_by_spec* (a spec
+    loaded from a file) the whole spec.  Returns a
+    :class:`~repro.analysis.report.Report` whose document is the
+    ``flow-sweep-report/v1``.
+    """
+    from repro.analysis.report import Report, render_table
+    from repro.harness.config import flow_summary
+    from repro.harness.sweep import SweepRunner
+    from repro.obs.flows import merge_flow_reports
+
+    sweep = sweep or SweepRunner()
+    definition = spec.definition()
+    frames = spec.scenario.n_frames
+    params = definition.sweep_params(
+        frames=frames,
+        spec=spec.to_dict() if keyed_by_spec else None,
+        faults=spec.faults.to_dict() if spec.faults is not None else None,
+    )
+    merged: dict[str, dict] = {}
+    lines = []
+    for variant in variants:
+        runs = sweep.map(
+            partial(flow_summary, spec=replace(spec, variant=variant)),
+            seeds,
+            name=definition.qualified("flows", variant),
+            params=params,
+        )
+        merged[variant] = merge_flow_reports([run["report"] for run in runs])
+        summary = merged[variant]["summary"]
+        tag = definition.qualified("", variant, sep=" ")
+        drop_rows = [
+            [cause, str(count)] for cause, count in summary["drops_by_cause"].items()
+        ] or [["(none)", "0"]]
+        lines.append(render_table(
+            ["drop cause", "frames"],
+            drop_rows,
+            title=(
+                f"FLOWS - {tag}: {summary['delivered']}/{summary['total']} "
+                f"delivered over {len(seeds)} seed(s), e2e p50 "
+                f"{summary['e2e_p50_ns']} ns, p95 {summary['e2e_p95_ns']} ns"
+            ),
+        ))
+        path = merged[variant]["critical_path"]
+        seg_rows = [
+            [name, str(stats["count"]), f"{stats['mean_ns']:.0f}",
+             str(stats["max_ns"]), str(path["dominant"].get(name, 0))]
+            for name, stats in path["segments"].items()
+        ]
+        lines.append(render_table(
+            ["segment", "hops", "mean ns", "max ns", "dominant for"],
+            seg_rows,
+            title=f"FLOWS - {tag} critical path:",
+        ))
+
+    document = {
+        "format": "flow-sweep-report/v1",
+        "app": definition.name,
+        "frames": frames,
+        "seeds": len(seeds),
+        **merged,
+    }
+    if len(variants) == 2:
+        det_s = merged["det"]["summary"]
+        stock_s = merged["nondet"]["summary"]
+        document["diff"] = diff = {
+            "det_delivered": det_s["delivered"],
+            "stock_delivered": stock_s["delivered"],
+            "det_dropped": det_s["dropped"],
+            "stock_dropped": stock_s["dropped"],
+            "det_drops_by_cause": det_s["drops_by_cause"],
+            "stock_drops_by_cause": stock_s["drops_by_cause"],
+            "stock_only_causes": sorted(
+                set(stock_s["drops_by_cause"]) - set(det_s["drops_by_cause"])
+            ),
+            "det_e2e_p95_ns": det_s["e2e_p95_ns"],
+            "stock_e2e_p95_ns": stock_s["e2e_p95_ns"],
+        }
+        lines.append(
+            f"FLOWS diff: DEAR delivered {det_s['delivered']}/{det_s['total']}"
+            f" vs stock {stock_s['delivered']}/{stock_s['total']}; "
+            f"stock-only drop causes: {diff['stock_only_causes'] or 'none'}"
+        )
+    return Report("\n".join(lines), document)
+
+
+def metrics_sweep(spec, seeds, sweep=None):
+    """``repro metrics``: observe *seeds* of *spec*, aggregate metrics.
+
+    Returns a :class:`~repro.analysis.report.Report` of the cross-seed
+    counter and histogram tables; its document is the
+    ``repro-metrics-aggregate/v1``.
+    """
+    from repro.analysis.report import Report, render_table
+    from repro.harness.config import flow_summary
+    from repro.harness.sweep import SweepRunner
+    from repro.obs.metrics import aggregate_snapshots
+
+    sweep = sweep or SweepRunner()
+    definition = spec.definition()
+    frames = spec.scenario.n_frames
+    runs = sweep.map(
+        partial(flow_summary, spec=spec, flows=False),
+        seeds,
+        name=definition.qualified("obs", spec.variant),
+        params=definition.sweep_params(frames=frames),
+    )
+    aggregate = aggregate_snapshots([run["metrics"] for run in runs])
+
+    tag = definition.qualified("", spec.variant, sep=" ")
+    counters = [
+        [name, str(entry["total"]), str(entry["p50"]), str(entry["max"])]
+        for name, entry in aggregate["counters"].items()
+    ]
+    histograms = [
+        [name, str(entry["count"]), f"{entry['mean']:.0f}", str(entry["p50"]),
+         str(entry["p95"]), str(entry["max"])]
+        for name, entry in aggregate["histograms"].items()
+    ]
+    text = "\n".join([
+        render_table(
+            ["counter", "total", "p50/seed", "max/seed"], counters,
+            title=f"OBS - {tag} counters over {len(seeds)} seeds:",
+        ),
+        render_table(
+            ["histogram", "samples", "mean", "p50", "p95", "max"], histograms,
+            title="OBS - merged histograms (ns):",
+        ),
+    ])
+    return Report(text, {
+        "format": "repro-metrics-aggregate/v1",
+        "app": spec.app,
+        "experiment": spec.variant,
+        "frames": frames,
+        "seeds": len(seeds),
+        "aggregate": aggregate,
+    })

@@ -141,11 +141,6 @@ class Environment:
 
     # -- traversal -------------------------------------------------------------------
 
-    @property
-    def top_level(self) -> list["Reactor"]:
-        """Top-level reactors of this environment."""
-        return list(self._top_level)
-
     def all_reactors(self) -> list["Reactor"]:
         """Every reactor in the program."""
         result: list["Reactor"] = []

@@ -54,9 +54,12 @@ from repro.service.http import (
     LocalService,
     ServiceError,
     ServiceServer,
+    campaign_report,
     merged_values,
+    result_report,
     seed_outcomes,
     serve,
+    status_table,
 )
 from repro.service.worker import Worker, execute_job
 
@@ -75,7 +78,10 @@ __all__ = [
     "ServiceServer",
     "Worker",
     "execute_job",
+    "campaign_report",
     "merged_values",
+    "result_report",
     "seed_outcomes",
     "serve",
+    "status_table",
 ]

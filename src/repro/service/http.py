@@ -54,13 +54,16 @@ __all__ = [
     "seed_outcomes",
     "merged_values",
     "serve",
+    "campaign_report",
+    "result_report",
+    "status_table",
 ]
 
 PROTOCOL = "sweep-service/v1"
 
 
 # ---------------------------------------------------------------------------
-# Result decoding (shared by clients, CLI and tests).
+# Result decoding and status rendering (shared by clients, CLI and tests).
 # ---------------------------------------------------------------------------
 
 
@@ -97,6 +100,76 @@ def merged_values(result: dict) -> list[Any]:
     if failures:
         raise SweepError(result.get("campaign", "campaign"), failures)
     return [outcome.value for outcome in outcomes]
+
+
+def result_report(result: dict):
+    """A done ``/v1/result`` document as a
+    :class:`~repro.analysis.report.Report` (``repro submit --wait``):
+    seed counts and each failed seed's last error line; exit code 1 if
+    any seed failed."""
+    from repro.analysis.report import Report
+
+    outcomes = seed_outcomes(result)
+    failures = [outcome for outcome in outcomes if not outcome.ok]
+    cached = sum(1 for outcome in outcomes if outcome.cached)
+    lines = [
+        f"campaign {result['campaign']} done in {result['elapsed_s']:.3f}s: "
+        f"{len(outcomes)} seed(s), {cached} cached, "
+        f"{len(failures)} failure(s)"
+    ]
+    for outcome in failures:
+        first_line = (outcome.error or "").strip().splitlines()[-1:]
+        lines.append(f"  seed {outcome.seed}: {first_line[0] if first_line else '?'}")
+    return Report("\n".join(lines), result, 1 if failures else 0)
+
+
+def campaign_report(report: dict):
+    """A ``/v1/report`` post-mortem as a
+    :class:`~repro.analysis.report.Report` (``repro report``)."""
+    from repro.analysis.report import Report
+
+    fleet_block = report.get("fleet", {})
+    merged = fleet_block.get("merged", {})
+    return Report(
+        f"campaign {report['campaign']} [{report['status']}]: "
+        f"{report['seeds']} seed(s), {report['cached']} cached, "
+        f"{report['failed']} failed, {report['requeues']} requeue(s), "
+        f"{report['retries']} retry(ies)\n"
+        f"  fleet: {fleet_block.get('sources', 0)} telemetry "
+        f"source(s), {len(merged.get('counters', {}))} counter(s), "
+        f"{len(merged.get('histograms', {}))} histogram(s)",
+        report,
+    )
+
+
+def status_table(status: dict, report: dict) -> str:
+    """One campaign's live ``/v1/status`` and ``/v1/report`` documents
+    as a fixed-width table (``repro status``)."""
+    eta = status.get("eta_s")
+    lines = [
+        f"campaign {status['campaign']} [{status['status']}]  "
+        f"label: {status.get('label', '?')}",
+        f"  seeds: {status['seeds']}  pending: {status['pending']}  "
+        f"cached: {status['cached']}  failed: {status['failed']}",
+        f"  jobs: {status['jobs']}  done: {status['jobs_done']}  "
+        f"queue: {status.get('queue_depth', '?')}  "
+        f"leased: {status.get('leased', '?')}",
+        f"  elapsed: {status.get('elapsed_s', 0):.1f}s  "
+        f"rate: {status.get('seeds_per_s', 0):.2f} seeds/s  "
+        f"eta: {f'{eta:.1f}s' if isinstance(eta, (int, float)) else '?'}",
+        "",
+        f"  {'job':<24} {'state':<8} {'attempt':>7} {'requeues':>8} "
+        f"{'worker':<8} {'seeds'}",
+    ]
+    for job in report.get("jobs", []):
+        seeds = ",".join(str(seed) for seed in job.get("seeds", []))
+        if len(seeds) > 24:
+            seeds = seeds[:21] + "..."
+        lines.append(
+            f"  {job['job']:<24} {job['state']:<8} {job['attempt']:>7} "
+            f"{job['requeues']:>8} {str(job.get('worker') or '-'):<8} {seeds}"
+        )
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +503,21 @@ class ServiceError(RuntimeError):
 
 class LocalClient:
     """The same client surface, directly against an in-process
-    :class:`Coordinator` — no sockets, for unit tests and benchmarks."""
+    :class:`Coordinator` — no sockets, for unit tests and benchmarks.
+
+    The client calls (``submit``, ``status``, ``result``, ``report``,
+    ``campaigns``, ``workers``) and the worker lease protocol
+    (``register``, ``lease``, ``heartbeat``, ``complete``, ``fail``)
+    are the coordinator's own methods of the same signature.
+    """
 
     def __init__(self, coordinator: Coordinator):
         self.coordinator = coordinator
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.coordinator, name)
 
     def ping(self) -> bool:
         return True
@@ -441,63 +525,10 @@ class LocalClient:
     def connect(self, timeout_s: float = 0.0, poll_s: float = 0.0) -> None:
         pass
 
-    def submit(self, spec: ScenarioSpec) -> dict:
-        return self.coordinator.submit(spec)
-
-    def status(self, campaign_id: str) -> dict:
-        return self.coordinator.status(campaign_id)
-
-    def result(self, campaign_id: str) -> dict:
-        return self.coordinator.result(campaign_id)
-
-    def report(self, campaign_id: str) -> dict:
-        return self.coordinator.report(campaign_id)
-
-    def campaigns(self) -> list[dict]:
-        return self.coordinator.campaigns()
-
-    def workers(self) -> list[dict]:
-        return self.coordinator.workers()
-
     def metrics_text(self) -> str:
         return fleet.prometheus_text()
 
-    def wait(
-        self, campaign_id: str, timeout_s: float = 600.0, poll_s: float = 0.05
-    ) -> dict:
-        deadline = time.monotonic() + timeout_s
-        while True:
-            result = self.coordinator.result(campaign_id)
-            if result.get("status") == "done":
-                return result
-            if time.monotonic() >= deadline:
-                raise TimeoutError(f"campaign {campaign_id} timed out")
-            time.sleep(poll_s)
-
-    def register(self, info: dict | None = None) -> str:
-        return self.coordinator.register(info)
-
-    def lease(self, worker_id: str) -> dict | None:
-        return self.coordinator.lease(worker_id)
-
-    def heartbeat(self, worker_id: str, job_id: str) -> dict:
-        return self.coordinator.heartbeat(worker_id, job_id)
-
-    def complete(
-        self,
-        worker_id: str,
-        job_id: str,
-        outcomes: list[dict],
-        exec_info: dict | None = None,
-        telemetry: dict | None = None,
-    ) -> dict:
-        return self.coordinator.complete(
-            worker_id, job_id, outcomes,
-            exec_info=exec_info, telemetry=telemetry,
-        )
-
-    def fail(self, worker_id: str, job_id: str, error: str) -> dict:
-        return self.coordinator.fail(worker_id, job_id, error)
+    wait = HttpClient.wait
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +599,27 @@ class LocalService:
     def stop_workers(self) -> None:
         """Stop the in-process workers; the HTTP API keeps serving."""
         self._stop.set()
+
+    def serve_until(self, campaigns: int) -> int:
+        """Serve until *campaigns* campaigns are done (``<= 0``: forever),
+        then stop the local workers and return once the API has been
+        quiet for a second; returns the campaigns done."""
+        while campaigns <= 0:
+            time.sleep(3600.0)
+        while True:
+            done = sum(1 for c in self.coordinator.campaigns() if c["status"] == "done")
+            if done < campaigns:
+                time.sleep(0.2)
+                continue
+            # Wind down the local workers (their lease polling would
+            # otherwise never let the API go quiet), then linger until
+            # clients finish draining results: a `submit --wait` still
+            # has result/report reads in flight when its campaign
+            # completes.
+            self.stop_workers()
+            if time.monotonic() - self.server.last_request > 1.0:
+                return done
+            time.sleep(0.1)
 
     def close(self) -> None:
         self.stop_workers()

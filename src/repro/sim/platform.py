@@ -102,10 +102,6 @@ class Platform:
         """Current local clock time (deterministic mapping, no jitter)."""
         return self.clock.local_time(self._sim.now)
 
-    def read_clock(self) -> int:
-        """Read the local clock as software would (with read jitter)."""
-        return self.clock.read(self._sim.now)
-
     def rng(self, name: str):
         """A named RNG stream scoped to this platform."""
         return self._rng_tree.stream(name)

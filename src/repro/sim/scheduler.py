@@ -185,10 +185,6 @@ class CpuScheduler:
         """Threads currently blocked on a mutex/condvar/join."""
         return [t for t in self._threads if t.state is ThreadState.BLOCKED]
 
-    def live_threads(self) -> list[SimThread]:
-        """Threads that have not terminated."""
-        return [t for t in self._threads if not t.done]
-
     def close(self) -> None:
         """Close every thread's generator and drop its continuations.
 

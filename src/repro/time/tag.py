@@ -55,10 +55,6 @@ class Tag:
             return Tag(self.time, self.microstep + 1)
         return Tag(time, 0)
 
-    def is_after(self, other: "Tag") -> bool:
-        """Whether this tag is strictly after *other*."""
-        return self > other
-
     def __str__(self) -> str:
         return f"({format_duration(self.time)}, {self.microstep})"
 

@@ -80,6 +80,36 @@ class TestRegistry:
                 definition.dump_scenario(scenario)
             ) == scenario
 
+    def test_scenario_sizes_keep_library_defaults(self):
+        brake, fusion = apps.get("brake"), apps.get("fusion")
+        assert brake.scenario(None, 150).n_frames == 150
+        assert brake.scenario(30, 150).n_frames == 30
+        assert fusion.scenario(None, 150) == fusion.default_scenario()
+        assert fusion.scenario(30, 150).n_frames == 30
+
+    def test_explore_scenario_and_fixed_inputs(self):
+        from repro.explore import calibration_scenario
+
+        brake = apps.get("brake")
+        assert brake.explore_scenario(40) == calibration_scenario(40)
+        assert brake.explore_scenario(40, fixed_inputs=True) == calibration_scenario(
+            40, deterministic_camera=True
+        )
+        for name in LIBRARY_APPS:
+            definition = apps.get(name)
+            scenario = definition.explore_scenario(20, fixed_inputs=True)
+            assert scenario == replace(
+                definition.default_scenario(), n_frames=20, deterministic_inputs=True
+            )
+            assert definition.with_fixed_inputs(scenario, False) == replace(
+                scenario, deterministic_inputs=False
+            )
+
+    def test_only_brake_has_a_camera_flow(self):
+        assert apps.get("brake").camera_drop == 0.05
+        for name in LIBRARY_APPS:
+            assert apps.get(name).camera_drop is None
+
     def test_library_topologies_have_at_least_three_nodes(self):
         for name in LIBRARY_APPS:
             definition = apps.get(name)

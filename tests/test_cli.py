@@ -265,3 +265,62 @@ class TestInputErrors:
             "a fault plan for library apps"
         )
         assert proc.stdout == ""
+
+
+class TestLibraryCalls:
+    """Each report subcommand prints exactly what its one library call
+    returns, so a library caller gets the same verdicts."""
+
+    @staticmethod
+    def _cli(capsys, *argv):
+        code = main([*argv, "--workers", "1", "--no-cache"])
+        return code, capsys.readouterr().out
+
+    @staticmethod
+    def _sweep():
+        from repro.harness.sweep import SweepRunner
+
+        return SweepRunner(workers=1, use_cache=False)
+
+    def test_faults_is_fault_sweep(self, capsys):
+        from repro.faults import fault_sweep
+
+        code, out = self._cli(
+            capsys, "faults", "--app", "fusion", "--seeds", "2", "--frames", "20",
+            "--no-snapshot",
+        )
+        definition = apps.get("fusion")
+        spec = ScenarioSpec(
+            app="fusion",
+            seeds=(0, 1),
+            scenario=definition.with_fixed_inputs(definition.scenario(20)),
+            label="faults-fusion-det",
+        )
+        report = fault_sweep(spec, self._sweep(), triage=False)
+        assert (code, out) == (report.exit_code, report.render() + "\n")
+        assert report.to_dict()["format"] == "fault-sweep-report/v1"
+
+    def test_flows_and_metrics_are_their_sweeps(self, capsys):
+        from repro.obs import flow_sweep, metrics_sweep
+
+        spec = ScenarioSpec(app="fusion", scenario=apps.get("fusion").scenario(20))
+        code, out = self._cli(capsys, "flows", "--app", "fusion", "--seeds", "2",
+                              "--frames", "20")
+        report = flow_sweep(spec, [0, 1], ("det", "nondet"), self._sweep())
+        assert (code, out) == (0, report.render() + "\n")
+        assert report.to_dict()["diff"]["det_delivered"] > 0
+
+        code, out = self._cli(capsys, "metrics", "nondet", "--app", "fusion",
+                              "--seeds", "2", "--frames", "20")
+        report = metrics_sweep(replace(spec, variant="nondet"), range(2), self._sweep())
+        assert (code, out) == (0, report.render() + "\n")
+        assert report.to_dict()["seeds"] == 2
+
+    def test_explore_is_explore_app(self, capsys):
+        from repro.explore import explore_app
+
+        code, out = self._cli(capsys, "explore", "--budget", "4", "--frames", "20",
+                              "--no-snapshot")
+        report = explore_app(budget=4, frames=20, sweep=self._sweep(), snapshots=False)
+        assert (code, out) == (report.exit_code, report.render() + "\n")
+        assert report.to_dict()["found"] == (report.exit_code == 0)
