@@ -38,8 +38,6 @@ def _register_brake() -> None:
             scenario_type=BrakeScenario,
             recipe="repro.apps.brake.nondet:brake_recipe",
             library=False,
-            explore_recipe="repro.explore.scenarios:calibration_scenario",
-            camera_drop=0.05,
         )
     )
 

@@ -97,15 +97,6 @@ class AppDefinition:
     #: suppresses preemptions landing on these (delaying an input driver
     #: changes the input timeline, not the SUT's scheduling).
     input_threads: tuple[str, ...] = ("camera",)
-    #: ``"module:function"`` of the hazard-prone scenario ``explore``
-    #: searches, called with the frame count; empty: the default
-    #: scenario (library scenarios are hazard-prone by construction).
-    explore_recipe: str = ""
-    #: Drop probability of the camera-flow fault plan ``repro faults``
-    #: runs by default.  ``None``: the app has no camera flow, keeps its
-    #: scenario's own fault plan unless a fault flag is given, and
-    #: ``repro flows --drop`` is refused.
-    camera_drop: float | None = None
     _resolved: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -155,11 +146,18 @@ class AppDefinition:
 
     def explore_scenario(self, frames: int, fixed_inputs: bool = False):
         """The small, hazard-prone scenario ``explore`` runs, with the
-        :attr:`fixed_inputs_knob` set to *fixed_inputs*."""
-        if self.explore_recipe:
-            scenario = self._resolve(self.explore_recipe)(frames)
-        else:
+        :attr:`fixed_inputs_knob` set to *fixed_inputs*.
+
+        Brake uses its calibration scenario, tightened to provoke
+        failures; library scenarios are hazard-prone by construction
+        and just get the frame count applied.
+        """
+        if self.library:
             scenario = self.scenario(frames)
+        else:
+            from repro.explore.scenarios import calibration_scenario
+
+            scenario = calibration_scenario(frames)
         return self.with_fixed_inputs(scenario, fixed_inputs)
 
     def with_fixed_inputs(self, scenario: Any, on: bool = True):

@@ -33,27 +33,16 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-#: Brake's frames for an observed run (library apps run at their own
-#: size), and the most frames ``flows --trace-out`` observes.
+#: Brake's frames for an observed run (``trace``, ``metrics`` and the
+#: ``--trace-out`` ride-along); library apps run at their own size.
 _OBSERVED_FRAMES = 200
+
+#: Brake's ``faults --drop`` default; library apps default to no drop.
+_BRAKE_DROP = 0.05
 
 
 def _add_int(parser: argparse.ArgumentParser, name: str, default: int, help_text: str):
     parser.add_argument(name, type=int, default=default, help=help_text)
-
-
-def _add_float(parser, name: str, default, help_text: str, metavar: str = "S"):
-    parser.add_argument(
-        name, type=float, default=default, metavar=metavar, help=help_text
-    )
-
-
-def _add_path(parser, name: str, help_text: str, default=None, metavar: str = "FILE"):
-    parser.add_argument(name, metavar=metavar, default=default, help=help_text)
-
-
-def _add_flag(parser: argparse.ArgumentParser, name: str, help_text: str):
-    parser.add_argument(name, action="store_true", help=help_text)
 
 
 def _add_app(parser: argparse.ArgumentParser) -> None:
@@ -70,8 +59,12 @@ def _add_app(parser: argparse.ArgumentParser) -> None:
 def _add_frames(
     parser: argparse.ArgumentParser, brake_frames: int, what: str = "frames per run"
 ) -> None:
-    """``--frames`` of an app-generic subcommand; brake's per-subcommand
-    default is ``args.brake_frames`` (see :meth:`AppDefinition.scenario`)."""
+    """``--frames`` of an app-generic subcommand, and brake's own default.
+
+    Library scenarios run at their own size unless ``--frames`` is
+    given; the brake app (which predates the library) keeps its
+    historical per-subcommand default, stored as ``args.brake_frames``.
+    """
     parser.add_argument(
         "--frames", type=int, default=None, metavar="N",
         help=f"{what} (default: {brake_frames} for brake, the scenario's "
@@ -173,35 +166,38 @@ def _sweep_options() -> argparse.ArgumentParser:
         help="process-pool size for seed sweeps "
              "(default: REPRO_WORKERS or all cores; 1 = sequential)",
     )
-    _add_flag(group, "--no-cache", "do not read or write the on-disk result cache")
-    _add_flag(group, "--force", "recompute every seed, overwriting cached results")
-    _add_path(
-        group, "--cache-dir",
-        "result cache location (default: REPRO_CACHE_DIR or .repro_cache)",
-        metavar="DIR",
+    group.add_argument(
+        "--no-cache", action="store_true",
+        help="do not read or write the on-disk result cache",
     )
-    _add_path(
-        group, "--spec",
-        "load a scenario-spec/v1 JSON file (seeds, scenario, network, "
-        "STP bounds, fault plan) and run the experiment from it",
+    group.add_argument(
+        "--force", action="store_true",
+        help="recompute every seed, overwriting cached results",
+    )
+    group.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="result cache location (default: REPRO_CACHE_DIR or .repro_cache)",
+    )
+    group.add_argument(
+        "--spec", default=None, metavar="FILE",
+        help="load a scenario-spec/v1 JSON file (seeds, scenario, network, "
+             "STP bounds, fault plan) and run the experiment from it",
     )
     obs_group = common.add_argument_group("observability")
-    _add_path(
-        obs_group, "--trace-out",
-        "also run one observed representative brake run and write "
-        "its Perfetto/Chrome trace_event JSON to FILE",
+    obs_group.add_argument(
+        "--trace-out", default=None, metavar="FILE",
+        help="also run one observed representative brake run and write "
+             "its Perfetto/Chrome trace_event JSON to FILE",
     )
-    _add_path(
-        obs_group, "--metrics-out",
-        "write the observed run's (or the metrics sweep's) "
-        "metrics JSON to FILE",
+    obs_group.add_argument(
+        "--metrics-out", default=None, metavar="FILE",
+        help="write the observed run's (or the metrics sweep's) "
+             "metrics JSON to FILE",
     )
     return common
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro import apps
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -218,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="coordinator base URL (default: http://127.0.0.1:8765)",
     )
     connect = argparse.ArgumentParser(add_help=False)
-    _add_float(
-        connect, "--connect-timeout", 30.0,
-        "seconds to wait for the coordinator to come up (default: 30)",
+    connect.add_argument(
+        "--connect-timeout", type=float, default=30.0, metavar="S",
+        help="seconds to wait for the coordinator to come up (default: 30)",
     )
     campaign = argparse.ArgumentParser(add_help=False)
     campaign.add_argument(
@@ -249,26 +245,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_int(explore, "--frames", 50, "frames per execution")
     _add_int(explore, "--seed", 0, "base root seed")
     _add_int(explore, "--depth", 6, "PCT: preemption points per execution")
-    _add_float(
-        explore, "--max-preempt-ms", 25.0,
-        "PCT: delay injected at each preemption point (default: 25)", "MS",
+    explore.add_argument(
+        "--max-preempt-ms", type=float, default=25.0, metavar="MS",
+        help="PCT: delay injected at each preemption point (default: 25)",
     )
-    _add_flag(
-        explore, "--shrink",
-        "delta-debug the failing schedule to a minimal preemption set",
+    explore.add_argument(
+        "--shrink", action="store_true",
+        help="delta-debug the failing schedule to a minimal preemption set",
     )
-    _add_path(
-        explore, "--record",
-        "write the failing run's full decision trace as JSON",
+    explore.add_argument(
+        "--record", metavar="FILE", default=None,
+        help="write the failing run's full decision trace as JSON",
     )
-    _add_path(
-        explore, "--replay",
-        "replay a recorded decision trace instead of exploring; "
-        "exit 0 iff the recorded error counters reproduce",
+    explore.add_argument(
+        "--replay", metavar="FILE", default=None,
+        help="replay a recorded decision trace instead of exploring; "
+             "exit 0 iff the recorded error counters reproduce",
     )
-    _add_path(
-        explore, "--schedule-out",
-        "write the (shrunk) failing schedule as a JSON artifact",
+    explore.add_argument(
+        "--schedule-out", metavar="FILE", default=None,
+        help="write the (shrunk) failing schedule as a JSON artifact",
     )
     _add_int(
         explore, "--verify", 0,
@@ -290,28 +286,36 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     _add_app(faults)
-    _add_path(
-        faults, "--plan",
-        "load a fault-plan/v1 JSON file (otherwise built from the "
-        "quick flags below; library apps with no quick flags fall "
-        "back to their scenario's own fault plan)",
+    faults.add_argument(
+        "--plan", metavar="FILE", default=None,
+        help="load a fault-plan/v1 JSON file (otherwise built from the "
+             "quick flags below; library apps with no quick flags fall "
+             "back to their scenario's own fault plan)",
     )
-    _add_float(
-        faults, "--drop", None,
-        "camera-flow frame drop probability "
-        f"(default: {apps.get('brake').camera_drop} for brake, 0 for "
-        "library apps)", "P",
+    faults.add_argument(
+        "--drop", type=float, default=None, metavar="P",
+        help="camera-flow frame drop probability "
+             f"(default: {_BRAKE_DROP} for brake, 0 for library apps)",
     )
-    _add_float(faults, "--duplicate", 0.0, "camera-flow duplication probability", "P")
-    _add_float(faults, "--reorder", 0.0, "camera-flow reordering probability", "P")
-    _add_float(
-        faults, "--corrupt", 0.0,
-        "camera-flow corruption (FCS drop) probability", "P",
+    faults.add_argument(
+        "--duplicate", type=float, default=0.0, metavar="P",
+        help="camera-flow duplication probability",
     )
-    _add_float(faults, "--spike", 0.0, "camera-flow latency-spike probability", "P")
-    _add_float(
-        faults, "--spike-ms", 2.0,
-        "latency-spike magnitude in ms (default: 2)", "MS",
+    faults.add_argument(
+        "--reorder", type=float, default=0.0, metavar="P",
+        help="camera-flow reordering probability",
+    )
+    faults.add_argument(
+        "--corrupt", type=float, default=0.0, metavar="P",
+        help="camera-flow corruption (FCS drop) probability",
+    )
+    faults.add_argument(
+        "--spike", type=float, default=0.0, metavar="P",
+        help="camera-flow latency-spike probability",
+    )
+    faults.add_argument(
+        "--spike-ms", type=float, default=2.0, metavar="MS",
+        help="latency-spike magnitude in ms (default: 2)",
     )
     faults.add_argument(
         "--partition", action="append", metavar="START_MS:END_MS",
@@ -328,11 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="process",
         help="DEAR policy for L-bound-violating messages (default: process)",
     )
-    _add_path(faults, "--out", "write the full fault-sweep report JSON to FILE")
-    _add_path(
-        faults, "--counterexample-out",
-        "where to write the divergence artifact if DEAR silently "
-        "diverges (default: fault-counterexample.json)", "fault-counterexample.json",
+    faults.add_argument(
+        "--out", metavar="FILE", default=None,
+        help="write the full fault-sweep report JSON to FILE",
+    )
+    faults.add_argument(
+        "--counterexample-out", metavar="FILE", default="fault-counterexample.json",
+        help="where to write the divergence artifact if DEAR silently "
+             "diverges (default: fault-counterexample.json)",
     )
     faults.add_argument(
         "--snapshot", action=argparse.BooleanOptionalAction, default=True,
@@ -355,53 +362,56 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", choices=("det", "nondet", "both"), default="both",
         help="which variant(s) to flow-trace (default: both)",
     )
-    _add_float(
-        flows, "--drop", 0.0,
-        "camera-flow fault-plan drop probability "
-        "(default: 0, no plan; brake only)", "P",
+    flows.add_argument(
+        "--drop", type=float, default=0.0, metavar="P",
+        help="camera-flow fault-plan drop probability "
+             "(default: 0, no plan; brake only)",
     )
     _add_int(flows, "--fault-seed", 1, "fault-plan PRF seed")
-    _add_path(flows, "--out", "write the flow-sweep-report/v1 JSON to FILE")
+    flows.add_argument(
+        "--out", metavar="FILE", default=None,
+        help="write the flow-sweep-report/v1 JSON to FILE",
+    )
 
     bench_diff = commands.add_parser(
         "bench-diff",
         help="perf trajectory: compare fresh BENCH_*.json benchmark output "
              "against committed baselines with a configurable tolerance",
     )
-    _add_path(
-        bench_diff, "--baseline-dir",
-        "committed baseline BENCH_*.json directory "
-        "(default: benchmarks/baselines)",
-        "benchmarks/baselines", "DIR",
+    bench_diff.add_argument(
+        "--baseline-dir", default="benchmarks/baselines", metavar="DIR",
+        help="committed baseline BENCH_*.json directory "
+             "(default: benchmarks/baselines)",
     )
-    _add_path(
-        bench_diff, "--current-dir",
-        "freshly generated BENCH_*.json directory (REPRO_BENCH_DIR; "
-        "default: bench-artifacts)",
-        "bench-artifacts", "DIR",
+    bench_diff.add_argument(
+        "--current-dir", default="bench-artifacts", metavar="DIR",
+        help="freshly generated BENCH_*.json directory (REPRO_BENCH_DIR; "
+             "default: bench-artifacts)",
     )
-    _add_float(
-        bench_diff, "--tolerance", 0.75,
-        "relative tolerance for timing fields (default: 0.75 — CI "
-        "runners are noisy; tighten locally)", "REL",
+    bench_diff.add_argument(
+        "--tolerance", type=float, default=0.75, metavar="REL",
+        help="relative tolerance for timing fields (default: 0.75 — CI "
+             "runners are noisy; tighten locally)",
     )
-    _add_flag(
-        bench_diff, "--strict",
-        "exit 1 on regressions beyond tolerance (default: warn only)",
+    bench_diff.add_argument(
+        "--strict", action="store_true",
+        help="exit 1 on regressions beyond tolerance (default: warn only)",
     )
-    _add_flag(
-        bench_diff, "--gate-fields",
-        "curated strict subset: structural mismatches, throughput "
-        "(*_per_s) regressions and missing/new benchmarks fail; "
-        "plain wall-time noise only warns (combine with --strict)",
+    bench_diff.add_argument(
+        "--gate-fields", action="store_true",
+        help="curated strict subset: structural mismatches, throughput "
+             "(*_per_s) regressions and missing/new benchmarks fail; "
+             "plain wall-time noise only warns (combine with --strict)",
     )
-    _add_path(
-        bench_diff, "--only",
-        "restrict the diff to benchmark names matching this fnmatch "
-        "pattern (for partial runs that regenerate one suite)",
-        metavar="PATTERN",
+    bench_diff.add_argument(
+        "--only", metavar="PATTERN", default=None,
+        help="restrict the diff to benchmark names matching this fnmatch "
+             "pattern (for partial runs that regenerate one suite)",
     )
-    _add_path(bench_diff, "--out", "write the bench-diff/v1 JSON report to FILE")
+    bench_diff.add_argument(
+        "--out", metavar="FILE", default=None,
+        help="write the bench-diff/v1 JSON report to FILE",
+    )
 
     serve = commands.add_parser(
         "serve",
@@ -411,11 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     _add_int(serve, "--port", 8765, "bind port (0 = ephemeral)")
-    _add_path(
-        serve, "--store-dir",
-        "shared content-addressed result store, the same one local "
-        "sweeps use (default: REPRO_CACHE_DIR or .repro_cache)",
-        metavar="DIR",
+    serve.add_argument(
+        "--store-dir", default=None, metavar="DIR",
+        help="shared content-addressed result store, the same one local "
+             "sweeps use (default: REPRO_CACHE_DIR or .repro_cache)",
     )
     _add_int(
         serve, "--local-workers", 0,
@@ -426,19 +435,19 @@ def build_parser() -> argparse.ArgumentParser:
         serve, "--max-attempts", 3,
         "lease-or-fail attempts before a job fails terminally",
     )
-    _add_float(
-        serve, "--lease-ttl", 15.0,
-        "lease seconds a job survives without a heartbeat "
-        "(worker-death requeue horizon; default: 15)",
+    serve.add_argument(
+        "--lease-ttl", type=float, default=15.0, metavar="S",
+        help="lease seconds a job survives without a heartbeat "
+             "(worker-death requeue horizon; default: 15)",
     )
-    _add_float(
-        serve, "--job-timeout", 600.0,
-        "hard wall-clock budget per job attempt (default: 600)",
+    serve.add_argument(
+        "--job-timeout", type=float, default=600.0, metavar="S",
+        help="hard wall-clock budget per job attempt (default: 600)",
     )
-    _add_float(
-        serve, "--retry-backoff", 0.25,
-        "requeue delay after the first failure, doubling per "
-        "attempt (default: 0.25)",
+    serve.add_argument(
+        "--retry-backoff", type=float, default=0.25, metavar="S",
+        help="requeue delay after the first failure, doubling per "
+             "attempt (default: 0.25)",
     )
     _add_int(
         serve, "--campaigns", 0,
@@ -455,18 +464,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec", required=True, metavar="FILE",
         help="scenario-spec/v1 JSON file describing the campaign",
     )
-    _add_flag(
-        submit, "--wait",
-        "poll until the campaign completes and print the summary",
+    submit.add_argument(
+        "--wait", action="store_true",
+        help="poll until the campaign completes and print the summary",
     )
-    _add_float(submit, "--timeout", 600.0, "--wait timeout in seconds (default: 600)")
-    _add_path(
-        submit, "--out",
-        "write the merged sweep-service/v1 result document to FILE",
+    submit.add_argument(
+        "--timeout", type=float, default=600.0, metavar="S",
+        help="--wait timeout in seconds (default: 600)",
     )
-    _add_path(
-        submit, "--report-out",
-        "write the campaign post-mortem report JSON to FILE",
+    submit.add_argument(
+        "--out", metavar="FILE", default=None,
+        help="write the merged sweep-service/v1 result document to FILE",
+    )
+    submit.add_argument(
+        "--report-out", metavar="FILE", default=None,
+        help="write the campaign post-mortem report JSON to FILE",
     )
 
     worker = commands.add_parser(
@@ -475,10 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
              "coordinator under a heartbeat and stream results back",
         parents=[coordinator, connect],
     )
-    _add_float(worker, "--poll", 0.2, "idle poll interval in seconds (default: 0.2)")
-    _add_float(
-        worker, "--idle-exit", None,
-        "exit after this long without work (default: run forever)",
+    worker.add_argument(
+        "--poll", type=float, default=0.2, metavar="S",
+        help="idle poll interval in seconds (default: 0.2)",
+    )
+    worker.add_argument(
+        "--idle-exit", type=float, default=None, metavar="S",
+        help="exit after this long without work (default: run forever)",
     )
     _add_int(worker, "--max-jobs", 0, "exit after completing N jobs (0 = no limit)")
 
@@ -488,10 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
              "(per-job state, queue depth, seeds/s, ETA)",
         parents=[campaign, coordinator],
     )
-    _add_flag(status, "--watch", "refresh the table until the campaign completes")
-    _add_float(
-        status, "--interval", 1.0,
-        "--watch refresh interval in seconds (default: 1)",
+    status.add_argument(
+        "--watch", action="store_true",
+        help="refresh the table until the campaign completes",
+    )
+    status.add_argument(
+        "--interval", type=float, default=1.0, metavar="S",
+        help="--watch refresh interval in seconds (default: 1)",
     )
 
     report = commands.add_parser(
@@ -500,10 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
              "the job timelines as a Perfetto fleet trace",
         parents=[campaign, coordinator],
     )
-    _add_path(report, "--out", "write the sweep-service/v1 report JSON to FILE")
-    _add_path(
-        report, "--trace-out",
-        "write the fleet Perfetto trace (trace_event JSON) to FILE",
+    report.add_argument(
+        "--out", metavar="FILE", default=None,
+        help="write the sweep-service/v1 report JSON to FILE",
+    )
+    report.add_argument(
+        "--trace-out", metavar="FILE", default=None,
+        help="write the fleet Perfetto trace (trace_event JSON) to FILE",
     )
 
     trace = commands.add_parser(
@@ -538,12 +559,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered applications and the multi-ECU "
              "scenario library (topology size, variants, default faults)",
     )
-    _add_flag(library, "--json", "emit the listing as JSON instead of a table")
+    library.add_argument(
+        "--json", action="store_true",
+        help="emit the listing as JSON instead of a table",
+    )
 
     run_all = commands.add_parser(
         "all", help="run every experiment (default scale)", parents=[common]
     )
-    _add_flag(run_all, "--quick", "reduced sizes for a fast pass")
+    run_all.add_argument(
+        "--quick", action="store_true", help="reduced sizes for a fast pass"
+    )
     return parser
 
 
@@ -662,9 +688,13 @@ def _run_explore(args: argparse.Namespace, sweep) -> int:
 
 
 def _faults_plan(args: argparse.Namespace, definition, spec):
-    """The :class:`FaultPlan` from ``--plan`` or the quick flags; ``None``
-    without either keeps the run's own plan: the ``--spec``'s, or the
-    scenario's for an app without a camera flow (e.g. failover's outage).
+    """The :class:`FaultPlan` from ``--plan`` or the quick flags.
+
+    Returns ``None`` to keep the plan the run already has: the spec's
+    own faults under ``--spec``, or a library app's default plan (e.g.
+    the failover scenario's primary-node outage), unless ``--plan`` or a
+    quick fault flag was given.  Brake without ``--spec`` always gets
+    the camera-drop plan.
     """
     from repro.faults import FaultPlan, Partition
     from repro.time import MS
@@ -673,9 +703,9 @@ def _faults_plan(args: argparse.Namespace, definition, spec):
         return FaultPlan.load(args.plan)
     partitions = []
     for window in args.partition or ():
-        start, _, end = window.partition(":")
+        start_text, _, end_text = window.partition(":")
         try:
-            start_ms, end_ms = float(start), float(end)
+            start_ms, end_ms = float(start_text), float(end_text)
         except ValueError:
             raise SystemExit(
                 f"--partition expects START_MS:END_MS, got {window!r}"
@@ -688,10 +718,10 @@ def _faults_plan(args: argparse.Namespace, definition, spec):
         "reorder": args.reorder, "corrupt": args.corrupt, "spike": args.spike,
     }
     quick = partitions or any(p > 0.0 for p in rates.values())
-    if not quick and (spec is not None or definition.camera_drop is None):
+    if not quick and (spec is not None or definition.library):
         return None
     if args.drop is None:
-        rates["drop"] = definition.camera_drop or 0.0
+        rates["drop"] = 0.0 if definition.library else _BRAKE_DROP
     return FaultPlan.camera_faults(
         seed=args.fault_seed, spike_ns=int(args.spike_ms * MS),
         partitions=tuple(partitions), label="cli-faults", **rates,
@@ -699,8 +729,15 @@ def _faults_plan(args: argparse.Namespace, definition, spec):
 
 
 def _run_faults(args: argparse.Namespace, sweep) -> int:
-    """``repro faults``: seeded fault sweep + DEAR determinism check;
-    silent divergence writes a counterexample and exits nonzero."""
+    """``repro faults``: seeded fault sweep + DEAR determinism check.
+
+    Runs both variants under the same fault plan with seed-fixed inputs
+    (:func:`repro.faults.fault_sweep`).  In-bound faults must leave
+    DEAR's logical traces identical across world seeds; divergence is
+    acceptable only when flagged by the runtime (STP violations /
+    deadline faults).  Silent divergence writes a counterexample
+    artifact and exits nonzero.
+    """
     from repro import apps
     from repro.faults.shrink import fault_sweep
 
@@ -713,7 +750,9 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
             seeds=range(args.seeds), faults=plan,
             label=definition.qualified("faults", "det"),
         )
-        # The cross-seed trace-identity check needs seed-fixed inputs.
+        # The cross-seed trace-identity check needs seed-fixed inputs:
+        # the deterministic camera for brake, the library analogue
+        # (calm hosts, constant latencies, no input jitter) otherwise.
         scenario = replace(spec.scenario, late_policy=args.late_policy)
         spec = replace(spec, scenario=definition.with_fixed_inputs(scenario))
     elif plan is not None:
@@ -732,7 +771,12 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
 
 
 def _run_flows(args: argparse.Namespace, sweep) -> int:
-    """``repro flows``: causal flow sweep with a stock-vs-DEAR diff."""
+    """``repro flows``: causal flow sweep with a stock-vs-DEAR diff.
+
+    The sweep and its report are :func:`repro.obs.flow_sweep`; with
+    ``--trace-out``/``--metrics-out`` the first seed of the first
+    variant is also observed, at most :data:`_OBSERVED_FRAMES` frames.
+    """
     from repro import apps
     from repro.obs.export import flow_sweep
 
@@ -740,7 +784,7 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
     definition = apps.get(spec.app if spec is not None else args.app)
     plan = None
     if spec is None and args.drop > 0.0:
-        if definition.camera_drop is None:
+        if definition.library:
             raise SystemExit(
                 "flows: --drop targets the brake camera flow; use "
                 "--spec with a fault plan for library apps"
@@ -750,7 +794,9 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
         plan = FaultPlan.camera_faults(
             seed=args.fault_seed, drop=args.drop, label="cli-flows"
         )
-    variants = ("det", "nondet") if args.variant == "both" else (args.variant,)
+    variants = (
+        ("det", "nondet") if args.variant == "both" else (args.variant,)
+    )
     for variant in variants:
         if variant not in definition.variants():
             raise SystemExit(
@@ -807,7 +853,9 @@ def _run_serve(args: argparse.Namespace, _sweep=None) -> int:
     from repro.harness.sweep import DEFAULT_CACHE_DIR
     from repro.service import CoordinatorConfig, LocalService
 
-    store_dir = args.store_dir or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
+    store_dir = args.store_dir or os.environ.get(
+        "REPRO_CACHE_DIR", DEFAULT_CACHE_DIR
+    )
     config = CoordinatorConfig(
         chunk_size=args.chunk_size,
         max_attempts=args.max_attempts,
@@ -869,7 +917,9 @@ def _run_worker(args: argparse.Namespace, _sweep=None) -> int:
     client = HttpClient(args.coordinator)
     client.connect(timeout_s=args.connect_timeout)
     worker = Worker(client, poll_interval_s=args.poll)
-    completed = worker.run(max_idle_s=args.idle_exit, max_jobs=args.max_jobs or None)
+    completed = worker.run(
+        max_idle_s=args.idle_exit, max_jobs=args.max_jobs or None
+    )
     print(
         f"worker {worker.worker_id}: {completed} job(s) completed, "
         f"{worker.jobs_failed} failed "
@@ -935,8 +985,11 @@ def _run_bench_diff(args: argparse.Namespace, _sweep=None) -> int:
     from repro.analysis.report import Report
 
     report = compare_dirs(
-        args.baseline_dir, args.current_dir, tolerance=args.tolerance,
-        gate_fields=args.gate_fields, only=args.only,
+        args.baseline_dir,
+        args.current_dir,
+        tolerance=args.tolerance,
+        gate_fields=args.gate_fields,
+        only=args.only,
     )
     _emit(Report(render_bench_diff(report), report), args.out, "bench-diff report")
     if args.strict and report["summary"]["fail"]:
@@ -963,12 +1016,21 @@ def _run_library(args: argparse.Namespace, _sweep=None) -> int:
     return 0
 
 
-#: Every subcommand's handler, called as ``handler(args, sweep)``.
+#: Every subcommand's handler, called as ``handler(args, sweep)``; the
+#: sweep is ``None`` for subcommands without the sweep options.
 _COMMANDS = {
-    "bench-diff": _run_bench_diff, "serve": _run_serve, "submit": _run_submit,
-    "worker": _run_worker, "status": _run_status, "report": _run_report,
-    "library": _run_library, "trace": _run_trace, "metrics": _run_metrics,
-    "flows": _run_flows, "faults": _run_faults, "explore": _run_explore,
+    "bench-diff": _run_bench_diff,
+    "serve": _run_serve,
+    "submit": _run_submit,
+    "worker": _run_worker,
+    "status": _run_status,
+    "report": _run_report,
+    "library": _run_library,
+    "trace": _run_trace,
+    "metrics": _run_metrics,
+    "flows": _run_flows,
+    "faults": _run_faults,
+    "explore": _run_explore,
     "all": _run_all,
     **{figure.name: partial(_run_figure, figure) for figure in _FIGURES},
 }

@@ -326,10 +326,20 @@ class Explorer:
 
 
 def explore_app(
-    app: str = "brake", *, strategy: str = "pct", budget: int = 40, frames: int = 50,
-    seed: int = 0, depth: int = 6, preempt_ns: int = 25_000_000, shrink: bool = False,
-    record: str | None = None, schedule_out: str | None = None, verify: int = 0,
-    sweep: SweepRunner | None = None, snapshots: bool = True,
+    app: str,
+    *,
+    strategy: str,
+    budget: int,
+    frames: int,
+    seed: int,
+    depth: int,
+    preempt_ns: int,
+    snapshots: bool,
+    shrink: bool = False,
+    record: str | None = None,
+    schedule_out: str | None = None,
+    verify: int = 0,
+    sweep: SweepRunner | None = None,
 ):
     """``repro explore``: search *app*'s stock variant for a failure.
 
@@ -341,7 +351,15 @@ def explore_app(
     schedules on seed-fixed inputs.  *snapshots* forks executions from
     copy-on-write holders where ``os.fork`` is available.  The
     :class:`~repro.analysis.report.Report` exits 0 iff a failure was
-    found and DEAR verified.
+    found and DEAR verified.  The search sizes and *snapshots* have no
+    defaults here: they are ``repro explore``'s flags, whose defaults
+    live in its parser.
+
+    Unlike the sweep reports, which leave writing their ``to_dict()``
+    to the caller, this call writes *record* and *schedule_out* itself:
+    the record needs the live explorer, and the report's text names
+    each file where it was written, before the verification that
+    follows it.
     """
     from repro.analysis.report import (
         Report,
@@ -457,7 +475,7 @@ def explore_app(
     return Report("\n".join(lines), artifact, code, notes)
 
 
-def replay_recorded(path: str, app: str = "brake", frames: int = 50):
+def replay_recorded(path: str, app: str, frames: int):
     """``repro explore --replay``: re-execute the trace recorded at *path*.
 
     The trace's own ``app`` and ``frames`` (written by

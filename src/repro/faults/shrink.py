@@ -196,7 +196,7 @@ def _triage(spec, det_runs: list, plan: FaultPlan):
     )
 
 
-def fault_sweep(spec, sweep=None, *, triage: bool = True):
+def fault_sweep(spec, sweep=None, *, triage: bool):
     """``repro faults``: *spec*'s seeds in both variants under its faults.
 
     Runs the DEAR and stock variants under the same fault plan.

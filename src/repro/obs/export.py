@@ -266,9 +266,7 @@ def validate_trace_data(data: Any) -> list[str]:
 
 
 
-def flow_sweep(
-    spec, seeds, variants=("det", "nondet"), sweep=None, *, keyed_by_spec=False
-):
+def flow_sweep(spec, seeds, variants, sweep=None, *, keyed_by_spec=False):
     """``repro flows``: flow-trace *seeds* of *spec* per variant, merged.
 
     Maps :func:`repro.harness.flow_summary` over the seeds for each of

@@ -505,18 +505,34 @@ class LocalClient:
     """The same client surface, directly against an in-process
     :class:`Coordinator` — no sockets, for unit tests and benchmarks.
 
-    The client calls (``submit``, ``status``, ``result``, ``report``,
-    ``campaigns``, ``workers``) and the worker lease protocol
-    (``register``, ``lease``, ``heartbeat``, ``complete``, ``fail``)
-    are the coordinator's own methods of the same signature.
+    The :data:`FORWARDED` client calls and worker lease protocol are
+    the coordinator's own methods of the same signature; every other
+    coordinator attribute stays out of reach, as over HTTP.
     """
+
+    #: :class:`HttpClient` methods that are the coordinator's own.
+    FORWARDED = (
+        "submit",
+        "status",
+        "result",
+        "report",
+        "campaigns",
+        "workers",
+        "register",
+        "lease",
+        "heartbeat",
+        "complete",
+        "fail",
+    )
 
     def __init__(self, coordinator: Coordinator):
         self.coordinator = coordinator
 
     def __getattr__(self, name: str) -> Any:
-        if name.startswith("_"):
-            raise AttributeError(name)
+        if name not in self.FORWARDED:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
         return getattr(self.coordinator, name)
 
     def ping(self) -> bool:
@@ -528,7 +544,11 @@ class LocalClient:
     def metrics_text(self) -> str:
         return fleet.prometheus_text()
 
-    wait = HttpClient.wait
+    def wait(
+        self, campaign_id: str, timeout_s: float = 600.0, poll_s: float = 0.05
+    ) -> dict:
+        """:meth:`HttpClient.wait`, polling the coordinator directly."""
+        return HttpClient.wait(self, campaign_id, timeout_s, poll_s)
 
 
 # ---------------------------------------------------------------------------

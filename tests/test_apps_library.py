@@ -105,11 +105,6 @@ class TestRegistry:
                 scenario, deterministic_inputs=False
             )
 
-    def test_only_brake_has_a_camera_flow(self):
-        assert apps.get("brake").camera_drop == 0.05
-        for name in LIBRARY_APPS:
-            assert apps.get(name).camera_drop is None
-
     def test_library_topologies_have_at_least_three_nodes(self):
         for name in LIBRARY_APPS:
             definition = apps.get(name)

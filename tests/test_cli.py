@@ -13,6 +13,7 @@ from repro import apps
 from repro.cli import build_parser, main
 from repro.faults import FaultPlan
 from repro.harness import ScenarioSpec
+from repro.time import MS
 
 
 class TestParser:
@@ -321,6 +322,9 @@ class TestLibraryCalls:
 
         code, out = self._cli(capsys, "explore", "--budget", "4", "--frames", "20",
                               "--no-snapshot")
-        report = explore_app(budget=4, frames=20, sweep=self._sweep(), snapshots=False)
+        report = explore_app(
+            "brake", strategy="pct", budget=4, frames=20, seed=0, depth=6,
+            preempt_ns=25 * MS, sweep=self._sweep(), snapshots=False,
+        )
         assert (code, out) == (report.exit_code, report.render() + "\n")
         assert report.to_dict()["found"] == (report.exit_code == 0)

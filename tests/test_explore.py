@@ -16,6 +16,7 @@ Covers the acceptance criteria of the exploration tentpole:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -361,7 +362,11 @@ def test_library_app_is_deterministic_under_in_budget_schedules(app):
     """``repro explore --app APP --verify 5`` at its defaults, in process."""
     definition = registry.get(app)
     experiment = definition.runner("det")
-    scenario = definition.explore_scenario(50, fixed_inputs=True)
+    scenario = replace(
+        definition.default_scenario(),
+        n_frames=50,
+        **{definition.fixed_inputs_knob: True},
+    )
     horizon = Explorer(
         experiment=experiment, scenario=scenario, sweep=_sweep()
     ).horizon

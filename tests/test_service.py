@@ -251,6 +251,17 @@ class TestLocalClientWorker:
         result = client.wait(status["campaign"], timeout_s=5.0)
         assert_byte_identical(merged_values(result), local_reference(spec))
 
+    def test_surface_matches_the_http_client(self, tmp_path):
+        """Only the HTTP client's methods reach the coordinator, so a test
+        written against LocalClient holds against HttpClient too."""
+        client = LocalClient(Coordinator(ResultStore(tmp_path)))
+        for name in LocalClient.FORWARDED:
+            assert callable(getattr(HttpClient, name))
+            assert callable(getattr(client, name))
+        for name in ("idle", "store"):
+            assert hasattr(client.coordinator, name)
+            assert not hasattr(client, name)
+
 
 class TestHttpApi:
     def test_protocol_shapes_and_errors(self, tmp_path):
