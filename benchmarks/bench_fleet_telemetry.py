@@ -5,9 +5,10 @@ hot path: every coordinator lease/complete, every worker report, every
 store access.  Like the simulation's observability (PR 3), the claim is
 two-sided and recorded to ``BENCH_fleet_telemetry.json``:
 
-* **disabled is free** — the guard at every instrumented site is one
-  module-global load plus one attribute check (``guard_ns_per_site``,
-  asserted far below 1 µs);
+* **disabled is free** — every instrumented site is one call of
+  ``fleet.inc``/``observe``/``set_gauge``, which returns at once while
+  no registry is installed (``guard_ns_per_site`` times a disabled
+  ``fleet.inc()``, asserted far below 1 µs);
 * **enabled is cheap and harmless** — a stub-executor queue run (pure
   coordinator/worker overhead, where telemetry is proportionally most
   expensive) with telemetry on vs off gives ``telemetry_on_over_off``,
@@ -24,7 +25,6 @@ from repro.harness import ResultStore, ScenarioSpec, SweepRunner, env_int
 from repro.obs import fleet
 from repro.obs.export import validate_trace_data
 from repro.obs.fleet import (
-    fleet_capture,
     fleet_trace_events,
     prometheus_text,
     validate_prometheus_text,
@@ -79,20 +79,22 @@ def test_fleet_telemetry(show, bench_json, tmp_path):
     frames = env_int("REPRO_FLEET_FRAMES", 30)
     seeds = tuple(range(env_int("REPRO_FLEET_SEEDS", 6)))
 
-    # -- micro-cost of the disabled guard ------------------------------------
-    fleet.disable()
+    # Telemetry off for the measurements below, whatever ran before
+    # (LocalService leaves its registry installed); restored at the end.
+    previous = fleet.ACTIVE
+    fleet.ACTIVE = None
+
+    # -- micro-cost of a disabled site ---------------------------------------
     iterations = 200_000
     started = time.perf_counter()
     for _ in range(iterations):
-        f = fleet.ACTIVE
-        if f.enabled:  # pragma: no cover - disabled in this loop
-            raise AssertionError("fleet telemetry unexpectedly enabled")
+        fleet.inc("fleet.bench.disabled")
     per_guard_ns = (time.perf_counter() - started) / iterations * 1e9
+    assert fleet.ACTIVE is None  # a disabled call creates no registry
 
     # -- queue overhead, telemetry off vs on ---------------------------------
-    fleet.disable()
     wall_off, _, _ = _queue_run(tmp_path / "queue-off", queue_jobs, frames)
-    with fleet_capture() as handle:
+    with fleet.capture() as registry:
         wall_on, coordinator, campaign = _queue_run(
             tmp_path / "queue-on", queue_jobs, frames
         )
@@ -100,9 +102,9 @@ def test_fleet_telemetry(show, bench_json, tmp_path):
         prom_problems = validate_prometheus_text(prometheus_text())
         report = coordinator.report(campaign)
         trace_problems = validate_trace_data(fleet_trace_events(report))
-        jobs_completed = handle.counter_value(
+        jobs_completed = registry.snapshot()["counters"][
             "fleet.coordinator.jobs_completed"
-        )
+        ]
 
     # -- a real campaign with telemetry enabled, checked against local -------
     campaign_spec = ScenarioSpec(
@@ -111,7 +113,6 @@ def test_fleet_telemetry(show, bench_json, tmp_path):
         scenario=BrakeScenario(n_frames=frames),
         label="bench-fleet-campaign",
     )
-    fleet.disable()
     reference = SweepRunner(workers=1, use_cache=False).run_spec(
         campaign_spec
     ).values()
@@ -123,7 +124,7 @@ def test_fleet_telemetry(show, bench_json, tmp_path):
             pickle.dumps(a) == pickle.dumps(b)
             for a, b in zip(values, reference)
         )
-    fleet.disable()
+    fleet.ACTIVE = previous
 
     bench_json.record(
         guard_iterations=iterations,

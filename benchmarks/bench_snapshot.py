@@ -87,7 +87,7 @@ def test_snapshot(show, bench_json):
         for index in range(runs)
     ]
 
-    engine = SnapshotEngine(write_ledger=False)
+    engine = SnapshotEngine()
 
     def forked(schedule):
         def run(checkpointer):

@@ -710,6 +710,10 @@ def _faults_plan(args: argparse.Namespace, definition, spec):
             raise SystemExit(
                 f"--partition expects START_MS:END_MS, got {window!r}"
             ) from None
+        if end_ms < start_ms:
+            raise SystemExit(
+                f"--partition expects START_MS <= END_MS, got {window!r}"
+            )
         partitions.append(
             Partition(start_ns=int(start_ms * MS), end_ns=int(end_ms * MS))
         )
@@ -732,11 +736,11 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
     """``repro faults``: seeded fault sweep + DEAR determinism check.
 
     Runs both variants under the same fault plan with seed-fixed inputs
-    (:func:`repro.faults.fault_sweep`).  In-bound faults must leave
-    DEAR's logical traces identical across world seeds; divergence is
-    acceptable only when flagged by the runtime (STP violations /
-    deadline faults).  Silent divergence writes a counterexample
-    artifact and exits nonzero.
+    (:func:`repro.faults.fault_sweep`), from ``--spec`` or the flags.
+    In-bound faults must leave DEAR's logical traces identical across
+    world seeds; divergence is acceptable only when flagged by the
+    runtime (STP violations / deadline faults).  Silent divergence
+    writes a counterexample artifact and exits nonzero.
     """
     from repro import apps
     from repro.faults.shrink import fault_sweep
@@ -750,11 +754,8 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
             seeds=range(args.seeds), faults=plan,
             label=definition.qualified("faults", "det"),
         )
-        # The cross-seed trace-identity check needs seed-fixed inputs:
-        # the deterministic camera for brake, the library analogue
-        # (calm hosts, constant latencies, no input jitter) otherwise.
         scenario = replace(spec.scenario, late_policy=args.late_policy)
-        spec = replace(spec, scenario=definition.with_fixed_inputs(scenario))
+        spec = replace(spec, scenario=scenario)
     elif plan is not None:
         spec = replace(spec, faults=plan)
     report = fault_sweep(spec, sweep, triage=args.snapshot)
@@ -913,7 +914,7 @@ def _run_worker(args: argparse.Namespace, _sweep=None) -> int:
     from repro.obs import fleet
     from repro.service import HttpClient, Worker
 
-    fleet.enable_from_env()
+    fleet.enable()
     client = HttpClient(args.coordinator)
     client.connect(timeout_s=args.connect_timeout)
     worker = Worker(client, poll_interval_s=args.poll)

@@ -201,9 +201,10 @@ def fault_sweep(spec, sweep=None, *, triage: bool):
 
     Runs the DEAR and stock variants under the same fault plan.
     In-bound faults must leave DEAR's logical traces identical across
-    world seeds (given seed-fixed inputs); divergence is acceptable only
-    when the runtime flags it (STP violations, deadline misses).  With
-    *triage*, seed 0's fired faults are shrunk to the decisive subset.
+    world seeds (*spec*'s scenario runs with its app's fixed-inputs
+    knob set); divergence is acceptable only when the runtime flags it
+    (STP violations, deadline misses).  With *triage*, seed 0's fired
+    faults are shrunk to the decisive subset.
     Returns a :class:`~repro.analysis.report.Report` whose document is
     the ``fault-sweep-report/v1`` and whose exit code is 1 on silent
     DEAR divergence.
@@ -212,13 +213,19 @@ def fault_sweep(spec, sweep=None, *, triage: bool):
     from repro.harness.sweep import SweepRunner
 
     sweep = sweep or SweepRunner()
-    spec = replace(spec, variant="det")
+    # The cross-seed trace-identity check needs seed-fixed inputs: the
+    # deterministic camera for brake, the library analogue (calm hosts,
+    # constant latencies, no input jitter) otherwise.
+    definition = spec.definition()
+    spec = replace(
+        spec, variant="det", scenario=definition.with_fixed_inputs(spec.scenario)
+    )
     # Library apps may carry their fault plan in the scenario itself
     # (e.g. failover's primary outage); report whatever actually runs.
     plan = spec.effective_faults() or FaultPlan(label="none")
     det_runs = sweep.run_spec(spec).values()
     nondet_spec = replace(
-        spec, variant="nondet", label=spec.definition().qualified("faults", "nondet")
+        spec, variant="nondet", label=definition.qualified("faults", "nondet")
     )
     nondet_runs = sweep.run_spec(nondet_spec).values()
 

@@ -432,9 +432,7 @@ class ResultStore:
             self.malformed.pop(path.name, None)
             return records
         self.malformed[path.name] = malformed
-        f = fleet.ACTIVE
-        if f.enabled:
-            f.inc("fleet.result_store.malformed_lines", malformed)
+        fleet.inc("fleet.result_store.malformed_lines", malformed)
         if path.name not in self._warned:
             self._warned.add(path.name)
             warnings.warn(
@@ -467,11 +465,9 @@ class ResultStore:
                 found[key] = decode_value(record["encoding"], record["payload"])
             except Exception:  # corrupt payload: recomputed like a miss
                 continue
-        f = fleet.ACTIVE
-        if f.enabled:
-            f.inc("fleet.result_store.gets", len(keys))
-            f.inc("fleet.result_store.hits", len(found))
-            f.inc("fleet.result_store.misses", len(keys) - len(found))
+        fleet.inc("fleet.result_store.gets", len(keys))
+        fleet.inc("fleet.result_store.hits", len(found))
+        fleet.inc("fleet.result_store.misses", len(keys) - len(found))
         return found
 
     def append(self, name: str, records: Iterable[dict]) -> None:
@@ -482,18 +478,15 @@ class ResultStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(name)
         blob = "".join(json.dumps(record) + "\n" for record in records).encode()
-        f = fleet.ACTIVE
         with _FileLock(path):
             with path.open("ab") as handle:
                 if _tail_is_torn(path):
                     handle.write(b"\n")  # repair a crashed writer's tail
-                    if f.enabled:
-                        f.inc("fleet.result_store.torn_repairs")
+                    fleet.inc("fleet.result_store.torn_repairs")
                 handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())
-        if f.enabled:
-            f.inc("fleet.result_store.puts", len(records))
+        fleet.inc("fleet.result_store.puts", len(records))
 
     def compact(self) -> dict[str, int]:
         """Rewrite every store file keeping one record per key.
@@ -681,19 +674,14 @@ class SweepRunner:
             workers=workers,
         )
         self.stats.record(result)
-        f = fleet.ACTIVE
-        if f.enabled:
-            f.inc("fleet.sweep.sweeps")
-            f.inc("fleet.sweep.seeds", len(seeds))
-            f.inc("fleet.sweep.cache_hits", result.cache_hits)
-            for outcome in result.outcomes:
-                if not outcome.cached:
-                    f.observe(
-                        "fleet.sweep.task_duration_ns",
-                        outcome.elapsed_s * 1e9,
-                    )
-                if outcome.error is not None:
-                    f.inc("fleet.sweep.errors")
+        fleet.inc("fleet.sweep.sweeps")
+        fleet.inc("fleet.sweep.seeds", len(seeds))
+        fleet.inc("fleet.sweep.cache_hits", result.cache_hits)
+        for outcome in result.outcomes:
+            if not outcome.cached:
+                fleet.observe("fleet.sweep.task_duration_ns", outcome.elapsed_s * 1e9)
+            if outcome.error is not None:
+                fleet.inc("fleet.sweep.errors")
         return result
 
     def map(

@@ -17,10 +17,13 @@ question — "*where does physical time go?*" — with three pieces:
   a run's bus and a campaign's fleet trace (:mod:`repro.obs.fleet`) —
   and a ``metrics.json`` snapshot for regression tooling.
 
-Everything is off by default and guarded by a single flag check per
-site (:mod:`repro.obs.context`), and recording never draws randomness
-or influences scheduling — enabling full observability leaves every
-logical trace fingerprint byte-identical.
+Everything is off by default.  A simulation site guards itself with a
+single flag check (:mod:`repro.obs.context`); the infrastructure's
+fleet telemetry (:mod:`repro.obs.fleet`) records through
+``fleet.inc``/``observe``/``set_gauge``, which return at once while no
+registry is enabled.  Recording never draws randomness or influences
+scheduling — enabling full observability leaves every logical trace
+fingerprint byte-identical.
 
 Quick use::
 
@@ -48,7 +51,7 @@ from repro.obs.bus import (
     TRACK_SCHEDULER,
 )
 from repro.obs import fleet
-from repro.obs.context import Observation, NullObservation, active, capture
+from repro.obs.context import Observation, NullObservation, capture
 from repro.obs.flows import (
     FlowRecord,
     FlowRegistry,
@@ -73,8 +76,6 @@ from repro.obs.metrics import (
 )
 
 from repro.obs.fleet import (
-    FleetTelemetry,
-    fleet_capture,
     fleet_trace_bus,
     fleet_trace_events,
     fleet_trace_labels,
@@ -99,8 +100,6 @@ __all__ = [
     "Event",
     "EventBus",
     "fleet",
-    "FleetTelemetry",
-    "fleet_capture",
     "fleet_trace_bus",
     "fleet_trace_events",
     "fleet_trace_labels",
@@ -112,7 +111,6 @@ __all__ = [
     "TRACK_NETWORK",
     "Observation",
     "NullObservation",
-    "active",
     "capture",
     "Counter",
     "Gauge",

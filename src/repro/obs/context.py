@@ -33,7 +33,7 @@ from repro.obs.bus import EventBus
 from repro.obs.flows import FlowRegistry
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["Observation", "NullObservation", "ACTIVE", "active", "capture"]
+__all__ = ["Observation", "NullObservation", "ACTIVE", "capture"]
 
 
 class Observation:
@@ -78,11 +78,6 @@ class NullObservation:
 
 #: The process-wide observation handle read by every instrumented site.
 ACTIVE: Observation | NullObservation = NullObservation()
-
-
-def active() -> Observation | NullObservation:
-    """The currently installed observation handle."""
-    return ACTIVE
 
 
 @contextmanager

@@ -2,21 +2,24 @@
 
 :mod:`repro.obs` instruments the simulated world; this module points
 the same machinery at the machinery — the sweep-service coordinator,
-workers, result store/cache, snapshot store and ``SweepRunner`` — so a
-running campaign can be operated like production infrastructure:
+workers, result store and ``SweepRunner`` — so a running campaign can
+be operated like production infrastructure:
 
-* a **process-global fleet registry** (:class:`FleetTelemetry`) reusing
-  :class:`~repro.obs.metrics.MetricsRegistry`, guarded at every site by
-  the same null-object idiom as :mod:`repro.obs.context`::
+* a **process-global fleet registry** (:data:`ACTIVE`, a
+  :class:`~repro.obs.metrics.MetricsRegistry` or ``None``) recorded
+  through three calls that return at once while telemetry is off::
 
-      f = fleet.ACTIVE
-      if f.enabled:
-          f.inc("fleet.sweep.cache_hits")
+      fleet.inc("fleet.sweep.cache_hits", hits)
+      fleet.observe("fleet.sweep.task_duration_ns", elapsed_ns)
+      fleet.set_gauge("fleet.coordinator.queue_depth", depth)
 
-  Disabled (the library default) each site costs one global load and
-  one attribute check; service entry points (``repro serve``, ``repro
-  worker``, :class:`~repro.service.http.LocalService`) enable it unless
-  ``REPRO_FLEET_TELEMETRY=0``.
+  A disabled call costs one function call and one global load: fine
+  once per request, sweep or store access.  (The per-event sites of
+  :mod:`repro.obs.context` keep their inline guard, because they sit
+  on the simulation's hot path.)  Service entry points (``repro
+  serve``, ``repro worker``, :class:`~repro.service.http.LocalService`)
+  call :func:`enable`; tests and benchmarks scope a fresh registry with
+  :func:`capture`.
 * **Prometheus text exposition** (:func:`prometheus_text`), served by
   the sweep service at ``GET /metrics`` and checkable with
   :func:`validate_prometheus_text`.
@@ -31,10 +34,10 @@ running campaign can be operated like production infrastructure:
   (:func:`~repro.obs.export.trace_events`/``write_trace``) and valid
   under :func:`~repro.obs.export.validate_trace_data`.
 
-The hard invariant mirrors PR 3's: recording draws no randomness and
-takes no scheduling decision, so enabling fleet telemetry leaves every
-``Trace.fingerprint()`` and every per-seed result byte-identical
-(asserted by ``tests/test_fleet_telemetry.py``).
+The hard invariant mirrors :mod:`repro.obs.context`'s: recording draws
+no randomness and takes no scheduling decision, so enabling fleet
+telemetry leaves every ``Trace.fingerprint()`` and every per-seed
+result byte-identical (asserted by ``tests/test_fleet_telemetry.py``).
 """
 
 from __future__ import annotations
@@ -55,15 +58,12 @@ from repro.obs.metrics import (
 __all__ = [
     "FLEET_FORMAT",
     "FLEET_TIME_BUCKETS_NS",
-    "FleetTelemetry",
-    "NullFleet",
     "ACTIVE",
-    "active",
+    "inc",
+    "observe",
+    "set_gauge",
     "enable",
-    "disable",
-    "enabled_by_env",
-    "enable_from_env",
-    "fleet_capture",
+    "capture",
     "snapshot_document",
     "merge_fleet_documents",
     "prometheus_text",
@@ -75,10 +75,6 @@ __all__ = [
 
 #: Format tag of a fleet metrics snapshot (embedded in campaign reports).
 FLEET_FORMAT = "fleet-metrics/v1"
-
-#: Environment knob: set to ``0``/``off``/``false`` to keep fleet
-#: telemetry disabled even in service processes.
-FLEET_ENV = "REPRO_FLEET_TELEMETRY"
 
 #: Histogram bounds for infrastructure latencies: 1 µs .. 600 s.  Wider
 #: than the simulation's default buckets because leases and jobs live on
@@ -103,125 +99,81 @@ FLEET_TIME_BUCKETS_NS: tuple[int, ...] = (
     600_000_000_000,
 )
 
+#: The process-wide fleet registry; ``None`` (the library default) while
+#: fleet telemetry is off.
+ACTIVE: MetricsRegistry | None = None
 
-class FleetTelemetry:
-    """The enabled fleet handle: a lock-guarded metrics registry.
-
-    Unlike the per-run :class:`~repro.obs.context.Observation` (one
-    single-threaded simulation per process), fleet telemetry is updated
-    from coordinator handler threads, worker threads and heartbeat
-    threads at once, so every mutation goes through one process lock.
-    The operations are microsecond-scale against millisecond-scale
-    infrastructure events — contention is not a concern.
-    """
-
-    __slots__ = ("enabled", "metrics", "_lock")
-
-    def __init__(self) -> None:
-        self.enabled = True
-        self.metrics = MetricsRegistry()
-        self._lock = threading.Lock()
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        """Increment the counter *name*."""
-        with self._lock:
-            self.metrics.counter(name).inc(amount)
-
-    def set_gauge(self, name: str, value: int | float) -> None:
-        """Record the current level of the gauge *name*."""
-        with self._lock:
-            self.metrics.gauge(name).set(value)
-
-    def observe(
-        self,
-        name: str,
-        value: int | float,
-        bounds: Sequence[int] | None = None,
-    ) -> None:
-        """Record one histogram sample (fleet time bounds by default)."""
-        with self._lock:
-            self.metrics.histogram(
-                name, bounds or FLEET_TIME_BUCKETS_NS
-            ).observe(value)
-
-    def counter_value(self, name: str) -> int:
-        """The current value of counter *name* (0 if never incremented)."""
-        with self._lock:
-            return self.metrics.counter(name).value
-
-    def snapshot(self) -> dict[str, Any]:
-        """A consistent :meth:`MetricsRegistry.snapshot` of the registry."""
-        with self._lock:
-            return self.metrics.snapshot()
+#: Serializes every access to :data:`ACTIVE`'s registry.  Unlike a
+#: per-run observation (one single-threaded simulation per process),
+#: fleet metrics are updated from coordinator handler threads, worker
+#: threads and heartbeat threads at once; the updates are
+#: microsecond-scale against millisecond-scale infrastructure events.
+_LOCK = threading.Lock()
 
 
-class NullFleet:
-    """The disabled stand-in: only its ``enabled`` flag is ever read."""
-
-    __slots__ = ()
-
-    enabled = False
-    metrics = None
-
-    def snapshot(self) -> dict[str, Any]:
-        return MetricsRegistry().snapshot()
+def inc(name: str, amount: int = 1) -> None:
+    """Add *amount* to the counter *name* (no-op while disabled)."""
+    registry = ACTIVE
+    if registry is None:
+        return
+    with _LOCK:
+        registry.counter(name).inc(amount)
 
 
-#: The process-wide fleet handle read by every instrumented site.
-ACTIVE: FleetTelemetry | NullFleet = NullFleet()
+def observe(
+    name: str, value: int | float, bounds: Sequence[int] | None = None
+) -> None:
+    """Record one histogram sample, fleet time bounds by default."""
+    registry = ACTIVE
+    if registry is None:
+        return
+    with _LOCK:
+        registry.histogram(name, bounds or FLEET_TIME_BUCKETS_NS).observe(value)
 
 
-def active() -> FleetTelemetry | NullFleet:
-    """The currently installed fleet telemetry handle."""
-    return ACTIVE
+def set_gauge(name: str, value: int | float) -> None:
+    """Record the current level of the gauge *name*."""
+    registry = ACTIVE
+    if registry is None:
+        return
+    with _LOCK:
+        registry.gauge(name).set(value)
 
 
-def enable(fresh: bool = False) -> FleetTelemetry:
-    """Install (or return) the process-global fleet telemetry.
+def enable() -> MetricsRegistry:
+    """Install the process-global fleet registry; idempotent.
 
-    Idempotent: a second call keeps the accumulated metrics unless
-    *fresh* asks for a clean registry.
+    A second call keeps the accumulated metrics.
     """
     global ACTIVE
-    if fresh or not ACTIVE.enabled:
-        ACTIVE = FleetTelemetry()
-    assert isinstance(ACTIVE, FleetTelemetry)
-    return ACTIVE
-
-
-def disable() -> None:
-    """Restore the disabled null handle (drops accumulated metrics)."""
-    global ACTIVE
-    ACTIVE = NullFleet()
-
-
-def enabled_by_env(environ: dict[str, str] | None = None) -> bool:
-    """Whether the environment permits fleet telemetry (default yes)."""
-    value = (os.environ if environ is None else environ).get(FLEET_ENV, "1")
-    return value.strip().lower() not in ("0", "no", "off", "false")
-
-
-def enable_from_env() -> FleetTelemetry | NullFleet:
-    """Enable fleet telemetry unless ``REPRO_FLEET_TELEMETRY`` says no.
-
-    Service entry points call this: operating a fleet implies observing
-    it, while plain library use stays on the disabled path.
-    """
-    if enabled_by_env():
-        return enable()
-    return ACTIVE
+    with _LOCK:
+        if ACTIVE is None:
+            ACTIVE = MetricsRegistry()
+        return ACTIVE
 
 
 @contextmanager
-def fleet_capture() -> Iterator[FleetTelemetry]:
-    """Enable a fresh fleet registry for a ``with`` block (tests)."""
+def capture() -> Iterator[MetricsRegistry]:
+    """A fresh fleet registry for a ``with`` block (tests, benchmarks).
+
+    The previous registry (usually none) is restored on exit.
+    """
     global ACTIVE
     previous = ACTIVE
-    ACTIVE = FleetTelemetry()
+    ACTIVE = registry = MetricsRegistry()
     try:
-        yield ACTIVE
+        yield registry
     finally:
         ACTIVE = previous
+
+
+def _snapshot() -> dict[str, Any]:
+    """A consistent snapshot of :data:`ACTIVE` (empty while disabled)."""
+    registry = ACTIVE
+    if registry is None:
+        return MetricsRegistry().snapshot()
+    with _LOCK:
+        return registry.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +181,16 @@ def fleet_capture() -> Iterator[FleetTelemetry]:
 # ---------------------------------------------------------------------------
 
 
-def snapshot_document(
-    telemetry: FleetTelemetry | NullFleet | None = None,
-) -> dict[str, Any]:
-    """One process's fleet metrics as a ``fleet-metrics/v1`` document."""
+def snapshot_document() -> dict[str, Any]:
+    """This process's fleet metrics as a ``fleet-metrics/v1`` document."""
     import socket
 
-    handle = telemetry if telemetry is not None else ACTIVE
     return {
         "format": FLEET_FORMAT,
         "host": socket.gethostname(),
         "pid": os.getpid(),
-        "enabled": bool(handle.enabled),
-        "metrics": handle.snapshot(),
+        "enabled": ACTIVE is not None,
+        "metrics": _snapshot(),
     }
 
 
@@ -317,7 +266,7 @@ def _prom_value(value: int | float | None) -> str:
 def prometheus_text(snapshot: dict[str, Any] | None = None) -> str:
     """Render a registry snapshot in the Prometheus text format.
 
-    *snapshot* defaults to the active fleet handle's.  Counters map to
+    *snapshot* defaults to the active fleet registry's.  Counters map to
     ``counter`` families, gauges to ``gauge`` families (last value,
     plus a ``_peak`` companion), histograms to cumulative
     ``_bucket{le=...}`` series with ``_sum``/``_count``, the standard
@@ -325,7 +274,7 @@ def prometheus_text(snapshot: dict[str, Any] | None = None) -> str:
     (:func:`~repro.obs.metrics.labeled`) become real Prometheus labels.
     """
     if snapshot is None:
-        snapshot = ACTIVE.snapshot()
+        snapshot = _snapshot()
     lines: list[str] = []
 
     def type_line(family: str, kind: str, seen: set[str]) -> None:

@@ -32,9 +32,8 @@ workers, stores and the sweep engine feed a process-global metrics
 registry served as Prometheus text at ``GET /metrics``, job lifecycles
 are stamped into per-campaign timelines renderable as a Perfetto fleet
 trace, and every campaign report embeds a cross-worker
-``fleet-metrics/v1`` merge.  Telemetry is enabled by the service entry
-points (``REPRO_FLEET_TELEMETRY=0`` opts out) and never perturbs
-experiment results.
+``fleet-metrics/v1`` merge.  The service entry points enable
+telemetry; it never perturbs experiment results.
 
 The core invariant — property-tested in ``tests/test_service.py`` —
 is that a campaign merged from any number of workers on any number of

@@ -207,9 +207,7 @@ class Coordinator:
 
     def _note_queue_depth(self, delta: int) -> None:
         self._pending_jobs += delta
-        f = fleet.ACTIVE
-        if f.enabled:
-            f.set_gauge("fleet.coordinator.queue_depth", self._pending_jobs)
+        fleet.set_gauge("fleet.coordinator.queue_depth", self._pending_jobs)
 
     # -- workers -------------------------------------------------------------
 
@@ -288,13 +286,11 @@ class Coordinator:
             self._campaign_order.append(campaign_id)
             if campaign.done:  # pure cache hit: no jobs at all
                 campaign.completed_at = self.clock()
-            f = fleet.ACTIVE
-            if f.enabled:
-                f.inc("fleet.coordinator.campaigns_submitted")
-                f.inc("fleet.coordinator.jobs_created", len(campaign.jobs))
-                cached = len(spec.seeds) - len(pending)
-                if cached:
-                    f.inc("fleet.coordinator.seeds_cached", cached)
+            fleet.inc("fleet.coordinator.campaigns_submitted")
+            fleet.inc("fleet.coordinator.jobs_created", len(campaign.jobs))
+            cached = len(spec.seeds) - len(pending)
+            if cached:
+                fleet.inc("fleet.coordinator.seeds_cached", cached)
             self._note_queue_depth(len(campaign.jobs))
             return self.status(campaign_id)
 
@@ -307,10 +303,8 @@ class Coordinator:
             if job.state == "leased" and job.lease_expires <= now:
                 job.requeues += 1
                 self.requeues_total += 1
-                f = fleet.ACTIVE
-                if f.enabled:
-                    f.inc("fleet.coordinator.worker_deaths")
-                    f.inc("fleet.coordinator.requeues")
+                fleet.inc("fleet.coordinator.worker_deaths")
+                fleet.inc("fleet.coordinator.requeues")
                 self._retry_or_fail(
                     job,
                     f"lease expired on worker {job.worker!r} "
@@ -323,9 +317,7 @@ class Coordinator:
             job.error = error
             job.stamp("failed", self.clock(), attempt=job.attempt, reason=error)
             job.worker = None
-            f = fleet.ACTIVE
-            if f.enabled:
-                f.inc("fleet.coordinator.jobs_failed")
+            fleet.inc("fleet.coordinator.jobs_failed")
             campaign = self._campaigns[job.campaign_id]
             for position, seed in zip(job.positions, job.seeds):
                 campaign.outcomes[position] = _campaign_outcome(
@@ -369,16 +361,14 @@ class Coordinator:
                         "leased", now, worker=worker_id, attempt=job.attempt
                     )
                     self._note_queue_depth(-1)
-                    f = fleet.ACTIVE
-                    if f.enabled:
-                        # Latency from when the job became *runnable*
-                        # (requeue backoff is policy, not queue delay).
-                        runnable = max(job.pending_since, job.not_before)
-                        f.observe(
-                            "fleet.coordinator.lease_latency_ns",
-                            max(0.0, now - runnable) * 1e9,
-                        )
-                        f.inc("fleet.coordinator.leases")
+                    # Latency from when the job became *runnable*
+                    # (requeue backoff is policy, not queue delay).
+                    runnable = max(job.pending_since, job.not_before)
+                    fleet.observe(
+                        "fleet.coordinator.lease_latency_ns",
+                        max(0.0, now - runnable) * 1e9,
+                    )
+                    fleet.inc("fleet.coordinator.leases")
                     return job.to_wire(campaign.spec.to_dict(), self.config)
             return None
 
@@ -420,9 +410,7 @@ class Coordinator:
             if job.state != "leased" or job.worker != worker_id:
                 # Stale: the lease was reaped and the job re-leased (or
                 # already finished elsewhere).  Drop this copy.
-                f = fleet.ACTIVE
-                if f.enabled:
-                    f.inc("fleet.coordinator.stale_reports")
+                fleet.inc("fleet.coordinator.stale_reports")
                 return {"ok": False, "reason": f"job is {job.state}"}
             by_seed = {outcome["seed"]: outcome for outcome in outcomes}
             missing = [seed for seed in job.seeds if seed not in by_seed]
@@ -433,12 +421,8 @@ class Coordinator:
             job.elapsed_s = now - job.leased_at
             job.exec_info = exec_info
             job.stamp("done", now, worker=worker_id, attempt=job.attempt)
-            f = fleet.ACTIVE
-            if f.enabled:
-                f.inc("fleet.coordinator.jobs_completed")
-                f.observe(
-                    "fleet.coordinator.job_duration_ns", job.elapsed_s * 1e9
-                )
+            fleet.inc("fleet.coordinator.jobs_completed")
+            fleet.observe("fleet.coordinator.job_duration_ns", job.elapsed_s * 1e9)
             campaign = self._campaigns[job.campaign_id]
             fresh: list[dict] = []
             for position, seed in zip(job.positions, job.seeds):
@@ -469,14 +453,10 @@ class Coordinator:
             if job is None:
                 return {"ok": False, "reason": "unknown job"}
             if job.state != "leased" or job.worker != worker_id:
-                f = fleet.ACTIVE
-                if f.enabled:
-                    f.inc("fleet.coordinator.stale_reports")
+                fleet.inc("fleet.coordinator.stale_reports")
                 return {"ok": False, "reason": f"job is {job.state}"}
             self.retries_total += 1
-            f = fleet.ACTIVE
-            if f.enabled:
-                f.inc("fleet.coordinator.retries")
+            fleet.inc("fleet.coordinator.retries")
             entry = self._workers.get(worker_id)
             if entry is not None:
                 entry["jobs_failed"] += 1

@@ -579,9 +579,9 @@ class LocalService:
     ):
         from repro.service.worker import Worker
 
-        # Operating a fleet implies observing it (REPRO_FLEET_TELEMETRY=0
-        # opts out); plain library use never reaches this path.
-        fleet.enable_from_env()
+        # Operating a fleet implies observing it; plain library use
+        # never reaches this path.
+        fleet.enable()
         self.store = ResultStore(store_dir)
         self.coordinator = Coordinator(self.store, config)
         self.server = serve(self.coordinator, host, port)

@@ -118,9 +118,7 @@ class Worker:
                 # lease TTL absorbs it, but never die silently — count
                 # it, log it, and surface it in the next report.
                 self.heartbeat_failures += 1
-                f = fleet.ACTIVE
-                if f.enabled:
-                    f.inc("fleet.worker.heartbeat_failures")
+                fleet.inc("fleet.worker.heartbeat_failures")
                 log.warning(
                     "heartbeat for job %s failed (%d so far): %s",
                     job_id,
@@ -154,9 +152,7 @@ class Worker:
             done.set()
             beater.join()
             self.jobs_failed += 1
-            f = fleet.ACTIVE
-            if f.enabled:
-                f.inc("fleet.worker.jobs_failed")
+            fleet.inc("fleet.worker.jobs_failed")
             self.client.fail(self.worker_id, job["job"], traceback.format_exc())
             return False
         done.set()
@@ -171,18 +167,16 @@ class Worker:
             "host": self.info.get("host") or socket.gethostname(),
             "pid": os.getpid(),
         }
-        f = fleet.ACTIVE
-        telemetry = None
-        if f.enabled:
-            f.inc("fleet.worker.jobs_executed")
-            f.inc("fleet.worker.seeds_executed", len(job.get("seeds", [])))
-            f.observe("fleet.worker.job_wall_ns", wall_s * 1e9)
-            f.observe(
-                "fleet.worker.job_cpu_ns",
-                max(0.0, cpu_after - cpu_before) * 1e9,
-            )
-            f.set_gauge("fleet.worker.max_rss_kb", max_rss_kb)
-            telemetry = fleet.snapshot_document(f)
+        fleet.inc("fleet.worker.jobs_executed")
+        fleet.inc("fleet.worker.seeds_executed", len(job.get("seeds", [])))
+        fleet.observe("fleet.worker.job_wall_ns", wall_s * 1e9)
+        fleet.observe(
+            "fleet.worker.job_cpu_ns", max(0.0, cpu_after - cpu_before) * 1e9
+        )
+        fleet.set_gauge("fleet.worker.max_rss_kb", max_rss_kb)
+        telemetry = (
+            fleet.snapshot_document() if fleet.ACTIVE is not None else None
+        )
         reply = self.client.complete(
             self.worker_id,
             job["job"],

@@ -10,8 +10,11 @@ execute only the differing suffix: O(ΔT) per execution.
   continuations, and the decision-vector abstractions
   (:class:`ScheduleDecisions`, :class:`MembershipDecisions`);
 * :mod:`repro.snapshot.store` — the LRU holder store keyed by
-  ``(context, index, decision-prefix digest)`` with the
-  ``snapshot-ledger/v1`` stats file under ``.repro_cache/snapshots/``;
+  ``(context, index, decision-prefix digest)`` and its
+  :class:`SnapshotStats`, the per-engine account of forked, cold and
+  inline executions that ``explore`` and ``faults`` reports embed
+  (counts only, so a report's bytes depend on its inputs alone);
+  nothing is written to disk, holders live and die with the session;
 * :mod:`repro.snapshot.ipc` — SEQPACKET messaging, fd passing and
   framed result pipes.
 

@@ -290,14 +290,12 @@ class SnapshotEngine:
         store: SnapshotStore | None = None,
         enabled: bool = True,
         max_captures_per_run: int = MAX_CAPTURES_PER_RUN,
-        write_ledger: bool = True,
     ) -> None:
         self.supported = ipc.SUPPORTED
         self.enabled = enabled
         # Not `store or ...`: an empty store is len() == 0, hence falsy.
         self.store = store if store is not None else SnapshotStore()
         self.max_captures_per_run = max_captures_per_run
-        self.write_ledger = write_ledger
         self._reg_recv: Any = None
         self._reg_send: Any = None
         if self.active:
@@ -340,8 +338,6 @@ class SnapshotEngine:
                 envelope = self._run_forked(holder, decisions, plan)
         finally:
             self._drain_registrations()
-            if self.write_ledger:
-                self.store.write_ledger()
         if envelope is None:
             # The child died without a result (crash, protocol break):
             # degrade to a plain in-process run.
@@ -483,8 +479,6 @@ class SnapshotEngine:
                 except OSError:
                     pass
         self._reg_recv = self._reg_send = None
-        if self.write_ledger:
-            self.store.write_ledger()
 
     def __enter__(self) -> "SnapshotEngine":
         return self

@@ -15,25 +15,18 @@ prefix from t=0.
 Eviction is the cheapest operation in the subsystem: closing our end of
 the holder's control socket EOFs its blocking ``recv`` and the process
 exits.  The same mechanism cleans up after a crashed orchestrator — no
-daemon, no pidfile, no stale state on disk.
-
-What lives under ``.repro_cache/snapshots/`` is therefore *not* the
-snapshots themselves (they are process-resident and die with the
-session) but the store's ledger: hit/miss/capture/eviction counters and
-the holder index, written as ``snapshot-ledger/v1`` JSON so runs and CI
-can attribute their speedups.
+daemon, no pidfile, no state on disk: snapshots are process-resident
+and die with the session.  :class:`SnapshotStats` is the one account
+of how an engine's executions ran; the ``explore`` and ``faults``
+reports embed it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable
-
-from repro.obs import fleet
 
 __all__ = ["SnapshotStats", "SnapshotStore", "default_capacity"]
 
@@ -81,6 +74,8 @@ class SnapshotStats:
         return self.fork_ns_total / self.fork_hits if self.fork_hits else 0.0
 
     def as_dict(self) -> dict[str, Any]:
+        """The counts only: host timings would make two identical runs
+        write different bytes."""
         return {
             "fork_hits": self.fork_hits,
             "misses": self.misses,
@@ -90,8 +85,6 @@ class SnapshotStats:
             "failures": self.failures,
             "reused_decisions": self.reused_decisions,
             "total_decisions": self.total_decisions,
-            "capture_ns_mean": round(self.capture_ns_mean),
-            "fork_ns_mean": round(self.fork_ns_mean),
         }
 
     def describe(self) -> str:
@@ -114,15 +107,13 @@ class _Holder:
     digest: str
     ctrl: Any  # the control socket; closing it evicts the holder
     capture_ns: int = 0
-    forks: int = 0
 
 
 @dataclass
 class SnapshotStore:
-    """LRU of live holders plus the on-disk stats ledger."""
+    """LRU of live holders and their :class:`SnapshotStats`."""
 
     capacity: int = field(default_factory=default_capacity)
-    cache_dir: str | Path | None = None
     stats: SnapshotStats = field(default_factory=SnapshotStats)
 
     def __post_init__(self) -> None:
@@ -143,9 +134,6 @@ class SnapshotStore:
         self._holders[key] = holder
         self.stats.captures += 1
         self.stats.capture_ns_total += holder.capture_ns
-        f = fleet.ACTIVE
-        if f.enabled:
-            f.inc("fleet.snapshot_store.captures")
         while len(self._holders) > self.capacity:
             _key, evicted = self._holders.popitem(last=False)
             self._evict(evicted)
@@ -169,14 +157,6 @@ class SnapshotStore:
                 best = holder
         if best is not None:
             self._holders.move_to_end((best.context, best.index, best.digest))
-            best.forks += 1
-        f = fleet.ACTIVE
-        if f.enabled:
-            f.inc(
-                "fleet.snapshot_store.fork_hits"
-                if best is not None
-                else "fleet.snapshot_store.fork_misses"
-            )
         return best
 
     def discard(self, holder: _Holder) -> None:
@@ -191,9 +171,6 @@ class SnapshotStore:
             pass
         if count:
             self.stats.evictions += 1
-            f = fleet.ACTIVE
-            if f.enabled:
-                f.inc("fleet.snapshot_store.evictions")
 
     def inherited_fds(self) -> list[int]:
         """Control-socket fds a forked child must close immediately.
@@ -219,33 +196,3 @@ class SnapshotStore:
         while self._holders:
             _key, holder = self._holders.popitem(last=False)
             self._evict(holder, count=False)
-
-    # -- the on-disk ledger --------------------------------------------------
-
-    def ledger(self) -> dict[str, Any]:
-        return {
-            "format": "snapshot-ledger/v1",
-            "capacity": self.capacity,
-            "stats": self.stats.as_dict(),
-            "holders": [
-                {
-                    "context": holder.context[:96],
-                    "index": holder.index,
-                    "digest": holder.digest,
-                    "capture_ns": holder.capture_ns,
-                    "forks": holder.forks,
-                }
-                for holder in self._holders.values()
-            ],
-        }
-
-    def write_ledger(self) -> Path | None:
-        """Persist the ledger under ``<cache_dir>/snapshots/``."""
-        base = self.cache_dir or os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-        path = Path(base) / "snapshots" / "ledger.json"
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(self.ledger(), indent=2, sort_keys=True))
-        except OSError:
-            return None
-        return path

@@ -258,6 +258,14 @@ class TestInputErrors:
         )
         assert proc.stdout == ""
 
+    def test_partition_ending_before_it_starts(self):
+        proc = self._repro("faults", "--partition", "200:100")
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == (
+            "--partition expects START_MS <= END_MS, got '200:100'"
+        )
+        assert proc.stdout == ""
+
     def test_camera_drop_on_a_library_app(self):
         proc = self._repro("flows", "--app", "fusion", "--drop", "0.1")
         assert proc.returncode == 1
@@ -300,6 +308,22 @@ class TestLibraryCalls:
         report = fault_sweep(spec, self._sweep(), triage=False)
         assert (code, out) == (report.exit_code, report.render() + "\n")
         assert report.to_dict()["format"] == "fault-sweep-report/v1"
+
+    @pytest.mark.parametrize("app", ["brake", "fusion", "mixedcrit", "failover"])
+    def test_faults_spec_holds_inputs_fixed(self, app, capsys, tmp_path, monkeypatch):
+        # A spec file without the fixed-inputs knob runs like the flag
+        # path: no false "silent DEAR divergence" across world seeds.
+        definition = apps.get(app)
+        spec = ScenarioSpec(app=app, seeds=(0, 1), scenario=definition.scenario(30))
+        assert not getattr(spec.scenario, definition.fixed_inputs_knob)
+        (tmp_path / "spec.json").write_text(spec.to_json())
+        monkeypatch.chdir(tmp_path)
+        code, out = self._cli(
+            capsys, "faults", "--spec", "spec.json", "--no-snapshot"
+        )
+        assert code == 0
+        assert "DEAR logical traces identical across 2 seeds: True" in out
+        assert list(tmp_path.iterdir()) == [tmp_path / "spec.json"]
 
     def test_flows_and_metrics_are_their_sweeps(self, capsys):
         from repro.obs import flow_sweep, metrics_sweep

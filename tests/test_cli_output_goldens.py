@@ -13,8 +13,10 @@
 
 The CLI runs in-process, single-worker and without the result store;
 stderr (the sweep summary's wall time) is dropped, output paths are
-normalized, host-timing fields (``*_ns_mean`` of the snapshot stats)
-are removed and a decision record is pinned as its digest.
+normalized and a decision record is pinned as its digest.  The written
+documents are pinned whole: they carry no host timings, and
+:func:`test_artifacts_are_byte_identical_across_hash_seeds` checks that
+two runs write the same bytes.
 
 To refresh after an *intentional* change, run
 ``PYTHONPATH=src python -m tests.test_cli_output_goldens --capture`` and
@@ -27,6 +29,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -78,19 +82,6 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
-def _untimed(value: Any) -> Any:
-    """*value* without the host-timing ``*_ns_mean`` fields."""
-    if isinstance(value, dict):
-        return {
-            key: _untimed(item)
-            for key, item in value.items()
-            if not key.endswith("_ns_mean")
-        }
-    if isinstance(value, list):
-        return [_untimed(item) for item in value]
-    return value
-
-
 def _digest(document: dict) -> dict[str, Any]:
     canonical = json.dumps(document, sort_keys=True).encode()
     return {
@@ -110,7 +101,7 @@ def _file_case(name: str) -> dict[str, Any]:
         files = {}
         for key, kind in outputs.items():
             document = json.loads(Path(paths[key]).read_text())
-            files[key] = _digest(document) if kind == "digest" else _untimed(document)
+            files[key] = _digest(document) if kind == "digest" else document
     return {"runs": runs, "files": files}
 
 
@@ -142,6 +133,37 @@ def test_every_case_has_a_golden():
 @pytest.mark.parametrize("name", CASES)
 def test_cli_output_golden(name):
     assert _compute(name) == _load_goldens()[name]
+
+
+#: Artifact-writing commands whose documents must be a function of their
+#: inputs alone; ``{out}`` is the written file.
+_REPRODUCIBLE_ARGVS = {
+    "faults-out": ["faults", "--seeds", "2", "--frames", "40", "--out", "{out}"],
+    "explore-schedule-out": [
+        "explore", "--budget", "4", "--frames", "30", "--shrink",
+        "--schedule-out", "{out}",
+    ],
+    "flows-out": ["flows", "--app", "fusion", "--seeds", "1", "--out", "{out}"],
+    "metrics-out": [
+        "metrics", "det", "--app", "fusion", "--seeds", "1", "--metrics-out", "{out}"
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPRODUCIBLE_ARGVS))
+def test_artifacts_are_byte_identical_across_hash_seeds(name, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    written = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"{name}-{hash_seed}.json"
+        argv = [arg.format(out=out) for arg in _REPRODUCIBLE_ARGVS[name]]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        subprocess.run(
+            [sys.executable, "-m", "repro", *argv, *_ISOLATED],
+            env=env, cwd=tmp_path, capture_output=True, check=True, timeout=300,
+        )
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 if __name__ == "__main__":

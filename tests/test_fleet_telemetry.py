@@ -1,17 +1,19 @@
 """Tests for fleet telemetry (``repro.obs.fleet``).
 
-Covers the process-global fleet registry and its null-object guard, the
-Prometheus text exposition and its validator, coordinator-stamped job
-timelines and the Perfetto fleet trace, worker heartbeat-failure
-accounting, concurrent scraping against a live service, the exact
-histogram extremes, and the headline invariant inherited from PR 3:
-enabling fleet telemetry perturbs **nothing** — every trace fingerprint
-and every per-seed result byte stays identical.
+Covers the process-global fleet registry and its three recording calls,
+the series every instrumented site emits, the Prometheus text exposition
+and its validator, coordinator-stamped job timelines and the Perfetto
+fleet trace, worker heartbeat-failure accounting, concurrent scraping
+against a live service, the exact histogram extremes, and the headline
+invariant shared with :mod:`repro.obs`: enabling fleet telemetry
+perturbs **nothing** — every trace fingerprint and every per-seed
+result byte stays identical.
 """
 
 import json
 import logging
 import pickle
+import sys
 import threading
 import time
 
@@ -24,9 +26,6 @@ from repro.harness import ScenarioSpec, SweepRunner
 from repro.obs import fleet
 from repro.obs.export import validate_trace_data, write_trace
 from repro.obs.fleet import (
-    FleetTelemetry,
-    NullFleet,
-    fleet_capture,
     fleet_trace_bus,
     fleet_trace_events,
     fleet_trace_labels,
@@ -44,18 +43,26 @@ from repro.obs.metrics import (
 from repro.service import (
     Coordinator,
     CoordinatorConfig,
+    LocalClient,
     LocalService,
     Worker,
 )
-from repro.harness.sweep import ResultStore, encode_value
+from repro.harness.sweep import ResultStore, encode_value, make_record
 
 
 @pytest.fixture(autouse=True)
-def restore_fleet_handle():
-    """Tests toggle the process-global handle; always put it back."""
+def restore_fleet_registry():
+    """Tests start with telemetry off and may install the process-global
+    registry (``LocalService`` does); always put the old one back."""
     previous = fleet.ACTIVE
+    fleet.ACTIVE = None
     yield
     fleet.ACTIVE = previous
+
+
+def counter(registry, name):
+    """The value of counter *name* in *registry* (0 if never recorded)."""
+    return registry.snapshot()["counters"].get(name, 0)
 
 
 def make_spec(seeds=(0, 1, 2, 3, 4), variant="det", frames=40, faults=None):
@@ -186,99 +193,89 @@ class TestHistogramExtremes:
 
 
 # ---------------------------------------------------------------------------
-# The registry handle: enable/disable, the guard, env policy.
+# The registry: enable/capture and the three recording calls.
 # ---------------------------------------------------------------------------
 
 
 class TestFleetHandle:
     def test_disabled_by_default_and_null_snapshot_is_empty(self):
-        assert isinstance(fleet.ACTIVE, (NullFleet, FleetTelemetry))
-        null = NullFleet()
-        assert not null.enabled
-        snap = null.snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert fleet.ACTIVE is None
+        empty = {"counters": {}, "gauges": {}, "histograms": {}}
+        doc = snapshot_document()
+        assert doc["enabled"] is False
+        assert doc["metrics"] == empty
+        assert prometheus_text() == "\n"
 
     def test_fleet_capture_installs_and_restores(self):
-        before = fleet.ACTIVE
-        with fleet_capture() as f:
+        with fleet.capture() as f:
             assert fleet.ACTIVE is f
-            assert f.enabled
-            f.inc("fleet.test.counter")
-            assert f.counter_value("fleet.test.counter") == 1
-        assert fleet.ACTIVE is before
+            fleet.inc("fleet.test.counter")
+            assert counter(f, "fleet.test.counter") == 1
+            with fleet.capture() as inner:
+                assert fleet.ACTIVE is inner
+                assert counter(inner, "fleet.test.counter") == 0
+            assert fleet.ACTIVE is f
+        assert fleet.ACTIVE is None
 
     def test_enable_is_idempotent_unless_fresh(self):
-        with fleet_capture():
-            first = fleet.enable()
-            first.inc("fleet.test.kept")
-            again = fleet.enable()
-            assert again is first
-            assert again.counter_value("fleet.test.kept") == 1
-            fresh = fleet.enable(fresh=True)
-            assert fresh is not first
-            assert fresh.counter_value("fleet.test.kept") == 0
-
-    def test_disable_restores_null_handle(self):
-        with fleet_capture():
-            fleet.disable()
-            assert not fleet.ACTIVE.enabled
+        first = fleet.enable()
+        fleet.inc("fleet.test.kept")
+        again = fleet.enable()
+        assert again is first is fleet.ACTIVE
+        assert counter(again, "fleet.test.kept") == 1
+        with fleet.capture() as fresh:  # a fresh registry is capture()'s
+            assert counter(fresh, "fleet.test.kept") == 0
+        assert fleet.ACTIVE is first
 
     def test_guarded_site_records_nothing_when_disabled(self):
-        with fleet_capture() as f:
-            fleet.disable()
-            g = fleet.ACTIVE
-            if g.enabled:  # the instrumentation-site idiom
-                g.inc("fleet.test.never")
-            assert f.counter_value("fleet.test.never") == 0
+        fleet.inc("fleet.test.never")
+        fleet.inc("fleet.test.never", 5)
+        fleet.observe("fleet.test.latency_ns", 5_000)
+        fleet.set_gauge("fleet.test.depth", 3)
+        assert fleet.ACTIVE is None  # no registry was created
+        assert snapshot_document()["metrics"]["counters"] == {}
 
     def test_observe_and_gauge(self):
-        with fleet_capture() as f:
-            f.observe("fleet.test.latency_ns", 5_000)
-            f.set_gauge("fleet.test.depth", 3)
-            f.set_gauge("fleet.test.depth", 1)
+        with fleet.capture() as f:
+            fleet.observe("fleet.test.latency_ns", 5_000)
+            fleet.observe("fleet.test.depth_hist", 3, bounds=(1, 10))
+            fleet.set_gauge("fleet.test.depth", 3)
+            fleet.set_gauge("fleet.test.depth", 1)
             snap = f.snapshot()
-            assert snap["histograms"]["fleet.test.latency_ns"]["count"] == 1
+            latency = snap["histograms"]["fleet.test.latency_ns"]
+            assert latency["count"] == 1
+            assert tuple(latency["bounds"]) == fleet.FLEET_TIME_BUCKETS_NS
+            assert tuple(snap["histograms"]["fleet.test.depth_hist"]["bounds"]) == (
+                1, 10
+            )
             assert snap["gauges"]["fleet.test.depth"]["value"] == 1
             assert snap["gauges"]["fleet.test.depth"]["peak"] == 3
 
-    @pytest.mark.parametrize(
-        "value,expected",
-        [
-            ("0", False),
-            ("no", False),
-            ("off", False),
-            ("False", False),
-            ("1", True),
-            ("yes", True),
-            ("", True),
-        ],
-    )
-    def test_enabled_by_env_values(self, value, expected):
-        assert fleet.enabled_by_env({fleet.FLEET_ENV: value}) is expected
+    def test_concurrent_increments_are_not_lost(self):
+        def bump():
+            for index in range(2_000):
+                fleet.inc(f"fleet.test.racy.{index}")  # racing creations
+                fleet.observe("fleet.test.racy_ns", index)
 
-    def test_enabled_by_env_default_is_yes(self):
-        assert fleet.enabled_by_env({}) is True
-
-    def test_enabled_by_env_explicit_mapping_ignores_process_env(self, monkeypatch):
-        # An empty mapping is still the mapping to read, not a cue to
-        # fall back to os.environ.
-        monkeypatch.setenv(fleet.FLEET_ENV, "0")
-        assert fleet.enabled_by_env({}) is True
-        assert fleet.enabled_by_env() is False
-
-    def test_enable_from_env_respects_optout(self, monkeypatch):
-        with fleet_capture():
-            fleet.disable()
-            monkeypatch.setenv(fleet.FLEET_ENV, "0")
-            handle = fleet.enable_from_env()
-            assert not handle.enabled
-            monkeypatch.setenv(fleet.FLEET_ENV, "1")
-            handle = fleet.enable_from_env()
-            assert handle.enabled
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-update
+        try:
+            with fleet.capture() as f:
+                threads = [threading.Thread(target=bump) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+                snap = f.snapshot()
+            assert sum(snap["counters"].values()) == 16_000
+            assert snap["histograms"]["fleet.test.racy_ns"]["count"] == 16_000
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_snapshot_document_shape(self):
-        with fleet_capture() as f:
-            f.inc("fleet.test.n", 4)
+        with fleet.capture():
+            fleet.inc("fleet.test.n", 4)
             doc = snapshot_document()
             assert doc["format"] == fleet.FLEET_FORMAT
             assert doc["enabled"] is True
@@ -356,8 +353,8 @@ class TestPrometheusText:
         assert validate_prometheus_text(text) == []
 
     def test_active_handle_is_the_default_snapshot(self):
-        with fleet_capture() as f:
-            f.inc("fleet.test.live", 2)
+        with fleet.capture():
+            fleet.inc("fleet.test.live", 2)
             assert "fleet_test_live 2" in prometheus_text()
 
     def test_validator_flags_duplicate_series(self):
@@ -389,10 +386,10 @@ class TestPrometheusText:
 class TestCoordinatorTelemetry:
     def test_happy_path_timeline_and_counters(self, clocked):
         coordinator, clock = clocked
-        with fleet_capture() as f:
+        with fleet.capture() as f:
             status = coordinator.submit(make_spec(seeds=(0, 1)))
-            assert f.counter_value("fleet.coordinator.campaigns_submitted") == 1
-            assert f.counter_value("fleet.coordinator.jobs_created") == 1
+            assert counter(f, "fleet.coordinator.campaigns_submitted") == 1
+            assert counter(f, "fleet.coordinator.jobs_created") == 1
             assert (
                 f.snapshot()["gauges"]["fleet.coordinator.queue_depth"]["value"]
                 == 1
@@ -407,8 +404,8 @@ class TestCoordinatorTelemetry:
                 wire_outcomes([0, 1]),
                 exec_info={"wall_s": 2.0, "heartbeat_failures": 0},
             )
-            assert f.counter_value("fleet.coordinator.leases") == 1
-            assert f.counter_value("fleet.coordinator.jobs_completed") == 1
+            assert counter(f, "fleet.coordinator.leases") == 1
+            assert counter(f, "fleet.coordinator.jobs_completed") == 1
             snap = f.snapshot()
             assert (
                 snap["gauges"]["fleet.coordinator.queue_depth"]["value"] == 0
@@ -430,7 +427,7 @@ class TestCoordinatorTelemetry:
 
     def test_worker_death_stamps_requeue_and_counts(self, clocked):
         coordinator, clock = clocked
-        with fleet_capture() as f:
+        with fleet.capture() as f:
             coordinator.submit(make_spec(seeds=(0, 1)))
             w1, w2 = coordinator.register(), coordinator.register()
             job = coordinator.lease(w1)
@@ -439,12 +436,12 @@ class TestCoordinatorTelemetry:
             clock.advance(1.1)  # retry_backoff_s elapsed
             retried = coordinator.lease(w2)
             assert retried["job"] == job["job"]
-            assert f.counter_value("fleet.coordinator.worker_deaths") == 1
-            assert f.counter_value("fleet.coordinator.requeues") == 1
+            assert counter(f, "fleet.coordinator.worker_deaths") == 1
+            assert counter(f, "fleet.coordinator.requeues") == 1
             # The dead worker's late report is stale.
             reply = coordinator.complete(w1, job["job"], wire_outcomes([0, 1]))
             assert not reply["ok"]
-            assert f.counter_value("fleet.coordinator.stale_reports") == 1
+            assert counter(f, "fleet.coordinator.stale_reports") == 1
         timeline = coordinator._jobs[job["job"]].timeline
         kinds = [event["event"] for event in timeline]
         assert kinds == ["queued", "leased", "requeued", "leased"]
@@ -452,19 +449,19 @@ class TestCoordinatorTelemetry:
 
     def test_reported_failure_counts_retry(self, clocked):
         coordinator, clock = clocked
-        with fleet_capture() as f:
+        with fleet.capture() as f:
             coordinator.submit(make_spec(seeds=(0, 1)))
             worker = coordinator.register()
             job = coordinator.lease(worker)
             coordinator.fail(worker, job["job"], "boom")
-            assert f.counter_value("fleet.coordinator.retries") == 1
+            assert counter(f, "fleet.coordinator.retries") == 1
         timeline = coordinator._jobs[job["job"]].timeline
         assert timeline[-1]["event"] == "requeued"
         assert timeline[-1]["reason"] == "boom"
 
     def test_terminal_failure_stamps_failed(self, clocked):
         coordinator, clock = clocked
-        with fleet_capture() as f:
+        with fleet.capture() as f:
             status = coordinator.submit(make_spec(seeds=(0, 1)))
             worker = coordinator.register()
             for attempt in range(3):  # max_attempts=3
@@ -472,7 +469,7 @@ class TestCoordinatorTelemetry:
                 job = coordinator.lease(worker)
                 assert job is not None
                 coordinator.fail(worker, job["job"], f"boom {attempt}")
-            assert f.counter_value("fleet.coordinator.jobs_failed") == 1
+            assert counter(f, "fleet.coordinator.jobs_failed") == 1
         timeline = coordinator._jobs[job["job"]].timeline
         assert timeline[-1]["event"] == "failed"
         assert coordinator.status(status["campaign"])["status"] == "done"
@@ -480,7 +477,7 @@ class TestCoordinatorTelemetry:
     def test_cache_hits_count_as_seeds_cached(self, clocked, tmp_path):
         coordinator, _ = clocked
         spec = make_spec(seeds=(0, 1))
-        with fleet_capture() as f:
+        with fleet.capture() as f:
             status = coordinator.submit(spec)
             worker = coordinator.register()
             job = coordinator.lease(worker)
@@ -499,7 +496,7 @@ class TestCoordinatorTelemetry:
             coordinator.complete(worker, job["job"], outcomes)
             # Resubmit: every seed is now a store hit.
             coordinator.submit(spec)
-            assert f.counter_value("fleet.coordinator.seeds_cached") == 2
+            assert counter(f, "fleet.coordinator.seeds_cached") == 2
 
     def test_status_reports_rates_and_eta(self, clocked):
         coordinator, clock = clocked
@@ -525,7 +522,7 @@ class TestCoordinatorTelemetry:
 
     def test_report_embeds_merged_fleet_block(self, clocked):
         coordinator, clock = clocked
-        with fleet_capture() as f:
+        with fleet.capture() as f:
             status = coordinator.submit(make_spec(seeds=(0, 1)))
             worker = coordinator.register()
             job = coordinator.lease(worker)
@@ -556,7 +553,7 @@ class TestCoordinatorTelemetry:
 
     def test_stale_report_still_updates_worker_telemetry(self, clocked):
         coordinator, clock = clocked
-        with fleet_capture():
+        with fleet.capture():
             status = coordinator.submit(make_spec(seeds=(0, 1)))
             w1, w2 = coordinator.register(), coordinator.register()
             job = coordinator.lease(w1)
@@ -572,6 +569,131 @@ class TestCoordinatorTelemetry:
             assert not reply["ok"]
             block = coordinator.report(status["campaign"])["fleet"]
             assert w1 in block["workers"]  # last words of a dying worker
+
+
+# ---------------------------------------------------------------------------
+# The series inventory: every site's series, with its value.
+# ---------------------------------------------------------------------------
+
+
+def _square_or_fail(seed):
+    if seed < 0:
+        raise ValueError(f"negative seed {seed}")
+    return seed * seed
+
+
+def _boom(_job):
+    raise RuntimeError("boom")
+
+
+class TestSeriesInventory:
+    """One scripted run per instrumented layer; each test pins the full
+    set of series it emits, so a series can neither vanish nor appear
+    (``seeds_cached`` only once a seed was cached, ``cache_hits`` even
+    at 0)."""
+
+    def test_coordinator_and_worker_series(self, clocked):
+        coordinator, clock = clocked
+        client = LocalClient(coordinator)
+        spec = make_spec(seeds=(0, 1, 2))  # chunk 2: two jobs
+        with fleet.capture() as f:
+            coordinator.submit(spec)
+            assert f.snapshot()["counters"] == {
+                "fleet.coordinator.campaigns_submitted": 1,
+                "fleet.coordinator.jobs_created": 2,
+                "fleet.result_store.gets": 3,
+                "fleet.result_store.hits": 0,
+                "fleet.result_store.misses": 3,
+            }
+            failing = Worker(client, execute=_boom)
+            failing.register()
+            assert not failing.run_one(coordinator.lease(failing.worker_id))
+            clock.advance(10.0)  # past the retry backoff
+            good = Worker(client, execute=lambda job: wire_outcomes(job["seeds"]))
+            assert good.run(max_jobs=2) == 2
+            coordinator.submit(spec)  # every seed is a store hit now
+            snap = f.snapshot()
+        assert snap["counters"] == {
+            "fleet.coordinator.campaigns_submitted": 2,
+            "fleet.coordinator.jobs_completed": 2,
+            "fleet.coordinator.jobs_created": 2,
+            "fleet.coordinator.leases": 3,
+            "fleet.coordinator.retries": 1,
+            "fleet.coordinator.seeds_cached": 3,
+            "fleet.result_store.gets": 6,
+            "fleet.result_store.hits": 3,
+            "fleet.result_store.misses": 3,
+            "fleet.result_store.puts": 3,
+            "fleet.worker.jobs_executed": 2,
+            "fleet.worker.jobs_failed": 1,
+            "fleet.worker.seeds_executed": 3,
+        }
+        assert sorted(snap["gauges"]) == [
+            "fleet.coordinator.queue_depth", "fleet.worker.max_rss_kb"
+        ]
+        depth = snap["gauges"]["fleet.coordinator.queue_depth"]
+        assert (depth["value"], depth["peak"]) == (0, 2)
+        assert {
+            name: entry["count"] for name, entry in snap["histograms"].items()
+        } == {
+            "fleet.coordinator.job_duration_ns": 2,
+            "fleet.coordinator.lease_latency_ns": 3,
+            "fleet.worker.job_cpu_ns": 2,
+            "fleet.worker.job_wall_ns": 2,
+        }
+
+    def test_sweep_series(self, tmp_path):
+        def sweep(seeds):
+            runner = SweepRunner(workers=1, use_cache=True, cache_dir=tmp_path)
+            return runner.run(_square_or_fail, seeds, name="inventory")
+
+        with fleet.capture() as f:
+            sweep([1, 2])
+            assert f.snapshot()["counters"] == {
+                "fleet.result_store.gets": 2,
+                "fleet.result_store.hits": 0,
+                "fleet.result_store.misses": 2,
+                "fleet.result_store.puts": 2,
+                "fleet.sweep.cache_hits": 0,
+                "fleet.sweep.seeds": 2,
+                "fleet.sweep.sweeps": 1,
+            }
+            sweep([1, 2])  # all cached: nothing computed, nothing put
+            sweep([-1])  # one error, not stored
+            snap = f.snapshot()
+        assert snap["counters"] == {
+            "fleet.result_store.gets": 5,
+            "fleet.result_store.hits": 2,
+            "fleet.result_store.misses": 3,
+            "fleet.result_store.puts": 2,
+            "fleet.sweep.cache_hits": 2,
+            "fleet.sweep.errors": 1,
+            "fleet.sweep.seeds": 5,
+            "fleet.sweep.sweeps": 3,
+        }
+        assert snap["gauges"] == {}
+        assert {
+            name: entry["count"] for name, entry in snap["histograms"].items()
+        } == {"fleet.sweep.task_duration_ns": 3}
+
+    def test_store_repair_series(self, tmp_path):
+        store = ResultStore(tmp_path)
+        with fleet.capture() as f:
+            store.append("torn", [make_record("k0", 0, "v0")])
+            with (tmp_path / "torn.jsonl").open("ab") as handle:
+                handle.write(b'{"key": "k1", "se')  # a crashed writer's tail
+            with pytest.warns(RuntimeWarning, match="malformed"):
+                assert store.get_many("torn", ["k0", "k1"]) == {"k0": "v0"}
+            store.append("torn", [make_record("k1", 1, "v1")])
+            snap = f.snapshot()
+        assert snap["counters"] == {
+            "fleet.result_store.gets": 2,
+            "fleet.result_store.hits": 1,
+            "fleet.result_store.malformed_lines": 1,
+            "fleet.result_store.misses": 1,
+            "fleet.result_store.puts": 2,
+            "fleet.result_store.torn_repairs": 1,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -750,12 +872,12 @@ class TestHeartbeatFailures:
         return client, worker
 
     def test_failure_is_counted_logged_and_reported(self, caplog):
-        with fleet_capture() as f:
+        with fleet.capture() as f:
             client, worker = self.run_job_with_dead_coordinator(caplog)
             assert worker.heartbeat_failures >= 1
             assert worker.heartbeat_failures == client.heartbeats
             assert (
-                f.counter_value("fleet.worker.heartbeat_failures")
+                counter(f, "fleet.worker.heartbeat_failures")
                 == worker.heartbeat_failures
             )
         warnings = [
@@ -781,7 +903,6 @@ class TestHeartbeatFailures:
 
     def test_heartbeat_thread_survives_without_fleet(self, caplog):
         # Telemetry off: the counter and log line still work.
-        fleet.disable()
         client, worker = self.run_job_with_dead_coordinator(caplog)
         assert worker.heartbeat_failures >= 1
         assert client.completed[0]["telemetry"] is None
@@ -818,11 +939,9 @@ class TestLiveServiceTelemetry:
         status_series: list[int] = []
         stop = threading.Event()
 
-        # Earlier tests may have run campaigns on the process-global
-        # handle; start from a zeroed registry so absolute counter
+        # The fixture starts this test with telemetry off, so the
+        # registry LocalService installs is fresh and absolute counter
         # values below are meaningful.
-        fleet.enable(fresh=True)
-
         with LocalService(
             tmp_path,
             workers=2,
@@ -906,10 +1025,9 @@ class TestZeroPerturbation:
         from repro.explore import calibration_scenario
 
         scenario = calibration_scenario(20, deterministic_camera=True)
-        fleet.disable()
         baseline = run_det_brake_assistant(seed, scenario)
-        with fleet_capture() as f:
-            f.inc("fleet.test.noise")  # a live registry, actually used
+        with fleet.capture():
+            fleet.inc("fleet.test.noise")  # a live registry, actually used
             observed = run_det_brake_assistant(seed, scenario)
         assert dict(baseline.trace_fingerprints) == dict(
             observed.trace_fingerprints
@@ -920,9 +1038,8 @@ class TestZeroPerturbation:
         from repro.explore import calibration_scenario
 
         scenario = calibration_scenario(20)
-        fleet.disable()
         baseline = run_nondet_brake_assistant(3, scenario)
-        with fleet_capture():
+        with fleet.capture():
             observed = run_nondet_brake_assistant(3, scenario)
         assert dict(baseline.trace_fingerprints) == dict(
             observed.trace_fingerprints
@@ -956,9 +1073,8 @@ class TestZeroPerturbation:
         spec = make_spec(
             seeds=seeds, variant=variant, frames=15, faults=faults
         )
-        fleet.disable()
         baseline = local_reference(spec)
-        with fleet_capture():
+        with fleet.capture():
             observed = local_reference(spec)
         assert len(baseline) == len(observed)
         for off, on in zip(baseline, observed):
@@ -986,33 +1102,16 @@ class TestZeroPerturbation:
         ],
     )
     def test_service_byte_identical_with_fleet_enabled(self, spec, tmp_path):
-        fleet.disable()
         reference = local_reference(spec)
-        # LocalService enables fleet telemetry by default (entry-point
-        # policy); the campaign must still merge byte-identical.
+        # LocalService enables fleet telemetry (entry-point policy); the
+        # campaign must still merge byte-identical.
         with LocalService(
             tmp_path, workers=2, config=CoordinatorConfig(chunk_size=2)
         ) as service:
-            assert fleet.ACTIVE.enabled
+            assert fleet.ACTIVE is not None
             served = service.run_spec(spec)
             text = service.client.metrics_text()
-        fleet.disable()
         assert validate_prometheus_text(text) == []
         assert len(served) == len(reference)
         for value, expected in zip(served, reference):
             assert pickle.dumps(value) == pickle.dumps(expected)
-
-    def test_service_respects_telemetry_optout(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(fleet.FLEET_ENV, "0")
-        fleet.disable()
-        spec = make_spec(seeds=(0, 1, 2))
-        with LocalService(
-            tmp_path, workers=1, config=CoordinatorConfig(chunk_size=2)
-        ) as service:
-            assert not fleet.ACTIVE.enabled
-            served = service.run_spec(spec)
-            report = service.client.report(
-                service.client.campaigns()[-1]["campaign"]
-            )
-        assert report["fleet"]["coordinator"]["enabled"] is False
-        assert len(served) == 3

@@ -148,7 +148,6 @@ class TestAggregation:
 class TestContextAndBus:
     def test_disabled_by_default(self):
         assert obs_context.ACTIVE.enabled is False
-        assert obs.active().enabled is False
 
     def test_capture_installs_and_restores(self):
         before = obs_context.ACTIVE

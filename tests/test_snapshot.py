@@ -11,8 +11,6 @@ runs faster, never different.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.apps.brake.det import run_det_brake_assistant
@@ -32,6 +30,7 @@ from repro.snapshot import (
     RemoteRunError,
     ScheduleDecisions,
     SnapshotEngine,
+    SnapshotStats,
     SnapshotStore,
     context_key,
 )
@@ -91,11 +90,6 @@ def _engine_run(engine, variant: str, schedule: InterventionSchedule, plan=None)
     return engine.execute(context, ScheduleDecisions(schedule), run)
 
 
-def _engine(**kwargs) -> SnapshotEngine:
-    kwargs.setdefault("write_ledger", False)
-    return SnapshotEngine(**kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Fork equivalence.
 # ---------------------------------------------------------------------------
@@ -108,7 +102,7 @@ def test_fork_equivalence(variant: str, seed: int):
     byte-for-byte — PCT schedule and fault plan active throughout."""
     schedule = _schedule(seed)
     scratch = _run_scratch(variant, schedule, plan=PLAN)
-    with _engine() as engine:
+    with SnapshotEngine() as engine:
         cold = _engine_run(engine, variant, schedule, plan=PLAN)
         forked = _engine_run(engine, variant, schedule, plan=PLAN)
         assert engine.stats.misses == 1
@@ -120,7 +114,7 @@ def test_fork_equivalence(variant: str, seed: int):
 def test_fork_equivalence_without_faults():
     schedule = _schedule(0)
     scratch = _run_scratch("det", schedule)
-    with _engine() as engine:
+    with SnapshotEngine() as engine:
         assert _engine_run(engine, "det", schedule) == scratch
         assert _engine_run(engine, "det", schedule) == scratch
         assert engine.stats.fork_hits == 1
@@ -133,7 +127,7 @@ def test_shared_prefix_fork_diverging_tail():
     sibling = base.with_points(
         [base.preemptions[0], PreemptionPoint(site=31, delay_ns=5_000_000)]
     )
-    with _engine() as engine:
+    with SnapshotEngine() as engine:
         _engine_run(engine, "nondet", base)
         out = _engine_run(engine, "nondet", sibling)
         assert engine.stats.fork_hits == 1
@@ -145,7 +139,7 @@ def test_double_fork_same_holder():
     """One holder serves many forks; every continuation is identical."""
     schedule = _schedule(2)
     scratch = _run_scratch("det", schedule)
-    with _engine() as engine:
+    with SnapshotEngine() as engine:
         _engine_run(engine, "det", schedule)
         first = _engine_run(engine, "det", schedule)
         second = _engine_run(engine, "det", schedule)
@@ -165,7 +159,7 @@ def test_snapshot_of_a_fork():
     c = b.with_points(
         list(b.preemptions) + [PreemptionPoint(site=31, delay_ns=4_000_000)]
     )
-    with _engine() as engine:
+    with SnapshotEngine() as engine:
         _engine_run(engine, "det", a)  # cold; captures at site 7
         _engine_run(engine, "det", b)  # forks @7; continuation captures @19
         before = engine.stats.reused_decisions
@@ -182,7 +176,7 @@ def test_mutation_isolation():
     mutant = schedule.with_points(
         [schedule.preemptions[0], PreemptionPoint(site=19, delay_ns=9_000_000)]
     )
-    with _engine() as engine:
+    with SnapshotEngine() as engine:
         assert _engine_run(engine, "det", schedule) == scratch
         _engine_run(engine, "det", mutant)  # forks and diverges
         # The original suffix must still come out of the shared holder
@@ -200,7 +194,7 @@ def test_lru_eviction_keeps_results_correct():
     schedule = _schedule(3)
     scratch = _run_scratch("det", schedule)
     store = SnapshotStore(capacity=1)
-    with _engine(store=store) as engine:
+    with SnapshotEngine(store=store) as engine:
         assert _engine_run(engine, "det", schedule) == scratch
         assert len(store) == 1  # two captures, one survivor
         assert engine.stats.captures == 2
@@ -212,7 +206,7 @@ def test_lru_eviction_keeps_results_correct():
 
 def test_disabled_engine_runs_inline():
     schedule = _schedule(0)
-    with _engine(enabled=False) as engine:
+    with SnapshotEngine(enabled=False) as engine:
         assert not engine.active
         out = _engine_run(engine, "det", schedule)
         assert engine.stats.inline == 1
@@ -221,7 +215,7 @@ def test_disabled_engine_runs_inline():
 
 
 def test_error_inside_fork_raises_remote_run_error():
-    with _engine() as engine:
+    with SnapshotEngine() as engine:
 
         def run(_checkpointer):
             raise ValueError("boom in the child")
@@ -231,15 +225,29 @@ def test_error_inside_fork_raises_remote_run_error():
             engine.execute("ctx-err", decisions, run)
 
 
-def test_ledger_written(tmp_path):
-    store = SnapshotStore(cache_dir=tmp_path)
-    with SnapshotEngine(store=store) as engine:
-        _engine_run(engine, "det", _schedule(0))
-    path = tmp_path / "snapshots" / "ledger.json"
-    assert path.is_file()
-    ledger = json.loads(path.read_text())
-    assert ledger["format"] == "snapshot-ledger/v1"
-    assert ledger["stats"]["captures"] >= 1
+def test_stats_document_holds_counts_only():
+    # Host timings stay on the object; documents embed the counts, so
+    # two runs of one command write the same bytes.
+    stats = SnapshotStats(fork_hits=2, captures=1, capture_ns_total=5, fork_ns_total=9)
+    assert (stats.capture_ns_mean, stats.fork_ns_mean) == (5.0, 4.5)
+    document = stats.as_dict()
+    assert not [key for key in document if "ns" in key.split("_")]
+    assert document["fork_hits"] == 2 and document["captures"] == 1
+
+
+def test_explore_no_cache_writes_no_file(tmp_path, monkeypatch):
+    # Holders are process-resident: a snapshot-assisted explore leaves
+    # nothing on disk, and --no-cache keeps the result store away too.
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    code = main(
+        ["explore", "--budget", "2", "--frames", "20", "--no-cache",
+         "--workers", "1"]
+    )
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +278,7 @@ def test_shrink_schedule_through_snapshots():
         return shrink_schedule(explorer, schedule, predicate=predicate)
 
     plain = shrink(None)
-    with _engine() as engine:
+    with SnapshotEngine() as engine:
         forked = shrink(engine)
         assert engine.stats.fork_hits > 0
     assert {p.site for p in forked.minimal.preemptions} == needed
@@ -306,7 +314,7 @@ def test_explore_through_snapshots_matches_pooled():
         ).explore(budget=8)
 
     pooled = explore(None)
-    with _engine() as engine:
+    with SnapshotEngine() as engine:
         forked = explore(engine)
         stats = engine.stats
         assert stats.fork_hits + stats.misses + stats.inline == forked.executions_used
@@ -348,7 +356,7 @@ def test_shrink_fault_trace_through_snapshots():
         ]
 
     plain = shrink_fault_trace(PLAN, trace, failure)
-    with _engine() as engine:
+    with SnapshotEngine() as engine:
         forked = shrink_fault_trace(PLAN, trace, failure, snapshots=engine)
         assert engine.stats.fork_hits > 0
     assert keys(forked) == keys(plain)
