@@ -85,7 +85,6 @@ class ReactorScheduler:
         self.reactions_executed = 0
         # Sim-mode plumbing, populated by sim_thread_body.
         self._platform = None
-        self._mutex = None
         self._condvar = None
         # Multi-worker execution: effects of concurrently running
         # reactions are buffered per reaction and applied in APG order.
@@ -452,41 +451,33 @@ class ReactorScheduler:
         pay a coroutine switch (the ``Compute`` yield that advances the
         platform clock — required for exact deadline/lag semantics).
         """
-        from repro.sim.process import (
-            Acquire,
-            Compute,
-            Release,
-            Wait,
-            WaitUntil,
-        )
+        from repro.sim.process import Compute, Wait, WaitUntil
 
         self._platform = platform
-        self._mutex = platform.mutex(f"{self._env.name}.rt.mutex")
-        self._condvar = platform.condvar(f"{self._env.name}.rt.cv")
+        condvar = self._condvar = platform.condvar(f"{self._env.name}.rt.cv")
         exec_rng = platform.rng(f"reactor.exec.{self._env.name}")
         pool = _WorkerPool(self, platform, workers) if workers > 1 else None
         self._initialize(start_time=platform.local_now())
         ready = self._ready
         pop = heapq.heappop
         invoke = self._invoke
+        # The waits take no mutex: this thread is the event queue's only
+        # consumer, and every producer (physical actions, DEAR arrivals,
+        # stop requests) pushes and notifies from kernel context, so
+        # nothing runs between a check of the queue and the wait after it.
         while True:
-            yield Acquire(self._mutex)
             tag = self._next_tag()
             if tag is None or tag > self._stop_tag:
                 if self._stop_tag != FOREVER:
                     tag = self._stop_tag
                 else:
                     # Idle: wait for a physical action or a stop request.
-                    yield Wait(self._condvar, self._mutex)
-                    yield Release(self._mutex)
+                    yield Wait(condvar, None)
                     continue
             if tag.time > platform.local_now():
-                yield WaitUntil(self._condvar, self._mutex, tag.time)
-                yield Release(self._mutex)
+                yield WaitUntil(condvar, None, tag.time)
                 continue  # re-evaluate: an earlier event may have arrived
-            events = self._pop_tag_events(tag)
-            yield Release(self._mutex)
-            self._begin_tag(tag, events)
+            self._begin_tag(tag, self._pop_tag_events(tag))
             if pool is None:
                 o = obs_context.ACTIVE
                 while ready:

@@ -17,6 +17,7 @@ import hashlib
 from dataclasses import dataclass
 from collections.abc import Iterator
 from itertools import islice
+from marshal import dumps as _marshal
 from typing import Any
 
 from repro.time.tag import Tag
@@ -48,14 +49,56 @@ _line = "{}.{} {} {} {}".format
 #: The ``(kind, name)`` of each row of one trace entry.
 _Heads = tuple[tuple[str, str], ...]
 
-#: Renderings handed out by :func:`_render`, each keyed by itself, so
-#: that equal texts share one ``str`` across rows and traces (a
-#: brake-dear frame's text lands in three environments' traces).  The
-#: table is bounded: it is cleared once it holds :data:`_TEXTS_MAX`
-#: texts, which only loses sharing.  ``clear`` and ``setdefault`` are
-#: single dict operations, so threads recording at once stay safe.
-_TEXTS: dict[str, str] = {}
+#: Renderings handed out by :func:`_render`, so that one ``repr`` call
+#: serves every row (and every trace: a brake-dear frame's text lands
+#: in three environments' traces) carrying an equal value.  A value
+#: whose marshal bytes fix its ``repr`` (see :func:`_repr_keyed`) is
+#: keyed by those bytes; any other value's text is keyed by itself, so
+#: equal texts still share one ``str``.  The table is bounded: it is
+#: cleared once it holds :data:`_TEXTS_MAX` entries, which only costs
+#: ``repr`` calls.  ``get``, ``clear``, item assignment and
+#: ``setdefault`` are single dict operations, so threads recording at
+#: once stay safe.
+_TEXTS: dict[bytes | str, str] = {}
 _TEXTS_MAX = 64
+
+#: Types whose marshal bytes determine their ``repr`` outright.
+_ATOMS = frozenset({bool, int, float, complex, str, type(None)})
+#: Containers whose marshal bytes list their items in ``repr`` order
+#: (with :class:`dict`).  Not sets: marshal sorts their items, so equal
+#: sets iterating (and printing) in different orders share bytes.
+_SEQUENCES = frozenset({tuple, list})
+
+
+def _repr_keyed(value: Any) -> bool:
+    """Whether *value*'s marshal bytes fix its ``repr``.
+
+    Marshal (version 2: no reference flags, so equal structures give
+    equal bytes) writes exact atoms, tuples, lists and dicts one way
+    each, in ``repr`` order, and rejects subclasses and foreign types.
+    But it writes any bytes-like object (``bytearray``, ``memoryview``,
+    arrays, NumPy scalars) as plain ``bytes``, a code object without
+    its address, and a set's items sorted.  So a value is keyed only
+    when it is built from atoms, tuples, lists and dicts alone: its
+    bytes then parse to the same types, items and order as any other
+    value's with the same bytes.  Walks the value without recursion.
+    """
+    atoms = _ATOMS
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        cls = type(item)
+        if cls is dict:
+            if not atoms.issuperset(map(type, item)):
+                stack += item
+            item = item.values()
+        elif cls not in _SEQUENCES:
+            if cls in atoms:
+                continue
+            return False
+        if not atoms.issuperset(map(type, item)):
+            stack += item
+    return True
 
 
 def _render(value: Any) -> str:
@@ -63,14 +106,26 @@ def _render(value: Any) -> str:
 
     "No value" is decided from the type, never through the value's own
     ``__ne__``, so array-like values (whose comparison returns an array)
-    render like any other.  An equal earlier rendering still in
-    :data:`_TEXTS` is returned instead of the new one.
+    render like any other.  A value already in :data:`_TEXTS` under its
+    marshal bytes is not rendered again; otherwise an equal earlier
+    rendering still in the table is returned instead of the new one.
     """
     if isinstance(value, str) and not value:
         return ""
+    try:
+        key = _marshal(value, 2)
+    except ValueError:  # a subclass, a foreign type or too deep
+        key = None
+    else:
+        text = _TEXTS.get(key)
+        if text is not None:
+            return text
     text = repr(value)
     if len(_TEXTS) >= _TEXTS_MAX:
         _TEXTS.clear()
+    if key is not None and _repr_keyed(value):
+        _TEXTS[key] = text
+        return text
     return _TEXTS.setdefault(text, text)
 
 

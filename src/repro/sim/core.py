@@ -27,8 +27,9 @@ allocation cost:
   handle comes from a slot/freelist pool and is recycled once the
   kernel is done with it.  **Kernel-internal contract**: the caller
   must drop its reference when the timer fires or right after
-  cancelling it (the CPU scheduler's sleep/timeout paths do exactly
-  that).
+  cancelling it with :meth:`Simulator.cancel_timer`, which takes a
+  pending handle out of the queue at once (the CPU scheduler's
+  sleep/timeout paths do exactly that).
 * :meth:`Simulator.post_at` / :meth:`Simulator.post_after` — the fast
   path: no handle, no cancellation, default priority.  Scheduler
   continuations, dispatch trampolines and network deliveries use this;
@@ -184,6 +185,31 @@ class Simulator:
                 heapq.heappush(self._times, time)
         bucket.append(handle)
         return handle
+
+    def cancel_timer(self, handle: EventHandle) -> None:
+        """Cancel a :meth:`timer_at` handle and recycle it at once.
+
+        A pending handle leaves its bucket and goes back to the freelist
+        now, instead of waiting in the queue until its time; a bucket it
+        leaves empty goes too.  A handle whose bucket is being dispatched
+        (or that is firing) is only flagged, like :meth:`EventHandle.cancel`,
+        and the kernel recycles it as it passes.  The caller drops its
+        reference either way.
+        """
+        if handle._callback is not None:
+            bucket = self._buckets.get(handle.time)
+            if bucket is not None:
+                try:
+                    bucket.remove(handle)
+                except ValueError:
+                    pass  # in the bucket being dispatched
+                else:
+                    if not bucket:
+                        del self._buckets[handle.time]
+                    handle._callback = None
+                    self._pool.append(handle)
+                    return
+        handle.cancel()
 
     def post_at(self, time: int, callback: Callable[[], None]) -> None:
         """Schedule a bare callback: no handle, no cancellation (fast path)."""

@@ -95,10 +95,15 @@ class Wait:
     """Atomically release *mutex* and wait on *condvar*.
 
     Resumes holding *mutex* again; yields :data:`WaitResult.NOTIFIED`.
+    With ``mutex=None`` the thread waits on *condvar* alone and becomes
+    runnable as soon as it is notified.  That is only sound when the
+    waiting thread is the condition's sole consumer and its producers
+    run in kernel context (event callbacks, never another thread), so
+    nothing can interleave between its check and its wait.
     """
 
     condvar: "CondVar"
-    mutex: "Mutex"
+    mutex: "Mutex | None"
 
 
 @dataclass(slots=True, eq=False)
@@ -106,11 +111,11 @@ class WaitUntil:
     """Like :class:`Wait` but with a local-clock deadline.
 
     Yields a :class:`WaitResult` telling whether the thread was notified
-    or the deadline passed.
+    or the deadline passed.  ``mutex=None`` has :class:`Wait`'s meaning.
     """
 
     condvar: "CondVar"
-    mutex: "Mutex"
+    mutex: "Mutex | None"
     local_deadline: int
 
 
@@ -174,7 +179,8 @@ class SimThread:
     joiners: list["SimThread"] = field(default_factory=list)
     #: Value to send into the generator on next resume.
     resume_value: Any = None
-    #: Mutex this thread must reacquire before resuming (condvar wakeup).
+    #: Mutex this thread must reacquire before resuming (condvar wakeup;
+    #: ``None`` for a mutex-free wait).
     reacquire: Any = None
     #: Handle of a pending sleep/timeout event (for cancellation).
     timeout_handle: Any = None

@@ -29,6 +29,13 @@ scheduler into a systematic concurrency-testing tool.  The ``preempt``
 query (answered with 0 by the default source) models the OS preempting
 a just-dispatched thread for a bounded time — the lever PCT-style
 exploration uses to force rare interleavings.
+
+When the source is exactly the default one, the hot paths (dispatch
+picks and jitter, mutex grants, notifies, timer jitter) run
+:func:`~repro.sim.rng.randbelow`'s rejection loop inline on the
+stream's bound ``getrandbits`` and skip the ``preempt`` query: the same
+draws in the same order, without the method calls.  Every other source
+is called through its methods.
 """
 
 from __future__ import annotations
@@ -88,6 +95,16 @@ class CpuScheduler:
             self._decisions = rng
         else:
             self._decisions = RandomDecisionSource(rng)
+        #: The stream's bound ``getrandbits`` while the decisions are
+        #: exactly the default source's: the hot paths then run
+        #: :func:`~repro.sim.rng.randbelow`'s loop inline (same draws)
+        #: and skip the ``preempt`` query, which that source answers
+        #: with 0.  ``None`` for every other source.
+        self._getrandbits = (
+            self._decisions._rng.getrandbits
+            if type(self._decisions) is RandomDecisionSource
+            else None
+        )
         self._cores: list[SimThread | None] = [None] * num_cores
         self._dispatch_jitter_ns = dispatch_jitter_ns
         self._timer_jitter_ns = timer_jitter_ns
@@ -207,15 +224,16 @@ class CpuScheduler:
 
     def _dispatch(self) -> None:
         self._dispatch_pending = False
-        if self._frozen:
+        ready = self._ready
+        if not ready or self._frozen:
             return
         # Decision-source and core lookups are cached across the whole
         # dispatch burst (one trampoline event may place many threads).
-        ready = self._ready
         cores = self._cores
         decisions = self._decisions
-        pick_index = decisions.pick_index
+        getrandbits = self._getrandbits
         dispatch_jitter_ns = self._dispatch_jitter_ns
+        jitter_bits = (dispatch_jitter_ns + 1).bit_length()
         o = obs_context.ACTIVE
         while ready:
             if None not in cores:
@@ -226,19 +244,32 @@ class CpuScheduler:
                 # sequence (and every platform without the flag) is
                 # untouched — goldens for existing worlds stay stable.
                 index = 0
+            elif getrandbits is not None:
+                count = len(ready)
+                bits = count.bit_length()
+                index = getrandbits(bits)
+                while index >= count:
+                    index = getrandbits(bits)
             else:
-                index = pick_index("dispatch", ready)
+                index = decisions.pick_index("dispatch", ready)
             thread = ready.pop(index)
             thread.state = ThreadState.RUNNING
             thread.core = core
             cores[core] = thread
             self.context_switches += 1
             delay = 0
-            if dispatch_jitter_ns > 0:
-                delay = decisions.jitter(
-                    "dispatch", thread.name, dispatch_jitter_ns
-                )
-            preempt_ns = decisions.preempt(thread.name)
+            preempt_ns = 0
+            if getrandbits is not None:
+                if dispatch_jitter_ns > 0:
+                    delay = getrandbits(jitter_bits)
+                    while delay > dispatch_jitter_ns:
+                        delay = getrandbits(jitter_bits)
+            else:
+                if dispatch_jitter_ns > 0:
+                    delay = decisions.jitter(
+                        "dispatch", thread.name, dispatch_jitter_ns
+                    )
+                preempt_ns = decisions.preempt(thread.name)
             if o.enabled:
                 now = self._sim.now
                 o.metrics.counter("sched.dispatches").inc()
@@ -376,10 +407,17 @@ class CpuScheduler:
         global_target = self._clock.global_time_for(local_time)
         if global_target < self._sim.now:
             global_target = self._sim.now
-        if self._timer_jitter_ns > 0:
-            global_target += self._decisions.jitter(
-                "timer", thread.name, self._timer_jitter_ns
-            )
+        bound = self._timer_jitter_ns
+        if bound > 0:
+            getrandbits = self._getrandbits
+            if getrandbits is not None:
+                bits = (bound + 1).bit_length()
+                jitter = getrandbits(bits)
+                while jitter > bound:
+                    jitter = getrandbits(bits)
+            else:
+                jitter = self._decisions.jitter("timer", thread.name, bound)
+            global_target += jitter
         # Pooled handle: _wake_sleeper drops the reference as it fires,
         # so the kernel freelist can recycle it (see Simulator.timer_at).
         thread.timeout_handle = self._sim.timer_at(global_target, thread.wake_cb)
@@ -429,10 +467,19 @@ class CpuScheduler:
 
     def _grant_mutex(self, mutex: Mutex) -> None:
         """Hand a free mutex to one randomly chosen waiter, if any."""
-        if mutex.owner is not None or not mutex.waiters:
+        waiters = mutex.waiters
+        if mutex.owner is not None or not waiters:
             return
-        index = self._decisions.pick_index("mutex", mutex.waiters)
-        waiter = mutex.waiters.pop(index)
+        getrandbits = self._getrandbits
+        if getrandbits is not None:
+            count = len(waiters)
+            bits = count.bit_length()
+            index = getrandbits(bits)
+            while index >= count:
+                index = getrandbits(bits)
+        else:
+            index = self._decisions.pick_index("mutex", waiters)
+        waiter = waiters.pop(index)
         mutex.owner = waiter
         waiter.reacquire = None
         waiter.state = ThreadState.READY
@@ -460,27 +507,29 @@ class CpuScheduler:
         self,
         thread: SimThread,
         condvar: CondVar,
-        mutex: Mutex,
+        mutex: Mutex | None,
         local_deadline: int | None,
     ) -> None:
-        if mutex.owner is not thread:
-            raise SimulationError(
-                f"thread {thread.name!r} waited on {condvar!r} "
-                f"without holding {mutex!r}"
-            )
-        mutex.owner = None
-        o = obs_context.ACTIVE
-        if o.enabled:
-            acquired = o.scratch.pop(("mutex_hold", id(mutex)), None)
-            if acquired is not None:
-                o.metrics.histogram("sched.mutex_hold_ns").observe(
-                    self._sim.now - acquired
+        if mutex is not None:
+            if mutex.owner is not thread:
+                raise SimulationError(
+                    f"thread {thread.name!r} waited on {condvar!r} "
+                    f"without holding {mutex!r}"
                 )
+            mutex.owner = None
+            o = obs_context.ACTIVE
+            if o.enabled:
+                acquired = o.scratch.pop(("mutex_hold", id(mutex)), None)
+                if acquired is not None:
+                    o.metrics.histogram("sched.mutex_hold_ns").observe(
+                        self._sim.now - acquired
+                    )
         thread.state = ThreadState.BLOCKED
         thread.reacquire = mutex
         condvar.waiters.append(thread)
         self._release_core(thread)
-        self._grant_mutex(mutex)
+        if mutex is not None:
+            self._grant_mutex(mutex)
         if local_deadline is not None:
             global_deadline = self._clock.global_time_for(local_deadline)
             if global_deadline < self._sim.now:
@@ -490,10 +539,19 @@ class CpuScheduler:
             )
 
     def _notify_one(self, condvar: CondVar) -> None:
-        if not condvar.waiters:
+        waiters = condvar.waiters
+        if not waiters:
             return
-        index = self._decisions.pick_index("notify", condvar.waiters)
-        waiter = condvar.waiters.pop(index)
+        getrandbits = self._getrandbits
+        if getrandbits is not None:
+            count = len(waiters)
+            bits = count.bit_length()
+            index = getrandbits(bits)
+            while index >= count:
+                index = getrandbits(bits)
+        else:
+            index = self._decisions.pick_index("notify", waiters)
+        waiter = waiters.pop(index)
         self._resume_condvar_waiter(waiter, WaitResult.NOTIFIED)
 
     def _wait_timeout(self, thread: SimThread, condvar: CondVar) -> None:
@@ -504,23 +562,22 @@ class CpuScheduler:
 
     def _resume_condvar_waiter(self, waiter: SimThread, result: WaitResult) -> None:
         if waiter.timeout_handle is not None:
-            waiter.timeout_handle.cancel()
+            self._sim.cancel_timer(waiter.timeout_handle)
             waiter.timeout_handle = None
         waiter.resume_value = result
         mutex = waiter.reacquire
-        if mutex is None:
-            raise SimulationError("condvar waiter lost its reacquire mutex")
-        o = obs_context.ACTIVE
-        if mutex.owner is None:
+        if mutex is not None:
+            o = obs_context.ACTIVE
+            if mutex.owner is not None:
+                mutex.waiters.append(waiter)
+                if o.enabled:
+                    o.scratch[("mutex_wait", id(waiter))] = self._sim.now
+                return
             mutex.owner = waiter
             waiter.reacquire = None
-            waiter.state = ThreadState.READY
             if o.enabled:
                 o.scratch[("mutex_hold", id(mutex))] = self._sim.now
-            self._ready.append(waiter)
-            self._request_dispatch()
-        else:
-            mutex.waiters.append(waiter)
-            if o.enabled:
-                o.scratch[("mutex_wait", id(waiter))] = self._sim.now
-
+        # Holding the mutex again, or a mutex-free wait: runnable now.
+        waiter.state = ThreadState.READY
+        self._ready.append(waiter)
+        self._request_dispatch()

@@ -11,27 +11,38 @@ Tags are totally ordered lexicographically and immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Any
 
 from repro.time.duration import Duration, format_duration
 
+#: Builds a tag from a checked ``(time, microstep)`` pair (``Tag.__new__``,
+#: and the results of :meth:`Tag.delay` and :meth:`Tag.advance_to`, whose
+#: microstep is never negative).
+_new = tuple.__new__
 
-@dataclass(frozen=True, order=True, slots=True)
-class Tag:
+
+class Tag(namedtuple("_TagFields", ("time", "microstep"))):
     """A point in superdense logical time.
+
+    A tuple subclass, so ordering, equality and hashing are the C-level
+    tuple operations the reactor heap and the tag checks lean on: a tag
+    compares and hashes equal to the plain tuple ``(time, microstep)``.
 
     Attributes:
         time: logical time in integer nanoseconds since simulation start.
         microstep: index within the same logical time.
     """
 
-    time: int
-    microstep: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.microstep < 0:
+    def __new__(cls, time: int, microstep: int = 0) -> "Tag":
+        if microstep < 0:
             raise ValueError("microstep must be non-negative")
+        return _new(cls, (time, microstep))
+
+    # Pickle and copy rebuild a tag through ``__new__(time, microstep)``
+    # with the ``__getnewargs__`` the named-tuple base defines.
 
     def delay(self, duration: Duration) -> "Tag":
         """Return the tag obtained by delaying this one.
@@ -43,17 +54,18 @@ class Tag:
         """
         if duration < 0:
             raise ValueError("cannot delay a tag by a negative duration")
+        time, microstep = self
         if duration == 0:
-            return Tag(self.time, self.microstep + 1)
-        return Tag(self.time + duration, 0)
+            return _new(Tag, (time, microstep + 1))
+        return _new(Tag, (time + duration, 0))
 
     def advance_to(self, time: int) -> "Tag":
         """Return the earliest tag at *time* that is after this tag."""
         if time < self.time:
             raise ValueError("cannot advance a tag backwards in time")
         if time == self.time:
-            return Tag(self.time, self.microstep + 1)
-        return Tag(time, 0)
+            return _new(Tag, (time, self.microstep + 1))
+        return _new(Tag, (time, 0))
 
     def __str__(self) -> str:
         return f"({format_duration(self.time)}, {self.microstep})"
@@ -63,7 +75,7 @@ class Tag:
 
     def as_tuple(self) -> tuple[int, int]:
         """Return ``(time, microstep)`` for serialization."""
-        return (self.time, self.microstep)
+        return tuple(self)
 
     @staticmethod
     def from_tuple(value: tuple[int, int] | list[int] | Any) -> "Tag":

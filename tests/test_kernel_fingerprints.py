@@ -33,7 +33,8 @@ from repro.apps.brake.det import run_det_brake_assistant
 from repro.apps.brake.nondet import run_nondet_brake_assistant
 from repro.explore import IN_BUDGET_PREEMPT_NS, PctStrategy, calibration_scenario
 from repro.faults import FaultPlan
-from repro.sim.rng import stream_hooks
+from repro.explore.decisions import is_scheduler_stream
+from repro.sim.rng import RandomDecisionSource, stream_hooks
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "kernel_fingerprints.json"
 
@@ -121,3 +122,130 @@ class TestKernelFingerprints:
         expected = goldens["det-seed0"]
         assert dict(result.trace_fingerprints) == expected["traces"]
         assert result.outcome_digest() == expected["outcome"]
+
+
+class _PassThroughSource:
+    """The default source's draws behind the decision-source methods.
+
+    Not a :class:`RandomDecisionSource`, so the CPU scheduler takes its
+    general path (a method call per decision, the ``preempt`` query
+    asked) instead of the inlined draws.  Records the candidate counts
+    and jitter kinds it was asked about.
+    """
+
+    def __init__(self, rng, seen):
+        self._inner = RandomDecisionSource(rng)
+        self._seen = seen
+
+    def pick_index(self, kind, candidates):
+        self._seen.add((kind, len(candidates)))
+        return self._inner.pick_index(kind, candidates)
+
+    def jitter(self, kind, name, bound_ns):
+        self._seen.add(("jitter", kind))
+        return self._inner.jitter(kind, name, bound_ns)
+
+    def preempt(self, name):
+        return self._inner.preempt(name)
+
+
+def _scheduler_hook(streams, seen=None):
+    """Collect the scheduler streams; wrap them when *seen* is given."""
+
+    def hook(path, rng):
+        if not is_scheduler_stream(path):
+            return None
+        streams.append(rng)
+        return None if seen is None else _PassThroughSource(rng, seen)
+
+    return hook
+
+
+class TestGeneralDecisionPath:
+    """The inlined default draws and the general decision-source path
+    make the same schedule, draw for draw."""
+
+    @pytest.mark.parametrize(
+        "name", [name for name in CASES if name != "pct-replay"]
+    )
+    def test_golden_case_under_a_pass_through_source(self, name):
+        expected = _load_goldens()[name]
+        seen: set = set()
+        with stream_hooks(_scheduler_hook([], seen)):
+            result = _run_case(name)
+        assert dict(result.trace_fingerprints) == expected["traces"]
+        assert result.outcome_digest() == expected["outcome"]
+        assert ("dispatch", 1) in seen
+
+    @staticmethod
+    def _contended_world(seen=None):
+        """Four threads on one jittery core: ready queues of 1-4
+        threads, mutex waiters and condition-variable notifies."""
+        from repro.sim import (
+            Acquire,
+            Compute,
+            Notify,
+            Release,
+            Sleep,
+            Wait,
+            WaitUntil,
+            World,
+        )
+        from repro.sim.platform import PlatformConfig
+        from repro.time import MS, US
+
+        streams: list = []
+        with stream_hooks(_scheduler_hook(streams, seen)):
+            world = World(11)
+            platform = world.add_platform(
+                "p",
+                PlatformConfig(
+                    num_cores=1,
+                    dispatch_jitter_ns=40 * US,
+                    timer_jitter_ns=30 * US,
+                ),
+            )
+        mutex = platform.mutex()
+        cv = platform.condvar()
+        log = []
+
+        def worker(index):
+            for round_ in range(6):
+                yield Compute((index + 1) * 100 * US)
+                yield Acquire(mutex)
+                log.append((world.sim.now, index, round_, "locked"))
+                if index % 2:
+                    result = yield WaitUntil(
+                        cv, mutex, platform.local_now() + (index + 1) * MS
+                    )
+                    log.append((world.sim.now, index, result))
+                else:
+                    yield Notify(cv)
+                yield Release(mutex)
+                yield Sleep((4 - index) * 150 * US)
+            result = yield WaitUntil(cv, None, platform.local_now() + 2 * MS)
+            log.append((world.sim.now, index, result))
+
+        def kicker():
+            for _ in range(8):
+                yield Sleep(700 * US)
+                platform.scheduler.external_notify(cv)
+            yield Wait(cv, None)
+
+        for index in range(4):
+            platform.spawn(f"w{index}", worker(index))
+        platform.spawn("kicker", kicker())
+        world.sim.post_at(
+            20 * MS, lambda: platform.scheduler.external_notify_all(cv)
+        )
+        world.run_for(30 * MS)
+        (stream,) = streams
+        return log, world.sim.events_processed, world.sim.now, stream.getstate()
+
+    def test_ready_queues_of_one_to_four_threads(self):
+        seen: set = set()
+        general = self._contended_world(seen)
+        assert {("dispatch", size) for size in (1, 2, 3, 4)} <= seen
+        assert {("mutex", 2), ("notify", 1)} <= seen
+        assert {("jitter", "dispatch"), ("jitter", "timer")} <= seen
+        assert self._contended_world() == general

@@ -293,6 +293,113 @@ class TestCancellation:
         handle.cancel()  # must not raise
 
 
+
+class TestCancelTimer:
+    """``cancel_timer`` takes a pending pooled handle out of the queue at
+    once; a handle whose bucket is dispatching is only flagged, and no
+    handle ever enters the freelist twice."""
+
+    @staticmethod
+    def _assert_pool_distinct(sim):
+        assert len({id(handle) for handle in sim._pool}) == len(sim._pool)
+
+    def test_pending_handle_leaves_the_queue_and_is_reused(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.timer_at(50, lambda: fired.append("doomed"))
+        sim.post_at(10, lambda: fired.append("live"))
+        sim.cancel_timer(handle)
+        assert sim.pending_count() == 1 and sim._pool == [handle]
+        assert 50 not in sim._buckets  # the emptied bucket went too
+        again = sim.timer_at(60, lambda: fired.append("rearmed"))
+        assert again is handle and sim._pool == []
+        sim.run()
+        assert fired == ["live", "rearmed"] and sim.now == 60
+        self._assert_pool_distinct(sim)
+
+    def test_bucket_keeps_its_other_entries(self):
+        sim = Simulator()
+        fired = []
+        first = sim.timer_at(30, lambda: fired.append("first"))
+        doomed = sim.timer_at(30, lambda: fired.append("doomed"))
+        sim.post_at(30, lambda: fired.append("posted"))
+        sim.cancel_timer(doomed)
+        sim.run()
+        assert fired == ["first", "posted"] and first is not doomed
+        self._assert_pool_distinct(sim)
+
+    def test_handle_in_the_dispatching_bucket_is_only_flagged(self):
+        sim = Simulator()
+        fired = []
+        later = []
+        sim.post_at(70, lambda: sim.cancel_timer(later[0]))
+        later.append(sim.timer_at(70, lambda: fired.append("cancelled")))
+        sim.timer_at(80, lambda: fired.append("live"))
+        sim.run()
+        assert fired == ["live"] and later[0].cancelled
+        assert len(sim._pool) == 2
+        self._assert_pool_distinct(sim)
+
+    @pytest.mark.parametrize("driver", ["run", "step"])
+    def test_firing_handle_cancelling_itself_is_recycled_once(self, driver):
+        sim = Simulator()
+        handles = []
+
+        def fire():
+            sim.post_after(0, lambda: None)  # a new bucket at this time
+            sim.cancel_timer(handles[0])
+
+        handles.append(sim.timer_at(20, fire))
+        if driver == "run":
+            sim.run()
+        else:
+            while sim.step():
+                pass
+        assert sim._pool == handles and sim.events_processed == 2
+
+    def test_step_path(self):
+        sim = Simulator()
+        fired = []
+        later = []
+
+        def cancel():
+            fired.append("cancel")
+            sim.cancel_timer(later[0])
+
+        sim.timer_at(70, cancel)
+        later.append(sim.timer_at(70, lambda: fired.append("cancelled")))
+        sim.timer_at(70, lambda: fired.append("after"))
+        while sim.step():
+            pass
+        assert fired == ["cancel", "after"]
+        assert sim.events_processed == 2 and sim.pending_count() == 0
+        self._assert_pool_distinct(sim)
+
+    def test_brake_dear_handle_pool_does_not_grow_with_frames(self, monkeypatch):
+        """Deadlines of condition-variable waits that a notify beat are
+        recycled as they are cancelled, so a DEAR run allocates the same
+        few pooled handles whatever its length."""
+        from dataclasses import replace
+
+        from repro.apps import registry
+
+        pools = []
+        close = Simulator.close
+
+        def record_pool(sim):
+            pools.append(len(sim._pool))
+            close(sim)
+
+        monkeypatch.setattr(Simulator, "close", record_pool)
+        definition = registry.get("brake")
+        sizes = {}
+        for frames in (50, 200):
+            pools.clear()
+            scenario = replace(definition.default_scenario(), n_frames=frames)
+            definition.runner("det")(3, scenario)
+            sizes[frames] = sum(pools)
+        assert sizes[50] == sizes[200] < 20, sizes
+
 class TestStep:
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False

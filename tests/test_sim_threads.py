@@ -322,6 +322,93 @@ class TestCondVar:
         assert log == [WaitResult.NOTIFIED]
 
 
+
+class TestMutexFreeWait:
+    """``Wait(cv, None)``/``WaitUntil(cv, None, t)``: a thread that is the
+    condition's sole consumer, fed from kernel context, waits on the
+    condition variable alone."""
+
+    def test_wait_resumes_on_notify(self):
+        world, platform = calm_platform()
+        cv = platform.condvar()
+        log = []
+
+        def waiter():
+            result = yield Wait(cv, None)
+            log.append((result, platform.local_now()))
+
+        platform.spawn("w", waiter())
+        world.sim.post_at(3 * MS, lambda: platform.scheduler.external_notify(cv))
+        world.run_to_completion()
+        assert log == [(WaitResult.NOTIFIED, 3 * MS)]
+
+    def test_wait_until_resumes_on_notify(self):
+        world, platform = calm_platform()
+        cv = platform.condvar()
+        log = []
+
+        def waiter():
+            result = yield WaitUntil(cv, None, platform.local_now() + 50 * MS)
+            log.append((result, platform.local_now()))
+
+        platform.spawn("w", waiter())
+        world.sim.post_at(2 * MS, lambda: platform.scheduler.external_notify(cv))
+        world.run_to_completion()
+        assert log == [(WaitResult.NOTIFIED, 2 * MS)]
+        # The cancelled deadline left the queue with the notify.
+        assert world.sim.pending_count() == 0 and world.sim.now == 2 * MS
+
+    def test_wait_until_times_out(self):
+        world, platform = calm_platform()
+        cv = platform.condvar()
+        log = []
+
+        def waiter():
+            result = yield WaitUntil(cv, None, platform.local_now() + 5 * MS)
+            log.append((result, platform.local_now()))
+            result = yield WaitUntil(cv, None, platform.local_now() + 1 * MS)
+            log.append((result, platform.local_now()))
+
+        platform.spawn("w", waiter())
+        world.run_to_completion()
+        assert log == [(WaitResult.TIMEOUT, 5 * MS), (WaitResult.TIMEOUT, 6 * MS)]
+
+    def test_notify_from_a_thread_wakes_a_mutex_free_waiter(self):
+        world, platform = calm_platform()
+        cv = platform.condvar()
+        log = []
+
+        def waiter():
+            log.append((yield Wait(cv, None)))
+
+        def notifier():
+            yield Sleep(1 * MS)
+            yield Notify(cv)
+
+        platform.spawn("w", waiter())
+        platform.spawn("n", notifier())
+        world.run_to_completion()
+        assert log == [WaitResult.NOTIFIED]
+
+    def test_wait_on_a_mutex_held_by_another_thread_rejected(self):
+        world, platform = calm_platform()
+        mutex = platform.mutex()
+        cv = platform.condvar()
+
+        def holder():
+            yield Acquire(mutex)
+            yield Sleep(10 * MS)
+            yield Release(mutex)
+
+        def body():
+            yield Sleep(1 * MS)
+            yield WaitUntil(cv, mutex, platform.local_now() + 1 * MS)
+
+        platform.spawn("h", holder())
+        platform.spawn("t", body())
+        with pytest.raises(SimulationError, match="without holding"):
+            world.run_to_completion()
+
 class TestJoin:
     def test_join_returns_result(self):
         world, platform = calm_platform()

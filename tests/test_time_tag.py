@@ -69,3 +69,59 @@ class TestSerialization:
 
     def test_str(self):
         assert str(Tag(50 * MS, 2)) == "(50ms, 2)"
+
+
+class TestTupleTag:
+    """A tag is a tuple ``(time, microstep)`` with its own rendering."""
+
+    def test_repr_and_str(self):
+        assert repr(Tag(50 * MS, 2)) == "Tag(time=50000000, microstep=2)"
+        assert str(Tag(50 * MS, 2)) == "(50ms, 2)"
+        assert repr(Tag(7)) == "Tag(time=7, microstep=0)"
+
+    @given(tags)
+    def test_pickle_round_trip(self, tag):
+        import copy
+        import pickle
+
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(tag, protocol))
+            assert back == tag and type(back) is Tag
+            assert (back.time, back.microstep) == (tag.time, tag.microstep)
+        assert type(copy.deepcopy(tag)) is Tag
+
+    @given(tags)
+    def test_hash_and_equality_are_the_plain_tuples(self, tag):
+        plain = (tag.time, tag.microstep)
+        assert hash(tag) == hash(plain)
+        assert tag == plain and tag.as_tuple() == plain
+
+    @given(tags, tags)
+    def test_order_is_the_plain_tuples(self, a, b):
+        assert (a < b) == ((a.time, a.microstep) < (b.time, b.microstep))
+        assert NEVER < a < FOREVER
+
+    def test_sentinels_order_against_every_microstep(self):
+        assert NEVER < Tag(-(2**62), 1) < Tag(0, 0)
+        assert Tag(2**62 - 1, 10**6) < FOREVER < Tag(2**62, 1)
+        assert sorted([FOREVER, Tag(3, 1), NEVER, Tag(3, 0)]) == [
+            NEVER,
+            Tag(3, 0),
+            Tag(3, 1),
+            FOREVER,
+        ]
+
+    def test_fields_cannot_be_assigned(self):
+        tag = Tag(5, 1)
+        with pytest.raises(AttributeError):
+            tag.time = 6
+        with pytest.raises(AttributeError):
+            tag.microstep = 2
+        with pytest.raises(AttributeError):
+            tag.extra = 0
+        assert tag == Tag(5, 1)
+
+    def test_negative_microstep_rejected_by_keyword(self):
+        with pytest.raises(ValueError):
+            Tag(time=0, microstep=-1)
+        assert Tag(time=3, microstep=1) == Tag(3, 1)

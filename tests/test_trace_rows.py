@@ -224,3 +224,90 @@ class TestCompactStore:
         for index in range(3 * telemetry._TEXTS_MAX):
             telemetry._render(index)
         assert 0 < len(telemetry._TEXTS) <= telemetry._TEXTS_MAX
+
+
+class TestRenderTable:
+    """``_render`` keys its table on marshal bytes, yet always returns
+    exactly ``repr(value)``: values whose bytes could not tell them
+    apart from a different ``repr`` are never keyed by bytes."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_table(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "_TEXTS", {})
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (True, 1),
+            (False, 0),
+            (1, 1.0),
+            (0.0, -0.0),
+            (float("nan"), -float("nan")),
+            ((1,), [1]),
+            ({1}, frozenset({1})),
+            ({1, 9}, {9, 1}),  # equal sets, marshalled alike, printed apart
+            (frozenset({1, 9}), frozenset([9, 1])),
+            ({"a": 1, "b": 2.5}, {"b": 2.5, "a": 1}),
+            ({"k": [1, (2.0,)]}, {"k": [1, [2.0]]}),
+            ("x", b"x"),
+            (b"ab", bytearray(b"ab")),
+            ({"pixels": b"ab"}, {"pixels": bytearray(b"ab")}),
+            ((memoryview(b"ab"),), (b"ab",)),
+            (np.array([1.0]), np.array([1.0]).view(np.int64)),
+        ],
+    )
+    def test_each_of_a_pair_renders_as_its_repr(self, first, second):
+        for _ in range(2):  # misses, then hits
+            for value in (first, second, first):
+                assert telemetry._render(value) == repr(value)
+
+    def test_equal_values_share_one_text(self):
+        first = telemetry._render({"seq": 1, "x": [0.5, 1.5]})
+        again = telemetry._render({"seq": 1, "x": [0.5, 1.5]})
+        assert first == repr({"seq": 1, "x": [0.5, 1.5]}) and again is first
+
+    def test_equal_values_make_one_repr_call(self, monkeypatch):
+        calls = []
+        real_repr = repr
+
+        def counting_repr(value):
+            calls.append(value)
+            return real_repr(value)
+
+        monkeypatch.setattr(telemetry, "repr", counting_repr, raising=False)
+        for _ in range(5):
+            telemetry._render({"frame_seq": 3, "left_m": -1.25})
+            telemetry._render((0.1, 0.2))
+        assert len(calls) == 2
+
+    def test_the_empty_string_renders_empty(self):
+        assert telemetry._render("") == ""
+        assert telemetry._render("") == ""
+
+    def test_subclasses_and_foreign_types_fall_back_to_repr(self):
+        import enum
+
+        class Mapping(dict):
+            def __repr__(self):
+                return f"Mapping({dict.__repr__(self)})"
+
+        class Level(enum.IntEnum):
+            HIGH = 1
+
+        values = [Mapping(a=1), {"a": 1}, Level.HIGH, 1, Counted(), (Level.HIGH,)]
+        for _ in range(2):
+            for value in values:
+                assert telemetry._render(value) == repr(value)
+        # A custom object is rendered on every call, as before.
+        Counted.calls = 0
+        value = Counted()
+        telemetry._render(value)
+        telemetry._render(value)
+        assert Counted.calls == 2
+
+    def test_the_table_is_bounded_by_both_keys(self):
+        for index in range(3 * telemetry._TEXTS_MAX):
+            telemetry._render(float(index))
+            telemetry._render(Counted())
+            telemetry._render(bytearray(index.to_bytes(2, "big")))
+        assert 0 < len(telemetry._TEXTS) <= telemetry._TEXTS_MAX
