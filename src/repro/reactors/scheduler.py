@@ -458,24 +458,32 @@ class ReactorScheduler:
         exec_rng = platform.rng(f"reactor.exec.{self._env.name}")
         pool = _WorkerPool(self, platform, workers) if workers > 1 else None
         self._initialize(start_time=platform.local_now())
+        queue = self._queue
         ready = self._ready
         pop = heapq.heappop
         invoke = self._invoke
+        local_now = platform.local_now
         # The waits take no mutex: this thread is the event queue's only
         # consumer, and every producer (physical actions, DEAR arrivals,
         # stop requests) pushes and notifies from kernel context, so
         # nothing runs between a check of the queue and the wait after it.
+        # The CPU scheduler reads a syscall's fields as it is yielded and
+        # keeps no reference, so this thread yields the same three records.
+        idle = Wait(condvar, None)
+        wait_until = WaitUntil(condvar, None, 0)
+        compute = Compute(0)
         while True:
-            tag = self._next_tag()
+            tag = queue[0][0] if queue else None
             if tag is None or tag > self._stop_tag:
                 if self._stop_tag != FOREVER:
                     tag = self._stop_tag
                 else:
                     # Idle: wait for a physical action or a stop request.
-                    yield Wait(condvar, None)
+                    yield idle
                     continue
-            if tag.time > platform.local_now():
-                yield WaitUntil(condvar, None, tag.time)
+            if tag.time > local_now():
+                wait_until.local_deadline = tag.time
+                yield wait_until
                 continue  # re-evaluate: an earlier event may have arrived
             self._begin_tag(tag, self._pop_tag_events(tag))
             if pool is None:
@@ -485,7 +493,8 @@ class ReactorScheduler:
                     reaction._queued = False
                     cost = reaction.sample_exec_time(exec_rng)
                     if cost > 0:
-                        yield Compute(cost)
+                        compute.duration_ns = cost
+                        yield compute
                     invoke(reaction, tag)
                     if o.enabled:
                         now = platform.sim.now
