@@ -98,8 +98,8 @@ class Wait:
     With ``mutex=None`` the thread waits on *condvar* alone and becomes
     runnable as soon as it is notified.  That is only sound when the
     waiting thread is the condition's sole consumer and its producers
-    run in kernel context (event callbacks, never another thread), so
-    nothing can interleave between its check and its wait.
+    run in kernel context (event callbacks), so nothing can interleave
+    between its check and its wait.
     """
 
     condvar: "CondVar"
