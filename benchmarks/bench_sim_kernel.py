@@ -3,11 +3,13 @@
 Measures events/s of :class:`repro.sim.core.Simulator` across the event
 shapes the runtime layers actually generate:
 
-* ``oneshot`` — N cancellable ``at()`` events at distinct timestamps
-  (the pre-overhaul benchmark's shape, kept for trajectory continuity);
+* ``oneshot`` — N cancellable ``timer_at()`` one-shots at distinct
+  timestamps, all armed before the run, so the freelist is empty and
+  each one allocates its handle (the pre-overhaul benchmark's shape of
+  fresh cancellable handles, kept for trajectory continuity);
 * ``burst`` — same-timestamp fan-out via ``post_at()`` (reaction
-  batches, ``after(0)`` trampolines) — the shape the bucketed dispatch
-  loop is built for;
+  batches, ``post_after(0)`` trampolines) — the shape the bucketed
+  dispatch loop is built for;
 * ``chain`` — each callback schedules the next (``post_after``), the
   CPU-scheduler dispatch/compute pattern;
 * ``timer`` — re-arming ``timer_at()`` wakeups through the pooled
@@ -52,7 +54,7 @@ def _shape_oneshot(n: int) -> int:
     sim = Simulator()
     callback = lambda: None  # noqa: E731
     for index in range(n):
-        sim.at(index, callback)
+        sim.timer_at(index, callback)
     sim.run()
     return sim.events_processed
 

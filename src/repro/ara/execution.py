@@ -91,7 +91,7 @@ class ExecutionManager:
                 process.state = ProcessState.STARTING
                 process.start()
 
-            self._world.sim.after(start_time, launch)
+            self._world.sim.post_after(start_time, launch)
 
     def _topological_order(self) -> list[str]:
         visited: dict[str, int] = {}

@@ -382,8 +382,8 @@ def install_fault_plan(world: "World", plan: FaultPlan) -> FaultInjector:
             continue
         if outage.host not in world.platforms:
             raise SimulationError(f"outage targets unknown host {outage.host!r}")
-        world.sim.at(outage.start_ns, _freeze(outage.host, i, outage.start_ns))
-        world.sim.at(outage.end_ns, _thaw(outage.host, i, outage.end_ns))
+        world.sim.post_at(outage.start_ns, _freeze(outage.host, i, outage.start_ns))
+        world.sim.post_at(outage.end_ns, _thaw(outage.host, i, outage.end_ns))
 
     def _clock_fault(index: int, fault) -> None:
         platform = world.platforms.get(fault.host)
@@ -402,6 +402,6 @@ def install_fault_plan(world: "World", plan: FaultPlan) -> FaultInjector:
             raise SimulationError(
                 f"clock fault targets unknown host {fault.host!r}"
             )
-        world.sim.at(fault.at_ns, lambda i=i, f=fault: _clock_fault(i, f))
+        world.sim.post_at(fault.at_ns, lambda i=i, f=fault: _clock_fault(i, f))
 
     return injector

@@ -738,7 +738,7 @@ def _let_run(seed: int, n_frames: int):
     brake_ch = LetChannel("brake", keep_history=True)
     # Deterministic camera: publish frame k exactly at its capture time.
     for seq in range(n_frames):
-        world.sim.at(
+        world.sim.post_at(
             (seq + 1) * period,
             lambda seq=seq: camera_ch.publish(world.sim.now, generator.frame(seq)),
         )

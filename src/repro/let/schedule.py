@@ -4,7 +4,7 @@ Release and publish happen at *exact* logical instants implemented as
 kernel events (a real LET OS layer anchors them to timer interrupts
 with bounded jitter; the determinism argument requires only that reads
 and publishes happen in the right order at the boundaries, which the
-kernel event priorities guarantee here):
+kernel's insertion order guarantees here):
 
 * at ``offset + k * period`` the task's inputs are sampled and the body
   is dispatched onto a worker thread that consumes ``wcet`` of CPU;
@@ -12,15 +12,18 @@ kernel event priorities guarantee here):
   only if the computation finished in time; otherwise the instance is
   an overrun and publishes nothing.
 
-Publishes are ordered before reads at the same instant, so a task chain
-with equal periods has exactly one period of latency per hop.
+:meth:`LetExecutor.start` posts every boundary before the run: all
+publishes, then all releases, each in task order.  Same-instant events
+fire in insertion order, so publishes precede reads at the same instant
+(a task chain with equal periods has exactly one period of latency per
+hop), and a body that completes exactly at its window end — an event
+posted during the run — misses its publish.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.sim.core import PRIORITY_EARLY, PRIORITY_NORMAL
 from repro.sim.platform import Platform
 from repro.sim.process import Compute
 from repro.let.task import LetTask
@@ -47,14 +50,22 @@ class LetExecutor:
         current instant.
         """
         self._started = True
-        base = self.platform.sim.now
+        sim = self.platform.sim
+        base = sim.now
+        publishes = []
+        releases = []
         for task in self.tasks:
             release = base + task.offset_ns
             while release < base + horizon_ns:
-                self._schedule_instance(task, release)
+                on_release, on_publish = self._instance(task, release)
+                releases.append((release, on_release))
+                publishes.append((release + task.period_ns, on_publish))
                 release += task.period_ns
+        for time, callback in publishes + releases:
+            sim.post_at(time, callback)
 
-    def _schedule_instance(self, task: LetTask, release_ns: int) -> None:
+    def _instance(self, task: LetTask, release_ns: int):
+        """The release and publish callbacks of one task instance."""
         sim = self.platform.sim
         instance: dict[str, Any] = {"done": False, "outputs": None}
 
@@ -81,9 +92,7 @@ class LetExecutor:
                 if name in outputs:
                     channel.publish(sim.now, outputs[name])
 
-        # Reads at NORMAL priority see publishes (EARLY) of the same instant.
-        sim.at(release_ns, on_release, priority=PRIORITY_NORMAL)
-        sim.at(release_ns + task.period_ns, on_publish, priority=PRIORITY_EARLY)
+        return on_release, on_publish
 
     def __repr__(self) -> str:
         return f"LetExecutor(tasks={[task.name for task in self.tasks]})"

@@ -245,8 +245,9 @@ class SomeIpEndpoint:
         if not fire_and_forget:
             pending = _PendingRequest(completion)
             if timeout_ns is not None:
-                pending.timeout_handle = self.platform.sim.after(
-                    timeout_ns, lambda: self._on_timeout(session)
+                sim = self.platform.sim
+                pending.timeout_handle = sim.timer_at(
+                    sim.now + timeout_ns, lambda: self._on_timeout(session)
                 )
             self._pending[session] = pending
         self._transmit(
@@ -388,7 +389,7 @@ class SomeIpEndpoint:
             if pending is None:
                 return
             if pending.timeout_handle is not None:
-                pending.timeout_handle.cancel()
+                self.platform.sim.cancel_timer(pending.timeout_handle)
             pending.completion(return_code, payload, tag)
         else:  # REQUEST or REQUEST_NO_RETURN: parse admits no other type
             header = SomeIpHeader(

@@ -95,7 +95,7 @@ class TestBlockingGet:
                 log.append(str(exc))
 
         platform.spawn("consumer", consumer())
-        world.sim.at(1 * MS, lambda: promise.set_error(ValueError("nope")))
+        world.sim.post_at(1 * MS, lambda: promise.set_error(ValueError("nope")))
         world.run_to_completion()
         assert log == ["nope"]
 
@@ -109,7 +109,7 @@ class TestBlockingGet:
             log.append(value)
 
         platform.spawn("consumer", consumer())
-        world.sim.at(3 * MS, lambda: promise.set_value("from-kernel"))
+        world.sim.post_at(3 * MS, lambda: promise.set_value("from-kernel"))
         world.run_to_completion()
         assert log == ["from-kernel"]
 
@@ -138,7 +138,7 @@ class TestWaitUntil:
             log.append(ready)
 
         platform.spawn("consumer", consumer())
-        world.sim.at(1 * MS, lambda: promise.set_value(1))
+        world.sim.post_at(1 * MS, lambda: promise.set_value(1))
         world.run_for(30 * MS)
         assert log == [True]
 

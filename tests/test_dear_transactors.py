@@ -305,7 +305,7 @@ class TestUntaggedPolicy:
 
         client_process.spawn("setup", setup())
         world.run_for(1 * SEC)
-        world.sim.after(0, lambda: skeleton.send_event("pulse", 99))
+        world.sim.post_after(0, lambda: skeleton.send_event("pulse", 99))
         world.run_for(1 * SEC)
         assert [value for _, value in received] == [99]
 

@@ -100,6 +100,54 @@ class TestLetSemantics:
 
         assert len({run(seed) for seed in range(5)}) == 1
 
+    @pytest.mark.parametrize(
+        "reader_period,reader_offset", [(20 * MS, 0), (10 * MS, 10 * MS)]
+    )
+    def test_reader_listed_first_sees_same_instant_publish(
+        self, reader_period, reader_offset
+    ):
+        """A publish precedes every read at its instant, whatever the
+        order the tasks were added in."""
+        world, executor = make_executor()
+        channel = LetChannel("c")
+        seen = []
+        executor.add_task(LetTask(
+            "reader", reader_period,
+            body=lambda inputs: seen.append(inputs["inp"]),
+            reads={"inp": channel}, offset_ns=reader_offset,
+        ))
+        executor.add_task(LetTask(
+            "writer", 10 * MS,
+            body=lambda inputs: {"out": world.now},
+            writes={"out": channel}, wcet_ns=1 * MS,
+        ))
+        executor.start(50 * MS)
+        world.run_to_completion()
+        # The writer's window [T - 10 ms, T] computes at T - 9 ms and
+        # publishes at T, where the reader samples it.
+        assert seen == [
+            None if release == 0 else release - 9 * MS
+            for release in range(reader_offset, 50 * MS, reader_period)
+        ]
+
+    @pytest.mark.parametrize(
+        "wcet_ns,outcome", [(10 * MS, (3, 0, "old")), (10 * MS - 1, (0, 3, "new"))]
+    )
+    def test_body_finishing_at_its_window_end_overruns(self, wcet_ns, outcome):
+        """On CALM a body with ``wcet == period`` completes at the very
+        instant of its publish, which fires first: an overrun.  One
+        nanosecond of slack is enough to publish."""
+        world, executor = make_executor()
+        channel = LetChannel("c", initial="old")
+        task = LetTask(
+            "t", 10 * MS, lambda inputs: {"out": "new"},
+            writes={"out": channel}, wcet_ns=wcet_ns,
+        )
+        executor.add_task(task)
+        executor.start(30 * MS)
+        world.run_to_completion()
+        assert (task.overruns, task.completions, channel.value) == outcome
+
     def test_offset_shifts_schedule(self):
         world, executor = make_executor()
         channel = LetChannel("c", keep_history=True)

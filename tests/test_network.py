@@ -214,8 +214,8 @@ class TestInterfaces:
         dst.on_receive = lambda frame: arrivals.append(world.now)
         sent_times = []
         for i in range(100):
-            world.sim.at(i * MS, lambda i=i: (sent_times.append(world.now),
-                                              src.send("b", 2, i, 1400)))
+            world.sim.post_at(i * MS, lambda i=i: (sent_times.append(world.now),
+                                                   src.send("b", 2, i, 1400)))
         world.run_for(2000 * MS)
         assert len(arrivals) == 100
         for sent, arrived in zip(sent_times, sorted(arrivals)):

@@ -78,8 +78,8 @@ class TestPhysicalActions:
 
         reactor.reaction("on_sensor", triggers=[sensor], body=on_sensor)
         env.start(platform)
-        world.sim.at(30 * MS, lambda: sensor.schedule("a"))
-        world.sim.at(70 * MS, lambda: sensor.schedule("b"))
+        world.sim.post_at(30 * MS, lambda: sensor.schedule("a"))
+        world.sim.post_at(70 * MS, lambda: sensor.schedule("b"))
         world.run_for(1 * SEC)
         assert [value for _, value in log] == ["a", "b"]
         assert log[0][0] >= 30 * MS
@@ -95,7 +95,7 @@ class TestPhysicalActions:
             "note", triggers=[sensor], body=lambda ctx: log.append(ctx.tag.time)
         )
         env.start(platform)
-        world.sim.at(10 * MS, lambda: sensor.schedule())
+        world.sim.post_at(10 * MS, lambda: sensor.schedule())
         world.run_for(1 * SEC)
         assert log and log[0] >= 35 * MS
 
@@ -112,7 +112,7 @@ class TestPhysicalActions:
             body=lambda ctx: log.append((ctx.tag.time, platform.local_now())),
         )
         env.start(platform)
-        world.sim.at(10 * MS, lambda: sensor.schedule())
+        world.sim.post_at(10 * MS, lambda: sensor.schedule())
         world.run_for(1 * SEC)
         tag_time, processed_at = log[0]
         assert tag_time >= 110 * MS

@@ -165,7 +165,7 @@ def test_a_second_result_is_the_first():
 def test_a_closed_world_does_not_run():
     ledger, _trace = _ledger_with_rows()
     world = ledger.world
-    world.sim.after(5, lambda: None)
+    world.sim.post_after(5, lambda: None)
     ledger.result()
     assert world.sim.pending_count() == 0
     with pytest.raises(SimulationError):

@@ -6,16 +6,15 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.sim.core import PRIORITY_EARLY, PRIORITY_LATE
 
 
 class TestScheduling:
     def test_events_fire_in_time_order(self):
         sim = Simulator()
         fired = []
-        sim.at(30, lambda: fired.append("c"))
-        sim.at(10, lambda: fired.append("a"))
-        sim.at(20, lambda: fired.append("b"))
+        sim.post_at(30, lambda: fired.append("c"))
+        sim.post_at(10, lambda: fired.append("a"))
+        sim.post_at(20, lambda: fired.append("b"))
         sim.run()
         assert fired == ["a", "b", "c"]
         assert sim.now == 30
@@ -24,43 +23,35 @@ class TestScheduling:
         sim = Simulator()
         fired = []
         for label in "abcde":
-            sim.at(10, lambda label=label: fired.append(label))
+            sim.post_at(10, lambda label=label: fired.append(label))
         sim.run()
         assert fired == list("abcde")
-
-    def test_priority_orders_within_time(self):
-        sim = Simulator()
-        fired = []
-        sim.at(10, lambda: fired.append("late"), priority=200)
-        sim.at(10, lambda: fired.append("early"), priority=50)
-        sim.run()
-        assert fired == ["early", "late"]
 
     def test_after_is_relative(self):
         sim = Simulator()
         times = []
-        sim.at(100, lambda: sim.after(50, lambda: times.append(sim.now)))
+        sim.post_at(100, lambda: sim.post_after(50, lambda: times.append(sim.now)))
         sim.run()
         assert times == [150]
 
     def test_scheduling_in_past_rejected(self):
         sim = Simulator()
-        sim.at(100, lambda: None)
+        sim.post_at(100, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.at(50, lambda: None)
+            sim.post_at(50, lambda: None)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
-            Simulator().after(-1, lambda: None)
+            Simulator().post_after(-1, lambda: None)
 
 
 class TestRunUntil:
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
         fired = []
-        sim.at(10, lambda: fired.append(1))
-        sim.at(100, lambda: fired.append(2))
+        sim.post_at(10, lambda: fired.append(1))
+        sim.post_at(100, lambda: fired.append(2))
         sim.run(until=50)
         assert fired == [1]
         assert sim.now == 50
@@ -75,7 +66,7 @@ class TestRunUntil:
     def test_event_exactly_at_until_fires(self):
         sim = Simulator()
         fired = []
-        sim.at(50, lambda: fired.append(1))
+        sim.post_at(50, lambda: fired.append(1))
         sim.run(until=50)
         assert fired == [1]
 
@@ -97,7 +88,7 @@ def _edge_queue(reenter: bool = False):
         # Zero-delay reposts while the time-30 bucket is dispatching.
         log.append((sim.now, "fan"))
         sim.post_after(0, mark("fan+0"))
-        sim.after(0, mark("fan+0 handle"))
+        sim.post_at(sim.now, mark("fan+0 at"))
         sim.timer_at(sim.now, mark("fan+0 timer"))
 
     def boundary():
@@ -106,22 +97,22 @@ def _edge_queue(reenter: bool = False):
         sim.post_after(0, mark("boundary+0"))
         sim.post_after(1, mark("boundary+1"))
 
-    def early_only():
-        # The only entry at 120 is early: its zero-delay repost makes a
-        # bucket after the time was popped.
-        log.append((sim.now, "early-only"))
-        sim.post_after(0, mark("early-only+0"))
+    def only_entry():
+        # The only entry at 120: its zero-delay repost makes a new
+        # bucket at a time already popped.
+        log.append((sim.now, "only"))
+        sim.post_after(0, mark("only+0"))
 
     doomed = sim.timer_at(60, mark("doomed"))
     same_bucket = []
 
     def cancel_doomed():
         log.append((sim.now, "cancel doomed"))
-        doomed.cancel()
+        sim.cancel_timer(doomed)  # leaves a stale heap time at 60
 
     def cancel_same_bucket():
         log.append((sim.now, "cancel same-bucket"))
-        same_bucket.pop().cancel()
+        sim.cancel_timer(same_bucket.pop())
         # Re-arm at the cancelled timer's time: may reuse a pooled handle.
         sim.timer_at(70, mark("rearmed"))
 
@@ -135,10 +126,10 @@ def _edge_queue(reenter: bool = False):
     sim.post_at(20, cancel_doomed)
     sim.post_at(30, fan)
     sim.post_at(30, mark("fan sibling"))
-    sim.at(40, mark("late40"), priority=PRIORITY_LATE)
-    sim.post_at(40, mark("normal40"))
-    sim.at(40, mark("early40"), priority=PRIORITY_EARLY)
-    sim.at(50, mark("at-a"))
+    sim.post_at(40, mark("first40"))
+    sim.timer_at(40, mark("timer40"))
+    sim.post_at(40, mark("last40"))
+    sim.timer_at(50, mark("timer-a"))
     sim.post_at(50, boundary)
     sim.post_at(70, cancel_same_bucket)
     same_bucket.append(sim.timer_at(70, mark("cancelled in its bucket")))
@@ -146,10 +137,9 @@ def _edge_queue(reenter: bool = False):
     if reenter:
         sim.post_at(90, nested)
     sim.post_at(100, mark("at-b"))
-    sim.at(100, mark("late-b"), priority=PRIORITY_LATE)
-    sim.at(100, mark("early-b"), priority=PRIORITY_EARLY)
-    sim.at(120, early_only, priority=PRIORITY_EARLY)
-    sim.at(150, mark("past"))
+    sim.post_at(100, mark("last-b"))
+    sim.post_at(120, only_entry)
+    sim.post_at(150, mark("past"))
     return sim, log
 
 
@@ -199,38 +189,37 @@ class TestRunUntilSlices:
         sim, log = _edge_queue()
         sim.run(until=100)
         labels = [label for _time, label in log]
-        # Priorities order a time; zero-delay reposts follow their bucket.
-        early = labels.index("early40")
-        assert labels[early : early + 3] == ["early40", "normal40", "late40"]
+        # Insertion order orders a time, whatever the scheduling call;
+        # zero-delay reposts follow their bucket.
+        first = labels.index("first40")
+        assert labels[first : first + 3] == ["first40", "timer40", "last40"]
         fan = labels.index("fan")
         assert labels[fan : fan + 5] == [
             "fan",
             "fan sibling",
             "fan+0",
-            "fan+0 handle",
+            "fan+0 at",
             "fan+0 timer",
         ]
         # Events exactly at until fire, repost-at-until included; the
         # rest wait, and cancelled pooled timers never fire.
-        assert (100, "late-b") == log[-1]
+        assert (100, "last-b") == log[-1]
         assert "boundary+0" in labels and "boundary+1" in labels
         assert "doomed" not in labels
         assert "cancelled in its bucket" not in labels
         assert "rearmed" in labels and "live timer" in labels
         assert sim.now == 100
-        assert sim.pending_count() == 2  # early-only at 120, past at 150
+        assert sim.pending_count() == 2  # only at 120, past at 150
         sim.run()
-        assert [label for _t, label in log[-3:]] == [
-            "early-only", "early-only+0", "past",
-        ]
+        assert [label for _t, label in log[-3:]] == ["only", "only+0", "past"]
 
     def test_stale_heap_time_past_until(self):
         sim = Simulator()
         fired = []
         sim.post_at(10, lambda: fired.append(sim.now))
         sim.run()
-        # A heap time whose events have already run (the off-priority
-        # path leaves these behind) lying past the slice.
+        # A heap time whose bucket has gone (a cancel that empties a
+        # bucket leaves these behind) lying past the slice.
         heapq.heappush(sim._times, 500)
         sim.post_at(600, lambda: fired.append(sim.now))
         sim.run(until=400)
@@ -240,19 +229,6 @@ class TestRunUntilSlices:
         sim.run(until=600)
         assert fired == [10, 600]
         assert sim.step() is False
-
-    def test_early_entry_scheduling_late_at_its_own_time_fires(self):
-        sim = Simulator()
-        fired = []
-        sim.at(
-            10,
-            lambda: sim.at(10, lambda: fired.append("late"), PRIORITY_LATE),
-            PRIORITY_EARLY,
-        )
-        sim.post_at(10, lambda: fired.append("normal"))
-        sim.run(until=10)
-        assert fired == ["normal", "late"]
-        assert sim.pending_count() == 0
 
     def test_reentrant_run_rejected_mid_slice(self):
         sliced, sliced_log = _edge_queue(reenter=True)
@@ -272,31 +248,31 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []
-        handle = sim.at(10, lambda: fired.append(1))
-        handle.cancel()
+        handle = sim.timer_at(10, lambda: fired.append(1))
+        sim.cancel_timer(handle)
         sim.run()
         assert fired == []
-        assert handle.cancelled
+        assert handle._callback is None
 
     def test_pending_count_ignores_cancelled(self):
         sim = Simulator()
-        keep = sim.at(10, lambda: None)
-        drop = sim.at(20, lambda: None)
-        drop.cancel()
+        keep = sim.timer_at(10, lambda: None)
+        drop = sim.timer_at(20, lambda: None)
+        sim.cancel_timer(drop)
         assert sim.pending_count() == 1
-        assert not keep.cancelled
+        assert keep._callback is not None
 
     def test_cancel_after_fire_is_noop(self):
         sim = Simulator()
-        handle = sim.at(10, lambda: None)
+        handle = sim.timer_at(10, lambda: None)
         sim.run()
-        handle.cancel()  # must not raise
-
+        sim.cancel_timer(handle)  # must not raise, nor recycle it twice
+        assert sim._pool == [handle]
 
 
 class TestCancelTimer:
     """``cancel_timer`` takes a pending pooled handle out of the queue at
-    once; a handle whose bucket is dispatching is only flagged, and no
+    once; a handle whose bucket is dispatching is only cleared, and no
     handle ever enters the freelist twice."""
 
     @staticmethod
@@ -336,7 +312,7 @@ class TestCancelTimer:
         later.append(sim.timer_at(70, lambda: fired.append("cancelled")))
         sim.timer_at(80, lambda: fired.append("live"))
         sim.run()
-        assert fired == ["live"] and later[0].cancelled
+        assert fired == ["live"] and later[0]._callback is None
         assert len(sim._pool) == 2
         self._assert_pool_distinct(sim)
 
@@ -407,7 +383,7 @@ class TestStep:
     def test_events_processed_counter(self):
         sim = Simulator()
         for t in (1, 2, 3):
-            sim.at(t, lambda: None)
+            sim.post_at(t, lambda: None)
         sim.run()
         assert sim.events_processed == 3
 
@@ -418,5 +394,5 @@ class TestStep:
             with pytest.raises(SimulationError):
                 sim.run()
 
-        sim.at(1, reenter)
+        sim.post_at(1, reenter)
         sim.run()

@@ -124,7 +124,7 @@ class TestMessageQueueBlocking:
             log.append(item)
 
         platform.spawn("c", consumer())
-        world.sim.at(2 * MS, lambda: queue.post("payload"))
+        world.sim.post_at(2 * MS, lambda: queue.post("payload"))
         world.run_to_completion()
         assert log == ["payload"]
 

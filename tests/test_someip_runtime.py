@@ -131,6 +131,39 @@ class TestErrorResponses:
         assert outcomes == [ReturnCode.E_MALFORMED_MESSAGE]
 
 
+class TestRequestTimeout:
+    def test_answered_call_frees_its_timeout_at_once(self):
+        """A response that beats the deadline takes the timeout out of
+        the kernel queue and puts its handle back on the freelist."""
+        world = build_ap_world()
+        server = make_process(world, "p1", "server")
+        skeleton = server.create_skeleton(IFACE_V1, 1)
+        skeleton.implement("ping", lambda: 7)
+        skeleton.offer()
+        client = make_process(world, "p2", "client")
+        sim = world.sim
+        seen = []
+
+        def main():
+            entry = yield from client.sd.find_blocking(0x6000, 1, 1 * SEC)
+            from repro.sim.process import Sleep
+
+            def completion(code, payload, tag):
+                queued = [t for bucket in sim._buckets.values() for t in bucket]
+                seen.append((code, handle in queued, handle in sim._pool))
+
+            client.endpoint.send_request(
+                entry, 1, b"", completion, timeout_ns=5 * SEC
+            )
+            (request,) = client.endpoint._pending.values()
+            handle = request.timeout_handle
+            yield Sleep(1 * SEC)
+
+        client.spawn("main", main())
+        world.run_for(3 * SEC)
+        assert seen == [(ReturnCode.E_OK, False, True)]
+
+
 class TestServerSideGuards:
     def test_double_provide_rejected(self):
         world = build_ap_world()

@@ -85,7 +85,7 @@ class TestFindBlocking:
             results.append(entry)
 
         world.platform("b").spawn("finder", finder())
-        world.sim.at(
+        world.sim.post_at(
             2 * SEC, lambda: daemons["a"].offer(0x1234, 1, 1, 40000)
         )
         world.run_for(10 * SEC)
