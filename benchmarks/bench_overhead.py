@@ -65,7 +65,7 @@ def test_obs_disabled_overhead(show, bench_json):
     """Observability off must cost ~nothing — and on, must change nothing.
 
     The disabled path at every instrumented site is one module-global
-    load plus one attribute check; measured here directly, and the
+    load plus one ``is not None`` test; measured here directly, and the
     enabled/disabled wall-time ratio of a full run is recorded to
     ``BENCH_obs_disabled_overhead.json`` for trajectory tracking.
     """
@@ -75,7 +75,7 @@ def test_obs_disabled_overhead(show, bench_json):
     started = time.perf_counter()
     for _ in range(iterations):
         o = obs_context.ACTIVE
-        if o.enabled:  # pragma: no cover - disabled in this loop
+        if o is not None:  # pragma: no cover - disabled in this loop
             raise AssertionError("obs unexpectedly enabled")
     per_guard_ns = (time.perf_counter() - started) / iterations * 1e9
 

@@ -9,8 +9,10 @@ own suffix — O(ΔT).  Recorded to ``BENCH_snapshot.json``:
 
 * ``capture_mean_ns`` / ``fork_mean_ns`` — raw engine latencies;
 * ``scratch_wall_s`` vs ``forked_wall_s`` over the *same* N-1 warm
-  schedules, and their ``forked_runtime_over_scratch`` ratio (the
-  gated trajectory: if forks stop paying off, this grows);
+  schedules, timed alternately per schedule (the first side swaps
+  every schedule) and summed per side, and their
+  ``forked_runtime_over_scratch`` ratio (the gated trajectory: if
+  forks stop paying off, this grows);
 * ``speedup_net_of_fork_ge_3x`` — the wall-clock claim, asserted:
   scratch time over forked time *net of the measured fork cost*
   (``runs - 1`` forks at ``fork_mean_ns``).  Each warm run pays one
@@ -106,18 +108,26 @@ def test_snapshot(show, bench_json):
         cold_total = engine.stats.total_decisions
         cold_reused = engine.stats.reused_decisions
 
-        started = time.perf_counter()
-        forked_digests = [forked(s) for s in schedules[1:]]
-        forked_s = time.perf_counter() - started
+        # Each warm schedule runs forked and from scratch back to back,
+        # alternating which side goes first, and each side's times are
+        # summed: a burst of host load lands on both sides alike.
+        def scratch(schedule):
+            return _run_scratch(scenario, schedule)
+
+        digests = {forked: [], scratch: []}
+        wall_s = {forked: 0.0, scratch: 0.0}
+        for index, schedule in enumerate(schedules[1:]):
+            for side in (forked, scratch) if index % 2 == 0 else (scratch, forked):
+                started = time.perf_counter()
+                digests[side].append(side(schedule))
+                wall_s[side] += time.perf_counter() - started
+        forked_digests, scratch_digests = digests[forked], digests[scratch]
+        forked_s, scratch_s = wall_s[forked], wall_s[scratch]
         fork_hits = engine.stats.fork_hits
         warm_span = engine.stats.total_decisions - cold_total
         warm_reused = engine.stats.reused_decisions - cold_reused
         warm_replay_ratio = (warm_span - warm_reused) / warm_span
         fork_ns_mean = engine.stats.fork_ns_mean
-
-        started = time.perf_counter()
-        scratch_digests = [_run_scratch(scenario, s) for s in schedules[1:]]
-        scratch_s = time.perf_counter() - started
 
         assert forked_digests == scratch_digests  # equivalence before speed
         assert fork_hits == runs - 1  # every warm run found a holder

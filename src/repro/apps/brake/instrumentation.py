@@ -189,7 +189,7 @@ class OneSlotBuffer:
         o = obs_context.ACTIVE
         if self._unread:
             self.drops += 1
-            if o.enabled:
+            if o is not None:
                 attribute_drop(
                     o,
                     LAYER_APP,
@@ -197,7 +197,7 @@ class OneSlotBuffer:
                     self._now(),
                     flow_id=flow_id_of(self._item),
                 )
-        if o.enabled and o.flows is not None:
+        if o is not None and o.flows is not None:
             flow = flow_id_of(item)
             if flow is not None and o.flows.known(flow):
                 o.flows.hop(flow, LAYER_APP, f"{self.name} write", self._now())

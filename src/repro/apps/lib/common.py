@@ -155,7 +155,7 @@ class RunLedger:
         now = self.world.sim.now
         self._sent.setdefault(seq, now)
         o = obs_context.ACTIVE
-        flows = o.flows if o.enabled else None
+        flows = None if o is None else o.flows
         if flows is None:
             return send(*args)
         if flows.known(seq):
@@ -191,13 +191,13 @@ class RunLedger:
             if deadline is not None and latency > deadline:
                 self.deadline_misses += 1
         o = obs_context.ACTIVE
-        if o.enabled and o.flows is not None:
+        if o is not None and o.flows is not None:
             o.flows.deliver(seq, now)
 
     def drop(self, seq: int, layer: str, cause: str) -> None:
         """Attribute flow *seq*'s loss to ``(layer, cause)``."""
         o = obs_context.ACTIVE
-        if o.enabled:
+        if o is not None:
             attribute_drop(o, layer, cause, self.world.sim.now, flow_id=seq)
 
     def unsent(self, born_ns, layer: str, cause: str) -> None:
@@ -210,7 +210,7 @@ class RunLedger:
         stamped or counted in the result.
         """
         o = obs_context.ACTIVE
-        if not o.enabled:
+        if o is None:
             return
         flows = o.flows
         for seq in range(self.scenario.n_frames):

@@ -42,11 +42,11 @@ from typing import Any, Callable, Mapping
 __all__ = ["AppDefinition", "register", "get", "names", "apps"]
 
 
-def _generic_scenario_to_dict(scenario: Any) -> dict:
+def _scenario_to_dict(scenario: Any) -> dict:
     """Field-by-field dict of a (possibly nested) scenario dataclass.
 
     Nested dataclass values (e.g. :class:`StageTiming`) flatten to dicts
-    of their fields — the same shape the brake converters produce.
+    of their fields.
     """
     out: dict[str, Any] = {}
     for f in fields(scenario):
@@ -57,22 +57,20 @@ def _generic_scenario_to_dict(scenario: Any) -> dict:
     return out
 
 
-def _generic_scenario_from_dict(scenario_type: type) -> Callable[[dict], Any]:
-    def loader(data: dict) -> Any:
-        kwargs: dict[str, Any] = {}
-        for f in fields(scenario_type):
-            if f.name not in data:
-                continue
-            value = data[f.name]
-            if isinstance(value, dict):
-                default = getattr(scenario_type(), f.name)
-                value = type(default)(**value)
-            elif isinstance(value, list):
-                value = tuple(value)
-            kwargs[f.name] = value
-        return scenario_type(**kwargs)
-
-    return loader
+def _scenario_from_dict(scenario_type: type, data: dict) -> Any:
+    """The inverse of :func:`_scenario_to_dict`; missing fields keep defaults."""
+    kwargs: dict[str, Any] = {}
+    for f in fields(scenario_type):
+        if f.name not in data:
+            continue
+        value = data[f.name]
+        if isinstance(value, dict):
+            default = getattr(scenario_type(), f.name)
+            value = type(default)(**value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[f.name] = value
+    return scenario_type(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -91,8 +89,6 @@ class AppDefinition:
     #: Library scenarios show up as such in the ``repro library``
     #: listing and qualified names; the brake app predates the library.
     library: bool = True
-    scenario_to_dict: Callable[[Any], dict] | None = None
-    scenario_from_dict: Callable[[dict], Any] | None = None
     #: Environment/sensor thread names: explore's determinism verifier
     #: suppresses preemptions landing on these (delaying an input driver
     #: changes the input timeline, not the SUT's scheduling).
@@ -165,14 +161,10 @@ class AppDefinition:
         return replace(scenario, **{self.fixed_inputs_knob: on})
 
     def dump_scenario(self, scenario: Any) -> dict:
-        convert = self.scenario_to_dict or _generic_scenario_to_dict
-        return convert(scenario)
+        return _scenario_to_dict(scenario)
 
     def load_scenario(self, data: dict) -> Any:
-        convert = self.scenario_from_dict or _generic_scenario_from_dict(
-            self.scenario_type
-        )
-        return convert(data)
+        return _scenario_from_dict(self.scenario_type, data)
 
     def topology_for(self, scenario: Any):
         """The app's native fabric for *scenario* (``None``: one switch)."""

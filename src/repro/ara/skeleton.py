@@ -156,7 +156,7 @@ class ServiceSkeleton:
         """Publish an event to all subscribers; returns the receiver count."""
         event = self.interface.event(event_name)
         o = obs_context.ACTIVE
-        flows = o.flows if o.enabled else None
+        flows = None if o is None else o.flows
         swapped = False
         previous = None
         if flows is not None:

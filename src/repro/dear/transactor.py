@@ -95,16 +95,16 @@ class Transactor(Reactor):
         if arrival is None:
             if self.config.untagged is UntaggedPolicy.FAIL:
                 self.untagged_rejected += 1
-                if o.enabled:
+                if o is not None:
                     o.metrics.counter("dear.untagged_rejected").inc()
                 raise UntaggedMessageError(
                     f"transactor {self.fqn} received an untagged message"
                 )
-            if o.enabled:
+            if o is not None:
                 o.metrics.counter("dear.untagged_fallback").inc()
             action.schedule(value)
             return
-        if o.enabled:
+        if o is not None:
             scheduler = self.environment.scheduler
             now = scheduler._obs_now()
             wait = self.config.stp.stp_wait_ns(
@@ -139,7 +139,7 @@ class Transactor(Reactor):
             self.environment.trace.record(
                 self.environment.scheduler.current_tag, "stp-violation", self.fqn
             )
-            if o.enabled:
+            if o is not None:
                 o.metrics.counter("dear.stp_violations").inc()
                 o.bus.instant(
                     TRACK_DEAR,
@@ -168,7 +168,7 @@ class Transactor(Reactor):
         self.environment.trace.record(current, "stp-violation", self.fqn)
         policy = self.config.late_policy
         o = obs_context.ACTIVE
-        if o.enabled:
+        if o is not None:
             o.metrics.counter("dear.stp_violations").inc()
             o.metrics.counter(f"dear.late_{policy.value}").inc()
             o.bus.instant(
@@ -179,17 +179,17 @@ class Transactor(Reactor):
             )
         if policy is LatePolicy.DROP:
             self.environment.trace.record(current, "late-dropped", self.fqn)
-            if o.enabled:
+            if o is not None:
                 attribute_drop(o, LAYER_DEAR, CAUSE_LATE, scheduler._obs_now())
             return
         if policy is LatePolicy.LAST_KNOWN:
             if self._last_in_bound is _NO_VALUE:
                 self.environment.trace.record(current, "late-dropped", self.fqn)
-                if o.enabled:
+                if o is not None:
                     attribute_drop(o, LAYER_DEAR, CAUSE_LATE, scheduler._obs_now())
                 return
             self.environment.trace.record(current, "late-substituted", self.fqn)
-            if o.enabled:
+            if o is not None:
                 # The late payload itself is discarded (an older value is
                 # substituted), so the late frame's flow ends here.
                 attribute_drop(o, LAYER_DEAR, CAUSE_LATE, scheduler._obs_now())
@@ -218,7 +218,7 @@ class Transactor(Reactor):
         self.deadline_misses += 1
         self.environment.trace.record(ctx.tag, "send-deadline-miss", self.fqn)
         o = obs_context.ACTIVE
-        if o.enabled:
+        if o is not None:
             o.metrics.counter("dear.send_deadline_misses").inc()
             o.bus.instant(
                 TRACK_DEAR,
@@ -229,7 +229,7 @@ class Transactor(Reactor):
             )
         if not self.config.drop_on_deadline_miss:
             self._send_body(ctx, late=True)
-        elif o.enabled:
+        elif o is not None:
             # The outgoing message is dropped; reaction context has no
             # current flow, but the transactor's input port still holds
             # the value that would have been sent — self-correlate.

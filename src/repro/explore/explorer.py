@@ -164,9 +164,9 @@ class Explorer:
         self.strategy = strategy or PctStrategy()
         self.sweep = sweep or SweepRunner()
         self.predicate = predicate
-        if snapshots is not None and not snapshots.active:
+        if snapshots is not None and not snapshots.supported:
             snapshots = None
-        #: Active :class:`repro.snapshot.SnapshotEngine` or ``None``:
+        #: A :class:`repro.snapshot.SnapshotEngine` that can fork, or ``None``:
         #: with one, explore/shrink executions fork from the deepest
         #: shared-prefix holder instead of replaying from t=0.
         self.snapshots = snapshots

@@ -172,7 +172,7 @@ class FaultInjector:
         )
         self.counters[kind] = self.counters.get(kind, 0) + 1
         o = obs_context.ACTIVE
-        if o.enabled:
+        if o is not None:
             o.metrics.counter(f"faults.{kind}").inc()
             o.bus.instant(
                 TRACK_FAULTS,

@@ -71,18 +71,18 @@ def shrink_fault_trace(
     :class:`ValueError` if the full trace does not reproduce (nothing
     to shrink from).
 
-    With *snapshots* (an active :class:`repro.snapshot.SnapshotEngine`),
-    probes are keyed by their membership bits over *trace*'s records —
-    a record's membership cannot affect the run before its own firing
-    site, so probes agreeing on records < k share bit-identical state up
-    to record k and fork from copy-on-write holders instead of
-    replaying from t=0.  The replay then also carries *trace* as the
+    With *snapshots* (a :class:`repro.snapshot.SnapshotEngine` on a
+    platform that can fork), probes are keyed by their membership bits
+    over *trace*'s records — a record's membership cannot affect the run
+    before its own firing site, so probes agreeing on records < k share
+    bit-identical state up to record k and fork from copy-on-write
+    holders instead of replaying from t=0.  The replay then also carries *trace* as the
     decision universe and the engine's checkpointer, so *failure* needs
     no snapshot plumbing.
     """
     history: list[tuple[int, bool]] = []
     engine = snapshots
-    if engine is not None and not engine.active:
+    if engine is not None and not engine.supported:
         engine = None
     universe = list(trace.records)
     if engine is not None:

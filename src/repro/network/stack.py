@@ -81,7 +81,7 @@ class Socket:
         elif not self.rx.post(frame):
             self.rx_dropped += 1
             o = obs_context.ACTIVE
-            if o.enabled:
+            if o is not None:
                 o.metrics.counter("net.socket_rx_dropped").inc()
                 o.bus.instant(
                     TRACK_NETWORK,
@@ -140,7 +140,7 @@ class NetworkInterface:
     def deliver(self, frame: Frame) -> None:
         """Called by the switch when a frame arrives for this host."""
         o = obs_context.ACTIVE
-        flows = o.flows if o.enabled else None
+        flows = None if o is None else o.flows
         swapped = False
         previous = None
         if flows is not None:
@@ -162,7 +162,7 @@ class NetworkInterface:
                 # A corrupted frame fails the FCS check and never reaches
                 # a socket — corruption manifests as (counted) loss.
                 self.fcs_dropped += 1
-                if o.enabled:
+                if o is not None:
                     o.metrics.counter("net.fcs_dropped").inc()
                     o.bus.instant(
                         TRACK_NETWORK,
@@ -175,7 +175,7 @@ class NetworkInterface:
             socket = self._sockets.get(frame.dst_port)
             if socket is None:
                 # Real stacks drop datagrams for unbound ports.
-                if o.enabled:
+                if o is not None:
                     attribute_drop(
                         o, LAYER_NIC, CAUSE_UNBOUND_PORT, self.platform.sim.now
                     )

@@ -175,7 +175,7 @@ class Switch:
     def _drop(self, frame: Frame, label: str, cause: str, o) -> None:
         """Count a lost *frame*; observed, record it and attribute *cause*."""
         self.frames_dropped += 1
-        if o.enabled:
+        if o is not None:
             o.metrics.counter("net.frames_dropped").inc()
             o.bus.instant(
                 TRACK_NETWORK,
@@ -195,7 +195,7 @@ class Switch:
         self.frames_sent += 1
         self.total_bytes += frame.size_bytes
         o = obs_context.ACTIVE
-        if o.enabled:
+        if o is not None:
             o.metrics.counter("net.frames_sent").inc()
         if (
             self.config.drop_probability > 0.0
@@ -235,7 +235,7 @@ class Switch:
             if arrival <= horizon:
                 arrival = horizon + 1
             self._flow_horizon[flow] = arrival
-        if o.enabled:
+        if o is not None:
             o.metrics.histogram("net.latency_ns").observe(arrival - self._sim.now)
             o.bus.span(
                 TRACK_NETWORK,

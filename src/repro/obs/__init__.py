@@ -51,7 +51,7 @@ from repro.obs.bus import (
     TRACK_SCHEDULER,
 )
 from repro.obs import fleet
-from repro.obs.context import Observation, NullObservation, capture
+from repro.obs.context import Observation, capture
 from repro.obs.flows import (
     FlowRecord,
     FlowRegistry,
@@ -110,7 +110,6 @@ __all__ = [
     "TRACK_DEAR",
     "TRACK_NETWORK",
     "Observation",
-    "NullObservation",
     "capture",
     "Counter",
     "Gauge",

@@ -1,15 +1,14 @@
 """The active observation: a process-wide, opt-in recording context.
 
 Observability is **off by default**: the module-level :data:`ACTIVE`
-handle is a :class:`NullObservation` whose ``enabled`` flag is
-``False``, and every instrumentation site in the runtime guards itself
-with one attribute read::
+handle is ``None``, and every instrumentation site in the runtime
+guards itself with one identity test::
 
     o = context.ACTIVE
-    if o.enabled:
+    if o is not None:
         o.bus.instant(...)
 
-so a disabled run pays one global load and one attribute check per
+so a disabled run pays one global load and one ``is not None`` test per
 potential event — nothing is allocated, sampled or stored.  Crucially,
 recording draws **no randomness** and takes **no scheduling decision**:
 enabling observability cannot perturb RNG streams or interleavings,
@@ -33,16 +32,15 @@ from repro.obs.bus import EventBus
 from repro.obs.flows import FlowRegistry
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["Observation", "NullObservation", "ACTIVE", "capture"]
+__all__ = ["Observation", "ACTIVE", "capture"]
 
 
 class Observation:
     """One run's worth of recorded events and metrics."""
 
-    __slots__ = ("enabled", "bus", "metrics", "scratch", "flows", "_wall_anchor_ns")
+    __slots__ = ("bus", "metrics", "scratch", "flows", "_wall_anchor_ns")
 
     def __init__(self, flows: bool = False) -> None:
-        self.enabled = True
         self.bus = EventBus()
         self.metrics = MetricsRegistry()
         #: Instrumentation-private state (e.g. mutex acquire timestamps),
@@ -61,23 +59,8 @@ class Observation:
         return time.perf_counter_ns() - self._wall_anchor_ns
 
 
-class NullObservation:
-    """The disabled stand-in: only its ``enabled`` flag is ever read."""
-
-    __slots__ = ()
-
-    enabled = False
-    bus = None
-    metrics = None
-    scratch = None
-    flows = None
-
-    def wall_ns(self) -> int:  # pragma: no cover - never called when disabled
-        return 0
-
-
 #: The process-wide observation handle read by every instrumented site.
-ACTIVE: Observation | NullObservation = NullObservation()
+ACTIVE: Observation | None = None
 
 
 @contextmanager
@@ -87,7 +70,7 @@ def capture(
     """Enable observability for the duration of a ``with`` block.
 
     Yields the (fresh or supplied) :class:`Observation`; the previously
-    active handle — usually the disabled null object — is restored on
+    active handle — usually ``None``, observation off — is restored on
     exit, even on error.  ``flows=True`` additionally activates causal
     flow tracing (ignored when *observation* is supplied).
     """

@@ -45,7 +45,7 @@ registry correlates observation-side:
 
 Like all of ``repro.obs`` the enabled path consumes **zero RNG draws**
 and leaves ``Trace.fingerprint()`` byte-identical; the disabled path is
-the existing ``o.enabled`` flag check plus an ``o.flows is None`` test.
+the existing ``o is not None`` check plus an ``o.flows is None`` test.
 """
 
 from __future__ import annotations

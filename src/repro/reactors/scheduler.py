@@ -172,7 +172,7 @@ class ReactorScheduler:
         if tag <= self._current_tag:
             tag = self._current_tag.delay(0)
         o = obs_context.ACTIVE
-        if o.enabled and o.flows is not None:
+        if o is not None and o.flows is not None:
             o.flows.bind_event(value)
         self._push(tag, action, value)
         self._wake()
@@ -199,7 +199,7 @@ class ReactorScheduler:
             tag = self._current_tag.delay(0)
             late = True
         o = obs_context.ACTIVE
-        if o.enabled and o.flows is not None:
+        if o is not None and o.flows is not None:
             o.flows.bind_event(value)
         self._push(tag, action, value)
         self._wake()
@@ -284,11 +284,9 @@ class ReactorScheduler:
             stack.extend(current.downstream)
             for downstream, delay in current.delayed_downstream:
                 self._push(tag.delay(delay), downstream, value)
-        trace = self._env.trace
-        if trace.enabled:
-            # The closure's ports, in propagation order: one "set" record
-            # each, all sharing a single rendering of the value.
-            trace.port_sets(tag, to_clear[first:], value)
+        # The closure's ports, in propagation order: one "set" record
+        # each, all sharing a single rendering of the value.
+        self._env.trace.port_sets(tag, to_clear[first:], value)
 
     def _enqueue_reaction(self, reaction: Reaction) -> None:
         if reaction._queued:
@@ -308,7 +306,7 @@ class ReactorScheduler:
                     for reaction in reactor.shutdown.triggered_reactions:
                         self._enqueue_reaction(reaction)
         o = obs_context.ACTIVE
-        flows = o.flows if o.enabled else None
+        flows = None if o is None else o.flows
         to_clear = self._to_clear
         for event in events:
             if flows is not None:
@@ -359,7 +357,7 @@ class ReactorScheduler:
         reaction.invocations += 1
         self.reactions_executed += 1
         o = obs_context.ACTIVE
-        if o.enabled:
+        if o is not None:
             o.metrics.counter("reactor.reactions").inc()
             o.metrics.histogram("reactor.lag_ns").observe(
                 max(self.physical_time() - tag.time, 0)
@@ -370,7 +368,7 @@ class ReactorScheduler:
             if lag > deadline.duration_ns:
                 reaction.deadline_violations += 1
                 self._env.trace.deadline_miss(tag, reaction.fqn, lag)
-                if o.enabled:
+                if o is not None:
                     o.metrics.counter("reactor.deadline_misses").inc()
                     o.bus.instant(
                         TRACK_REACTORS,
@@ -384,14 +382,12 @@ class ReactorScheduler:
                     raise DeadlineViolation(reaction.fqn, lag)
                 deadline.handler(context)
                 return False
-            if o.enabled:
+            if o is not None:
                 o.metrics.histogram("reactor.deadline_slack_ns").observe(
                     deadline.duration_ns - lag
                 )
         if record_trace:
-            trace = self._env.trace
-            if trace.enabled:
-                trace.reaction(tag, reaction.fqn)
+            self._env.trace.reaction(tag, reaction.fqn)
         reaction.body(context)
         return True
 
@@ -496,7 +492,7 @@ class ReactorScheduler:
                         compute.duration_ns = cost
                         yield compute
                     invoke(reaction, tag)
-                    if o.enabled:
+                    if o is not None:
                         now = platform.sim.now
                         o.bus.span(
                             TRACK_REACTORS,
@@ -620,7 +616,7 @@ class _WorkerPool:
             finally:
                 scheduler._active_buffer = None
             o = obs_context.ACTIVE
-            if o.enabled:
+            if o is not None:
                 now = self._platform.sim.now
                 o.bus.span(
                     TRACK_REACTORS,

@@ -270,7 +270,7 @@ class CpuScheduler:
                         "dispatch", thread.name, dispatch_jitter_ns
                     )
                 preempt_ns = decisions.preempt(thread.name)
-            if o.enabled:
+            if o is not None:
                 now = self._sim.now
                 o.metrics.counter("sched.dispatches").inc()
                 o.metrics.histogram("sched.dispatch_delay_ns").observe(delay)
@@ -438,13 +438,13 @@ class CpuScheduler:
         o = obs_context.ACTIVE
         if mutex.owner is None:
             mutex.owner = thread
-            if o.enabled:
+            if o is not None:
                 o.scratch[("mutex_hold", id(mutex))] = self._sim.now
             return True
         mutex.waiters.append(thread)
         thread.state = ThreadState.BLOCKED
         thread.resume_value = None
-        if o.enabled:
+        if o is not None:
             o.metrics.counter("sched.mutex_contended").inc()
             o.scratch[("mutex_wait", id(thread))] = self._sim.now
         self._release_core(thread)
@@ -457,7 +457,7 @@ class CpuScheduler:
             )
         mutex.owner = None
         o = obs_context.ACTIVE
-        if o.enabled:
+        if o is not None:
             acquired = o.scratch.pop(("mutex_hold", id(mutex)), None)
             if acquired is not None:
                 o.metrics.histogram("sched.mutex_hold_ns").observe(
@@ -484,7 +484,7 @@ class CpuScheduler:
         waiter.reacquire = None
         waiter.state = ThreadState.READY
         o = obs_context.ACTIVE
-        if o.enabled:
+        if o is not None:
             now = self._sim.now
             started = o.scratch.pop(("mutex_wait", id(waiter)), None)
             if started is not None:
@@ -518,7 +518,7 @@ class CpuScheduler:
                 )
             mutex.owner = None
             o = obs_context.ACTIVE
-            if o.enabled:
+            if o is not None:
                 acquired = o.scratch.pop(("mutex_hold", id(mutex)), None)
                 if acquired is not None:
                     o.metrics.histogram("sched.mutex_hold_ns").observe(
@@ -570,12 +570,12 @@ class CpuScheduler:
             o = obs_context.ACTIVE
             if mutex.owner is not None:
                 mutex.waiters.append(waiter)
-                if o.enabled:
+                if o is not None:
                     o.scratch[("mutex_wait", id(waiter))] = self._sim.now
                 return
             mutex.owner = waiter
             waiter.reacquire = None
-            if o.enabled:
+            if o is not None:
                 o.scratch[("mutex_hold", id(mutex))] = self._sim.now
         # Holding the mutex again, or a mutex-free wait: runnable now.
         waiter.state = ThreadState.READY

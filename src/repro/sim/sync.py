@@ -197,15 +197,15 @@ class MessageQueue:
                 raise OverflowError(f"queue {self.name!r} is full")
             if self._overflow == "drop-new":
                 self.dropped += 1
-                if o.enabled:
+                if o is not None:
                     self._record_drop(o)
                 return False
             self._items.popleft()
             self.dropped += 1
-            if o.enabled:
+            if o is not None:
                 self._record_drop(o)
         self._items.append(item)
-        if o.enabled:
+        if o is not None:
             o.metrics.histogram("queue.depth", DEPTH_BUCKETS).observe(
                 len(self._items)
             )

@@ -25,7 +25,6 @@ execution runs inline from scratch — same results, no speedup.
 from repro.snapshot.engine import (
     Checkpointer,
     MembershipDecisions,
-    NullCheckpointer,
     RemoteRunError,
     ScheduleDecisions,
     SnapshotEngine,
@@ -39,7 +38,6 @@ __all__ = [
     "SnapshotStore",
     "SnapshotStats",
     "Checkpointer",
-    "NullCheckpointer",
     "RemoteRunError",
     "ScheduleDecisions",
     "MembershipDecisions",

@@ -76,7 +76,6 @@ from repro.snapshot.store import SnapshotStats, SnapshotStore, _Holder
 __all__ = [
     "SnapshotEngine",
     "Checkpointer",
-    "NullCheckpointer",
     "RemoteRunError",
     "ScheduleDecisions",
     "MembershipDecisions",
@@ -166,18 +165,6 @@ class MembershipDecisions:
 # ---------------------------------------------------------------------------
 # The in-run capture hook.
 # ---------------------------------------------------------------------------
-
-
-class NullCheckpointer:
-    """No-op hook: decision sources run exactly as without snapshots."""
-
-    __slots__ = ()
-
-    def wants(self, index: int) -> bool:
-        return False
-
-    def reached(self, index: int, adopt: Callable[[Any], None]) -> None:
-        pass
 
 
 class Checkpointer:
@@ -276,7 +263,9 @@ class SnapshotEngine:
 
     ``execute(context, decisions, run)`` is the whole API: *run* is any
     ``(checkpointer) -> picklable`` callable (closures welcome — fork
-    carries them for free); *decisions* is a
+    carries them for free), called with ``None`` when it runs inline in
+    this process (no fork support, or a child that died without a
+    result); *decisions* is a
     :class:`ScheduleDecisions`/:class:`MembershipDecisions`-shaped
     vector; *context* strings together everything outside the vector
     that defines the run (experiment, scenario, seed, fault plan, code
@@ -288,27 +277,20 @@ class SnapshotEngine:
     def __init__(
         self,
         store: SnapshotStore | None = None,
-        enabled: bool = True,
         max_captures_per_run: int = MAX_CAPTURES_PER_RUN,
     ) -> None:
         self.supported = ipc.SUPPORTED
-        self.enabled = enabled
         # Not `store or ...`: an empty store is len() == 0, hence falsy.
         self.store = store if store is not None else SnapshotStore()
         self.max_captures_per_run = max_captures_per_run
         self._reg_recv: Any = None
         self._reg_send: Any = None
-        if self.active:
+        if self.supported:
             self._reg_recv, self._reg_send = ipc.seqpacket_pair()
             self._reg_recv.setblocking(False)
             # Registration must never block a runner mid-simulation: a
             # full channel raises and the capture is abandoned instead.
             self._reg_send.setblocking(False)
-
-    @property
-    def active(self) -> bool:
-        """Whether executions may actually capture and fork."""
-        return self.supported and self.enabled
 
     @property
     def stats(self) -> SnapshotStats:
@@ -325,9 +307,9 @@ class SnapshotEngine:
         """
         stats = self.stats
         stats.total_decisions += decisions.span()
-        if not self.active:
+        if not self.supported:
             stats.inline += 1
-            return run(NullCheckpointer())
+            return run(None)
         holder = self.store.best(context, decisions.prefix_digest)
         plan = self._capture_plan(context, decisions, after=holder)
         try:
@@ -344,7 +326,7 @@ class SnapshotEngine:
             stats.failures += 1
             if holder is not None:
                 self.store.discard(holder)
-            return run(NullCheckpointer())
+            return run(None)
         kind, value, resumed_ns, started_ns = envelope
         if holder is not None:
             stats.fork_hits += 1

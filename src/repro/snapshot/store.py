@@ -50,7 +50,7 @@ class SnapshotStats:
     fork_hits: int = 0
     #: Executions that ran from t=0 (no usable shared-prefix holder).
     misses: int = 0
-    #: Executions that bypassed the engine (disabled or unsupported).
+    #: Executions that bypassed the engine (unsupported platform).
     inline: int = 0
     #: Holder processes captured.
     captures: int = 0

@@ -325,7 +325,7 @@ class SomeIpEndpoint:
             native_tag,
         )
         o = obs_context.ACTIVE
-        if o.enabled:
+        if o is not None:
             o.metrics.counter("someip.tx_messages").inc()
             if tag is not None:
                 o.metrics.counter("someip.tx_tagged").inc()
@@ -348,7 +348,7 @@ class SomeIpEndpoint:
             ) = parse(frame.payload)
         except Exception:
             self.malformed_count += 1
-            if o.enabled:
+            if o is not None:
                 o.metrics.counter("someip.malformed").inc()
                 o.bus.instant(
                     TRACK_NETWORK,
@@ -360,7 +360,7 @@ class SomeIpEndpoint:
                     o, LAYER_SOMEIP, CAUSE_MALFORMED, self.platform.sim.now
                 )
             return
-        if o.enabled:
+        if o is not None:
             o.metrics.counter("someip.rx_messages").inc()
             flows = o.flows
             if flows is not None and flows.current is not None:

@@ -243,7 +243,7 @@ class SdDaemon:
                 next_find = now + backoff
                 self._send_find(service_id, instance_id)
                 o = obs_context.ACTIVE
-                if o.enabled:
+                if o is not None:
                     o.metrics.counter("sd.find_retries").inc()
             if retries >= self.config.find_max_retries:
                 wait_deadline = deadline

@@ -83,17 +83,17 @@ class TimestampBypass:
         """Store *tag* for the next binding operation."""
         self._tags.append(tag)
         o = obs_context.ACTIVE
-        if o.enabled:
+        if o is not None:
             o.metrics.counter("someip.bypass_deposits").inc()
 
     def collect(self) -> Tag | None:
         """Retrieve the oldest deposited tag, or ``None`` if empty."""
         o = obs_context.ACTIVE
         if self._tags:
-            if o.enabled:
+            if o is not None:
                 o.metrics.counter("someip.bypass_hits").inc()
             return self._tags.popleft()
-        if o.enabled:
+        if o is not None:
             o.metrics.counter("someip.bypass_misses").inc()
         return None
 

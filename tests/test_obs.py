@@ -147,13 +147,12 @@ class TestAggregation:
 
 class TestContextAndBus:
     def test_disabled_by_default(self):
-        assert obs_context.ACTIVE.enabled is False
+        assert obs_context.ACTIVE is None
 
     def test_capture_installs_and_restores(self):
         before = obs_context.ACTIVE
         with obs.capture() as observation:
             assert obs_context.ACTIVE is observation
-            assert observation.enabled
             with obs.capture() as inner:
                 assert obs_context.ACTIVE is inner
             assert obs_context.ACTIVE is observation

@@ -11,6 +11,8 @@ runs faster, never different.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.apps.brake.det import run_det_brake_assistant
@@ -204,14 +206,37 @@ def test_lru_eviction_keeps_results_correct():
         assert engine.stats.fork_hits == 1
 
 
-def test_disabled_engine_runs_inline():
+def test_disabled_engine_runs_inline(monkeypatch):
+    # A platform without fork support: every execution runs in-process.
+    monkeypatch.setattr("repro.snapshot.ipc.SUPPORTED", False)
     schedule = _schedule(0)
-    with SnapshotEngine(enabled=False) as engine:
-        assert not engine.active
+    with SnapshotEngine() as engine:
+        assert not engine.supported
         out = _engine_run(engine, "det", schedule)
         assert engine.stats.inline == 1
         assert engine.stats.captures == 0
     assert out == _run_scratch("det", schedule)
+
+
+def test_dead_runner_falls_back_to_an_inline_run():
+    # The cold runner dies before writing a result: execute re-runs the
+    # experiment in this process, with no checkpointer, and counts it.
+    parent = os.getpid()
+    received = []
+
+    def run(checkpointer):
+        if os.getpid() != parent:
+            os._exit(3)
+        received.append(checkpointer)
+        return "inline result"
+
+    with SnapshotEngine() as engine:
+        decisions = ScheduleDecisions(_schedule(0))
+        assert engine.execute("ctx-crash", decisions, run) == "inline result"
+        assert received == [None]
+        assert engine.stats.failures == 1
+        assert engine.stats.misses == 1
+        assert engine.stats.inline == 0
 
 
 def test_error_inside_fork_raises_remote_run_error():
